@@ -49,7 +49,7 @@ from .lindblad import (
     evolve,
     stationary_state,
 )
-from .states import from_bloch, to_bloch, trace_norm
+from .states import from_bloch, to_bloch
 
 PRESET_NAMES = ("tetrahedron", "zeno", "fluorescence", "sigma_x_conjugation")
 
@@ -197,31 +197,38 @@ REPRO_SCHEMA = {
 }
 
 
+def _checked(fn, *args, **kwargs):
+    """Call ``fn``; its parameter-validation ValueError becomes a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_evolve(cfg: dict) -> None:
-    preset = _preset_from(cfg)
-    model = build_model(preset)
-    rho0 = from_bloch(_bloch3(cfg, "bloch0"))
-    traj = evolve(model, rho0, cfg["t_end"], dt=cfg["dt"])
+    model = _checked(build_model, _preset_from(cfg))
+    rho0 = _checked(from_bloch, _bloch3(cfg, "bloch0"))
+    traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
     note = None
     try:
-        rho_stat = stationary_state(model)
+        x_stat = to_bloch(stationary_state(model))
     except NonUniqueStationaryError as exc:
-        rho_stat = None
+        x_stat = np.full(3, math.nan)
         note = str(exc)
+    # trace distance between qubit states is the Euclidean Bloch distance
+    dists = np.linalg.norm(traj.blochs - x_stat, axis=1)
     lines = [f"# {c}" for c in header_comments(cfg)]
     if note:
         lines.append(f"# stationary: {note}")
     lines.append("# columns: t,x1,x2,x3,dist_to_stationary")
     row_fmt = ",".join([FLOAT_FMT] * 5)
-    for t, rho in zip(traj.times, traj.states):
-        x = to_bloch(rho)
-        dist = trace_norm(rho - rho_stat) if rho_stat is not None else math.nan
+    for t, x, dist in zip(traj.times, traj.blochs, dists):
         lines.append(row_fmt % (t, x[0], x[1], x[2], dist))
     atomic_write_bytes(cfg["out"], ("\n".join(lines) + "\n").encode())
 
 
 def _exponent_payload(cfg: dict, preset) -> dict:
-    model = build_model(preset)
+    model = _checked(build_model, preset)
     try:
         analytic = lambda_q_analytic(preset)
     except ValueError:
@@ -270,8 +277,8 @@ def cmd_exponent(cfg: dict) -> None:
 
 
 def cmd_pdp(cfg: dict) -> None:
-    path = pdp.sample_path(
-        omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
+    path = _checked(
+        pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
         r0=_bloch3(cfg, "r0"), n_jumps=cfg["n_points"] + cfg["burn_in"],
         seed=cfg["seed"], rate_convention=cfg["rate_convention"])
     records = path.records[cfg["burn_in"]:]

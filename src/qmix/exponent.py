@@ -11,6 +11,12 @@ infimum domain and is a declared protocol, not a theorem: six Bloch-axis
 pure states, ten seeded-random pure states and two seeded-random mixed
 states.  Axis states expose anisotropic decay that random probes can
 miss.
+
+Every qubit semigroup is affine in Bloch coordinates, d x/dt = M x + b,
+so the difference of two evolved states obeys d/dt (x - y) = M (x - y).
+Distances are therefore propagated as expm(M t) applied to the initial
+difference, for every model, and stay relatively accurate far below the
+rounding level of the states themselves.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .fitting import ExponentEstimate, decay_slope
 from .lindblad import (
@@ -28,8 +35,9 @@ from .lindblad import (
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
-    analytic_bloch_paths,
-    evolve,
+    _affine_propagator,
+    bloch_generator,
+    evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .states import (
     MAX_ENTROPY,
@@ -41,12 +49,10 @@ from .states import (
 )
 
 DEFAULT_PROBE_SEED = 7
-# Trace distances at or below the floor cannot enter a fit.  The closed-form
-# routes compute state differences as products of exact exponentials, so they
-# stay relatively accurate down to the denormal range; the RK4 route carries
-# absolute integration error and gets the conservative floor.
-FLOOR_ANALYTIC = 1e-290
-FLOOR_INTEGRATOR = 1e-13
+# Trace distances at or below the floor cannot enter a fit.  Differences are
+# propagated by expm(M t) directly, never as the difference of two rounded
+# states, so they stay relatively accurate down to the denormal range.
+DISTANCE_FLOOR = 1e-290
 
 _AXES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
@@ -124,23 +130,6 @@ def default_fit_horizon(model: LindbladModel) -> float:
     return default_horizon(model, scale=120.0)
 
 
-def _bloch_trajectories(model: LindbladModel, blochs: np.ndarray,
-                        times: np.ndarray) -> tuple[np.ndarray, float]:
-    """Trajectories for every probe plus the applicable distance floor."""
-    if model.preset is not None:
-        return analytic_bloch_paths(model.preset, blochs, times), FLOOR_ANALYTIC
-    t_end = float(times[-1])
-    out = np.empty((len(blochs), len(times), 3))
-    # integrate on a grid that contains the sample times exactly
-    n_sub = max(1, math.ceil((t_end / (len(times) - 1)) / 1e-3)) if len(times) > 1 else 1
-    dt = t_end / ((len(times) - 1) * n_sub) if len(times) > 1 else None
-    for i, b in enumerate(blochs):
-        traj = evolve(model, from_bloch(b), t_end, dt=dt)
-        idx = np.round(np.linspace(0, len(traj.times) - 1, len(times))).astype(int)
-        out[i] = np.array([to_bloch(traj.states[j]) for j in idx])
-    return out, FLOOR_INTEGRATOR
-
-
 def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
                      probes: list[np.ndarray], t_max: float,
                      n_samples: int = 161) -> ExponentEstimate:
@@ -154,8 +143,8 @@ def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
 
     A probe whose distance has not contracted below 1e-2 by the horizon
     marks the system "not completely mixing at this horizon"; the overall
-    exponent is then nan.  Distances that underflow the route-dependent
-    floor shrink their probe's window, with a note.
+    exponent is then nan.  Distances that underflow ``DISTANCE_FLOOR``
+    shrink their probe's window, with a note.
     """
     ref_b = to_bloch(check_density_matrix(rho_ref))
     if not probes:
@@ -165,20 +154,21 @@ def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
         if np.linalg.norm(b - ref_b) < 1e-6:
             raise ValueError(f"probe {i} coincides with the reference state")
     times = np.linspace(0.0, t_max, n_samples)
-    all_states = np.concatenate([ref_b[None, :], probe_b], axis=0)
-    paths, floor = _bloch_trajectories(model, all_states, times)
-    ref_path = paths[0]
+    m, _ = bloch_generator(model)
+    # (time, probe, component) differences T_t sigma - T_t rho_ref
+    diffs = (probe_b - ref_b) @ np.swapaxes(expm(times[:, None, None] * m), 1, 2)
+    all_dists = np.linalg.norm(diffs, axis=2)
     slopes: list[float] = []
     notes: list[str] = []
     residuals: list[float] = []
     non_mixing = []
     for i in range(len(probes)):
-        dists = np.linalg.norm(paths[i + 1] - ref_path, axis=1)
+        dists = all_dists[:, i]
         if dists[-1] > 1e-2:
             non_mixing.append(i)
             slopes.append(float("nan"))
             continue
-        slope, rms, note = decay_slope(times, dists, 0.5 * t_max, t_max, floor)
+        slope, rms, note = decay_slope(times, dists, 0.5 * t_max, t_max, DISTANCE_FLOOR)
         slopes.append(slope)
         residuals.append(rms)
         if note:
@@ -214,8 +204,8 @@ def classify_mixing(model: LindbladModel, probes: list[np.ndarray],
     evolved probe has von Neumann entropy within ``tol`` of log 2.
     """
     blochs = np.array([to_bloch(check_density_matrix(p)) for p in probes])
-    paths, _ = _bloch_trajectories(model, blochs, np.array([0.0, t_max]))
-    finals = [from_bloch(paths[i, -1]) for i in range(len(probes))]
+    prop = _affine_propagator(*bloch_generator(model), t_max)
+    finals = [from_bloch(x) for x in blochs @ prop[:3, :3].T + prop[:3, 3]]
     worst = 0.0
     for i, rho in enumerate(finals):
         for j, sig in enumerate(finals):

@@ -17,6 +17,14 @@ the package:
 * ``SigmaXConjugation`` -- d rho/dt = sigma1 rho sigma1 - rho, the stock
   example of a dissipative semigroup that is not completely mixing.
 
+Propagation has one route.  In Bloch coordinates every generator is the
+affine map d x/dt = M x + b (:func:`bloch_generator`); :func:`evolve` runs
+fixed-step RK4 on it as one 4x4 step matrix acting on (x, 1), and the
+closed forms and :mod:`qmix.exponent` use the matrix exponential of the
+same system.  :func:`generator_apply`, the master equation on 2x2 density
+matrices, defines (M, b) and serves as the reference the Bloch forms are
+checked against.
+
 Everything is expressed against the Pauli constants in :mod:`qmix.states`.
 """
 
@@ -206,72 +214,110 @@ def default_timestep(model: LindbladModel) -> float:
     return min(1e-3, 0.01 / scale)
 
 
+# Each step stores one time and one Bloch vector (32 bytes), so the cap bounds
+# a trajectory at about 320 MB.  Longer horizons need a larger dt.
+MAX_STEPS = 10 ** 7
+
+_PAULI_STACK = np.array(PAULIS)
+
+
 @dataclass
 class StateTrajectory:
-    """Uniformly sampled integrator output."""
+    """Uniformly sampled integrator output in Bloch coordinates."""
     times: np.ndarray
-    states: np.ndarray  # shape (n, 2, 2)
+    blochs: np.ndarray  # shape (n, 3)
     dt: float
     method: str = "rk4"
 
+    @property
+    def states(self) -> np.ndarray:
+        """Density matrices (I + x . sigma) / 2, shape (n, 2, 2)."""
+        return 0.5 * (IDENTITY2 + np.tensordot(self.blochs, _PAULI_STACK, axes=1))
+
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return from_bloch(self.blochs[-1])
 
 
-def _positivity_guard(rho: np.ndarray, t: float) -> np.ndarray:
-    lo, _ = hermitian_eigenvalues(rho)
-    if lo >= 0.0:
-        return rho
+def _positivity_guard(x: np.ndarray, t: float) -> np.ndarray:
+    """Clamp a Bloch vector that left the unit ball.
+
+    The smaller eigenvalue of (I + x . sigma) / 2 is (1 - |x|) / 2.  Below
+    -1e-6 the step aborts; smaller drift is projected back to the sphere,
+    which is the pure state with the same eigenvectors.
+    """
+    norm = np.linalg.norm(x)
+    if norm <= 1.0:
+        return x
+    lo = 0.5 * (1.0 - norm)
     if lo < -1e-6:
         raise PositivityError(
             f"state eigenvalue {lo:.3e} at t={t:.6g} exceeds the -1e-6 abort threshold")
     logger.warning("clamping positivity drift %.3e at t=%.6g", lo, t)
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals.real, 0.0, None)
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T
+    return x / norm
+
+
+def _augmented(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """4x4 generator A = [[M, b], [0, 0]] acting on (x, 1)."""
+    a = np.zeros((4, 4))
+    a[:3, :3] = m
+    a[:3, 3] = b
+    return a
+
+
+def _rk4_step_matrix(m: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step on (x, 1): the degree-4 Taylor polynomial of dt A."""
+    h = dt * _augmented(m, b)
+    step = np.eye(4)
+    term = np.eye(4)
+    for k in range(1, 5):
+        term = term @ h / k
+        step = step + term
+    return step
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
            dt: Optional[float] = None) -> StateTrajectory:
     """Integrate the master equation with classical fixed-step RK4.
 
-    The step is shrunk so the grid lands on ``t_end`` exactly.  Trace is
-    preserved to rounding by construction; positivity drift beyond 1e-6
-    aborts, smaller drift is clamped with a logged warning.
+    RK4 is linear in the state, so it is run on the affine Bloch system
+    d x/dt = M x + b of :func:`bloch_generator`, as one 4x4 step matrix
+    applied to (x, 1); this is the same scheme as RK4 on the density
+    matrix, up to rounding.  The step is shrunk so the grid lands on
+    ``t_end`` exactly, and grids longer than ``MAX_STEPS`` are rejected
+    before anything is allocated.  Trace and hermiticity hold by
+    construction; positivity drift (|x| > 1) beyond 1e-6 in the smaller
+    eigenvalue aborts, smaller drift is clamped with a logged warning.
     """
-    rho = check_density_matrix(rho0)
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    x = to_bloch(check_density_matrix(rho0))
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     if dt is None:
         dt = default_timestep(model)
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if t_end == 0.0:
-        return StateTrajectory(np.array([0.0]), np.array([rho]), dt)
-    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+        return StateTrajectory(np.array([0.0]), x[None, :], dt)
+    ratio = t_end / dt - 1e-12
+    if not ratio <= MAX_STEPS:
+        raise ValueError(
+            f"t_end / dt = {t_end / dt:.6g} steps exceeds the MAX_STEPS cap of {MAX_STEPS}")
+    n_steps = max(1, math.ceil(ratio))
     dt = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, 2, 2), dtype=complex)
-    states[0] = rho
-    for i in range(n_steps):
-        k1 = generator_apply(model, rho)
-        k2 = generator_apply(model, rho + 0.5 * dt * k1)
-        k3 = generator_apply(model, rho + 0.5 * dt * k2)
-        k4 = generator_apply(model, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = _positivity_guard(rho, times[i + 1])
-        states[i + 1] = rho
-    return StateTrajectory(times, states, dt)
+    step_t = _rk4_step_matrix(*bloch_generator(model), dt).T
+    blochs = np.empty((n_steps + 1, 3))
+    blochs[0] = x
+    state = np.append(x, 1.0)
+    for i in range(1, n_steps + 1):
+        state = state @ step_t
+        state[:3] = _positivity_guard(state[:3], times[i])
+        blochs[i] = state[:3]
+    return StateTrajectory(times, blochs, dt)
 
 
 def _affine_propagator(m: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """4x4 matrix propagating (x, 1) under d x/dt = M x + b."""
-    a = np.zeros((4, 4))
-    a[:3, :3] = m
-    a[:3, 3] = b
-    return expm(a * t)
+    return expm(t * _augmented(m, b))
 
 
 def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -85,6 +85,20 @@ class TestConfigHandling:
         assert run(["evolve", "--preset", "nonsense",
                     "--out", tmp_path / "x.csv"]) != 0
 
+    @pytest.mark.parametrize("args", [
+        ["pdp", "--alpha", 0.5, "--kappa", 0],
+        ["pdp", "--alpha", 1.5],
+        ["evolve", "--preset", "tetrahedron", "--kappa", -1],
+        ["evolve", "--preset", "zeno", "--t-end", 1e9],
+        ["evolve", "--preset", "zeno", "--bloch0", "[1,1,1]"],
+        ["exponent", "--preset", "fluorescence", "--gamma", -1],
+    ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
+            "evolve-bloch0-outside", "exponent-gamma-neg"])
+    def test_bad_parameters_are_config_errors(self, tmp_path, capsys, args):
+        assert run(args + ["--out", tmp_path / "x.out"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cloud = tmp_path / "tiny.csv"
         cloud.write_text("1,0,0\n0,1,0\n0,0,1\n")

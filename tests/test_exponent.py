@@ -7,6 +7,7 @@ import pytest
 
 from qmix.exponent import (
     classify_mixing,
+    default_fit_horizon,
     default_horizon,
     default_probe_set,
     lambda_q_analytic,
@@ -91,6 +92,18 @@ class TestNumericEstimates:
         ref = stationary_state(model)
         est = lambda_q_numeric(model, ref, default_probe_set(ref), t_max=40.0)
         assert est.exponent == pytest.approx(0.5, rel=0.01)
+
+    def test_fluorescence_fit_stays_in_nominal_window(self):
+        # The x mode decays at gamma/2; the +-y and +-z probes have no x
+        # component and decay with the y-z pair at 3 gamma/4.
+        model = build_model(Fluorescence(rabi=2.0, gamma=1.0))
+        ref = stationary_state(model)
+        est = lambda_q_numeric(model, ref, default_probe_set(ref),
+                               t_max=default_fit_horizon(model))
+        assert not any("fit shrunk" in note for note in est.notes)
+        assert est.max_residual < 0.1
+        for slope in est.per_probe_slopes:
+            assert min(abs(slope - rate) / rate for rate in (0.5, 0.75)) <= 0.01
 
     def test_sigma_x_reports_not_mixing(self):
         model = build_model(SigmaXConjugation())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmix.lindblad import (
+    MAX_STEPS,
     TETRA_DIRECTIONS,
     Fluorescence,
     LindbladModel,
@@ -186,16 +187,39 @@ class TestEvolve:
         assert default_timestep(slow) == pytest.approx(1e-3)
 
     def test_positivity_guard_clamps_small_drift(self):
-        drifted = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
+        # eigenvalue -5e-10: the Bloch vector overshoots the sphere by 1e-9
+        drifted = to_bloch(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
         fixed = _positivity_guard(drifted, 0.0)
-        lo = np.linalg.eigvalsh(fixed)[0]
+        lo = np.linalg.eigvalsh(from_bloch(fixed))[0]
         assert lo >= -1e-15
-        assert np.trace(fixed).real == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(fixed, [0.0, 0.0, -1.0], atol=1e-15)
 
     def test_positivity_guard_aborts_large_drift(self):
         from qmix.lindblad import PositivityError
         with pytest.raises(PositivityError):
-            _positivity_guard(np.diag([1.01, -0.01]).astype(complex), 0.0)
+            _positivity_guard(to_bloch(np.diag([1.01, -0.01]).astype(complex)), 0.0)
+
+    def test_positivity_guard_leaves_the_ball_untouched(self):
+        for inside in (np.array([0.6, 0.0, 0.8]), np.array([0.1, -0.2, 0.3])):
+            assert _positivity_guard(inside, 0.0) is inside
+
+    def test_step_count_is_capped_before_allocating(self):
+        model = build_model(Zeno(kappa=1.0, omega=1.0))
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            evolve(model, from_bloch([0, 0, 1]), 1e9)
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            evolve(model, from_bloch([0, 0, 1]), 1.0, dt=0.5 / MAX_STEPS)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(model, from_bloch([0, 0, 1]), math.inf)
+
+    def test_states_are_a_view_of_the_bloch_path(self):
+        model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
+        traj = evolve(model, from_bloch([0.3, -0.2, 0.5]), 0.5)
+        assert traj.blochs.shape == (len(traj.times), 3)
+        assert traj.states.shape == (len(traj.times), 2, 2)
+        for x, rho in zip(traj.blochs[::100], traj.states[::100]):
+            np.testing.assert_allclose(to_bloch(rho), x, atol=1e-15)
+        np.testing.assert_allclose(traj.final(), traj.states[-1], atol=1e-15)
 
 
 class TestAnalyticEvolve:
