@@ -43,7 +43,10 @@ def max_cell_diameter(level: int) -> float:
 
 
 def _face_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(face id 0..5, u, v) of the cube-face central projection."""
+    """(face id 0..5, u, v) of the cube-face central projection.
+
+    Shared with :mod:`qmix.render`, whose net view lays the faces out flat.
+    """
     idx = np.arange(len(points))
     axis = np.argmax(np.abs(points), axis=1)
     dom = points[idx, axis]

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -281,18 +282,15 @@ def cmd_pdp(cfg: dict) -> None:
         pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
         r0=_bloch3(cfg, "r0"), n_jumps=cfg["n_points"] + cfg["burn_in"],
         seed=cfg["seed"], rate_convention=cfg["rate_convention"])
-    records = path.records[cfg["burn_in"]:]
-    points = np.array([rec.state for rec in records])
-    write_cloud_csv(cfg["out"], points, cfg)
+    kept = slice(cfg["burn_in"], None)
+    write_cloud_csv(cfg["out"], path.states[kept], cfg)
     if cfg["log"]:
-        events = ({"time": rec.time, "detector": rec.detector,
-                   "x": rec.state[0], "y": rec.state[1], "z": rec.state[2]}
-                  for rec in records)
-        write_jsonl(cfg["log"], events, cfg)
+        write_jsonl(cfg["log"], path.times[kept], path.detectors[kept],
+                    path.states[kept], cfg)
 
 
 def cmd_fractal(cfg: dict) -> None:
-    points = read_cloud_csv(cfg["cloud"])
+    points = _checked(read_cloud_csv, cfg["cloud"])
     result = boxdim.box_count(points, levels=cfg["levels"])
     dimension = boxdim.estimate_dimension(result)
     payload = {
@@ -337,7 +335,7 @@ def cmd_classical(cfg: dict) -> None:
 
 
 def cmd_render(cfg: dict) -> None:
-    points = read_cloud_csv(cfg["cloud"])
+    points = _checked(read_cloud_csv, cfg["cloud"])
     detectors = None
     if cfg["mode"] == "ppm":
         if not cfg["log"]:
@@ -355,13 +353,16 @@ def cmd_render(cfg: dict) -> None:
     atomic_write_bytes(cfg["out"], data)
 
 
+LOG_BLOCK_LINES = 4096  # JSONL lines decoded per json.loads call
+
+
 def _detectors_from_log(path: str, expected: int) -> np.ndarray:
+    """Detector labels of a JSONL jump log, decoded a block of lines at a time."""
     labels = []
     with open(path) as handle:
-        for line in handle:
-            rec = json.loads(line)
-            if "detector" in rec:
-                labels.append(int(rec["detector"]))
+        while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
+            records = json.loads("[" + ",".join(block) + "]")
+            labels.extend(int(rec["detector"]) for rec in records if "detector" in rec)
     if len(labels) != expected:
         raise ConfigError(
             f"jump log holds {len(labels)} events but the cloud has {expected} points")

@@ -1,8 +1,10 @@
-"""File output helpers shared by the command-line tools.
+"""File input and output helpers shared by the command-line tools.
 
 Every artifact embeds the resolved run configuration and its hash so any
 recipe can be replayed byte for byte; writes go through a temp file and
-rename so readers never observe partial output.
+rename so readers never observe partial output.  Point clouds and jump
+logs are written from whole columns, a block of rows per format pass, and
+clouds are read back with one bulk parse.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -62,10 +65,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
-
-
 def header_comments(config: dict) -> list[str]:
     return [
         f"config_hash: {config_hash(config)}",
@@ -73,37 +72,80 @@ def header_comments(config: dict) -> list[str]:
     ]
 
 
+_BLOCK_ROWS = 65536
+
+
+def _encode_rows(head: str, row_fmt: str, *columns: np.ndarray) -> bytes:
+    """``head`` and then one ``row_fmt`` line per row of the columns, encoded.
+
+    Rows are formatted and encoded a block at a time, so the per-row
+    Python objects never outnumber one block.
+    """
+    chunks = [head.encode()]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns))
+        chunks.append("".join([row_fmt % row for row in block]).encode())
+    return b"".join(chunks)
+
+
 def write_cloud_csv(path: str, points: np.ndarray, config: dict) -> None:
     """Point cloud as x,y,z rows at 17 significant digits."""
-    lines = [f"# {c}" for c in header_comments(config)]
-    lines.append("# columns: x,y,z")
-    fmt = ",".join([FLOAT_FMT] * 3)
-    lines.extend(fmt % (p[0], p[1], p[2]) for p in points)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    points = np.asarray(points, dtype=float)
+    header = "".join(f"# {c}\n" for c in header_comments(config) + ["columns: x,y,z"])
+    row_fmt = ",".join([FLOAT_FMT] * 3) + "\n"
+    atomic_write_bytes(path, _encode_rows(header, row_fmt, *points.T))
 
 
 def read_cloud_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
+    """The ``(n, 3)`` cloud of a CSV of x,y,z rows; ``#`` starts a comment.
+
+    Ragged rows, rows without exactly three columns, unparsable or
+    non-finite values and an empty cloud raise ``ValueError`` naming the
+    file.
+    """
+    def parse(rows):
+        return np.loadtxt(rows, dtype=float, delimiter=",", comments="#", ndmin=2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty input, rejected below
+        try:
+            points = parse(path)
+        except ValueError:
+            # numpy reads a blank or indented-comment line as a one-column
+            # row; parse again without such lines
+            with open(path) as handle:
+                try:
+                    points = parse(ln for ln in handle if ln.strip()[:1] not in ("", "#"))
+                except ValueError as exc:
+                    raise ValueError(f"{path} is not a cloud of x,y,z rows: {exc}") from None
+    if points.size == 0:
         raise ValueError(f"no points found in {path}")
-    return np.asarray(rows)
+    if points.shape[1] != 3:
+        raise ValueError(f"{path} has {points.shape[1]} columns per row, expected 3 (x,y,z)")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path} has a non-finite coordinate in data row {bad[0] + 1}")
+    return points
 
 
-def write_jsonl(path: str, records, config: dict) -> None:
-    """JSONL event log; the first record carries the run metadata."""
-    lines = [canonical_json({"config": config, "config_hash": config_hash(config)})]
-    lines.extend(canonical_json(rec) for rec in records)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+# one jump event; keys in sorted order and floats as repr, as canonical_json
+# writes them
+_EVENT_FMT = '{"detector":%d,"time":%r,"x":%r,"y":%r,"z":%r}\n'
+
+
+def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray,
+                states: np.ndarray, config: dict) -> None:
+    """JSONL jump log: a metadata record, then one event per jump.
+
+    Events are ``{"detector", "time", "x", "y", "z"}`` objects in the bytes
+    ``canonical_json`` gives for finite values.
+    """
+    meta = canonical_json({"config": config, "config_hash": config_hash(config)}) + "\n"
+    atomic_write_bytes(path, _encode_rows(meta, _EVENT_FMT, detectors, times, *states.T))
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:
     body = dict(payload)
     body["config"] = config
     body["config_hash"] = config_hash(config)
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, (json.dumps(body, indent=2, sort_keys=True) + "\n").encode())

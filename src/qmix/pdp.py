@@ -25,10 +25,16 @@ differs.
 Randomness comes from the counter-based Philox4x64-10 generator keyed as
 (seed, stream), so every path is reproducible bit for bit from its
 parameters and seed; the draw order is pinned in ``sample_path``.
+
+A path is stored by column (``SamplePath.times``, ``detectors``,
+``states``), not one object per jump.  The chaos game is the same sampler
+at omega = 0 and kappa = 1 with the burn-in sliced off, so its points are
+bit for bit the post-jump states of that path.
 """
 
 from __future__ import annotations
 
+import array
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -102,25 +108,28 @@ class JumpRecord:
     state: tuple[float, float, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class SamplePath:
-    """Jump history of one realization, reproducible from (params, seed)."""
+    """Jump history of one realization, reproducible from (params, seed).
+
+    The path is stored by column: event ``i`` arrived at ``times[i]`` at
+    detector ``detectors[i]`` (1..4) and left the state ``states[i]``.
+    """
     r0: tuple[float, float, float]
     omega: float
     kappa: float
     alpha: float
     seed: int
     rate_convention: str
-    records: list[JumpRecord]
+    times: np.ndarray  # shape (n,)
+    detectors: np.ndarray  # shape (n,), values 1..4
+    states: np.ndarray  # shape (n, 3)
 
-    def times(self) -> np.ndarray:
-        return np.array([rec.time for rec in self.records])
-
-    def detectors(self) -> np.ndarray:
-        return np.array([rec.detector for rec in self.records], dtype=int)
-
-    def states(self) -> np.ndarray:
-        return np.array([rec.state for rec in self.records])
+    @property
+    def records(self) -> list[JumpRecord]:
+        """The events as one :class:`JumpRecord` each."""
+        return [JumpRecord(t, d, tuple(r)) for t, d, r in
+                zip(self.times.tolist(), self.detectors.tolist(), self.states.tolist())]
 
 
 def _unit(v) -> tuple[float, float, float]:
@@ -131,6 +140,11 @@ def _unit(v) -> tuple[float, float, float]:
     return x / n, y / n, z / n
 
 
+# as Python floats: the scalar loop below runs about twice as slow on numpy
+# scalars, and the arithmetic is the same IEEE double either way
+_DIRECTIONS = tuple(tuple(row) for row in TETRA_DIRECTIONS.tolist())
+
+
 def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
                 n_jumps: int = 1000, seed: int = 0,
                 rate_convention: str = "literal") -> SamplePath:
@@ -138,7 +152,9 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
 
     Draw order is fixed: first a block of ``n_jumps`` exponential waiting
     times, then a block of ``n_jumps`` uniforms for the detector choices
-    (inverse CDF in detector order 1..4).
+    (inverse CDF in detector order 1..4).  The scalar jump loop writes
+    detectors and states into preallocated typed buffers that become the
+    path's columns without a copy.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -148,85 +164,45 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
         raise ValueError("alpha must lie in [0, 1]")
     rate = total_rate(kappa, alpha, rate_convention)
     rng = make_rng(seed)
-    waits = (rng.standard_exponential(n_jumps) / rate).tolist()
+    waits = rng.standard_exponential(n_jumps) / rate
     us = rng.random(n_jumps).tolist()
+    angles = (omega * waits).tolist() if omega != 0.0 else None
 
-    n1x, n1y, n1z = TETRA_DIRECTIONS[0]
-    n2x, n2y, n2z = TETRA_DIRECTIONS[1]
-    n3x, n3y, n3z = TETRA_DIRECTIONS[2]
-    n4x, n4y, n4z = TETRA_DIRECTIONS[3]
-    dirs = ((n1x, n1y, n1z), (n2x, n2y, n2z), (n3x, n3y, n3z), (n4x, n4y, n4z))
     a = alpha
-    a2 = a * a
-    one_a2 = 1.0 + a2
+    one_a2 = 1.0 + a * a
+    one_minus_a2 = 1.0 - a * a
+    two_a = 2.0 * a
     x, y, z = _unit(r0)
-    t = 0.0
-    records: list[JumpRecord] = []
+    picks = array.array("q", [0]) * n_jumps
+    states = array.array("d", [0.0]) * (3 * n_jumps)
     for i in range(n_jumps):
-        dt = waits[i]
-        t += dt
-        if omega != 0.0:
-            ang = omega * dt
-            c, s = math.cos(ang), math.sin(ang)
+        if angles is not None:
+            c, s = math.cos(angles[i]), math.sin(angles[i])
             x, y = c * x - s * y, s * x + c * y
         u = us[i] * 4.0 * one_a2
         acc = 0.0
-        pick = 3
+        # inverse CDF; a u past the rounded total falls through to detector 4
         for j in range(4):
-            nx, ny, nz = dirs[j]
-            acc += one_a2 + 2.0 * a * (x * nx + y * ny + z * nz)
+            nx, ny, nz = _DIRECTIONS[j]
+            dot = x * nx + y * ny + z * nz
+            acc += one_a2 + two_a * dot
             if u < acc:
-                pick = j
                 break
-        nx, ny, nz = dirs[pick]
-        dot = x * nx + y * ny + z * nz
-        den = one_a2 + 2.0 * a * dot
-        c1 = (1.0 - a2) / den
-        c2 = 2.0 * a * (1.0 + a * dot) / den
+        den = one_a2 + two_a * dot
+        c1 = one_minus_a2 / den
+        c2 = two_a * (1.0 + a * dot) / den
         x, y, z = c1 * x + c2 * nx, c1 * y + c2 * ny, c1 * z + c2 * nz
         norm = math.sqrt(x * x + y * y + z * z)
         x, y, z = x / norm, y / norm, z / norm
-        records.append(JumpRecord(t, pick + 1, (x, y, z)))
-    return SamplePath(_unit(r0), omega, kappa, alpha, seed, rate_convention, records)
-
-
-def _chaos_core(alpha: float, n_total: int, seed: int, r0) -> tuple[np.ndarray, np.ndarray]:
-    """Jump chain only (omega = 0, kappa = 1): points and detector labels."""
-    rng = make_rng(seed)
-    rng.standard_exponential(n_total)  # keep the sample_path draw layout
-    us = rng.random(n_total).tolist()
-    dirs = tuple(tuple(float(c) for c in row) for row in TETRA_DIRECTIONS)
-    a = alpha
-    a2 = a * a
-    one_a2 = 1.0 + a2
-    x, y, z = _unit(r0)
-    xs: list[float] = []
-    ys: list[float] = []
-    zs: list[float] = []
-    det: list[int] = []
-    for i in range(n_total):
-        u = us[i] * 4.0 * one_a2
-        acc = 0.0
-        pick = 3
-        for j in range(4):
-            nx, ny, nz = dirs[j]
-            acc += one_a2 + 2.0 * a * (x * nx + y * ny + z * nz)
-            if u < acc:
-                pick = j
-                break
-        nx, ny, nz = dirs[pick]
-        dot = x * nx + y * ny + z * nz
-        den = one_a2 + 2.0 * a * dot
-        c1 = (1.0 - a2) / den
-        c2 = 2.0 * a * (1.0 + a * dot) / den
-        x, y, z = c1 * x + c2 * nx, c1 * y + c2 * ny, c1 * z + c2 * nz
-        norm = math.sqrt(x * x + y * y + z * z)
-        x, y, z = x / norm, y / norm, z / norm
-        xs.append(x)
-        ys.append(y)
-        zs.append(z)
-        det.append(pick + 1)
-    return np.column_stack([xs, ys, zs]), np.array(det, dtype=np.uint8)
+        picks[i] = j + 1
+        k = 3 * i
+        states[k] = x
+        states[k + 1] = y
+        states[k + 2] = z
+    # cumsum adds in sequence, so arrival times match a running t += dt
+    return SamplePath(_unit(r0), omega, kappa, alpha, seed, rate_convention,
+                      np.cumsum(waits), np.frombuffer(picks, dtype=np.int64),
+                      np.frombuffer(states).reshape(n_jumps, 3))
 
 
 def chaos_game(alpha: float, n_points: int, seed: int = 0,
@@ -243,15 +219,18 @@ def chaos_game(alpha: float, n_points: int, seed: int = 0,
 def chaos_game_labeled(alpha: float, n_points: int, seed: int = 0,
                        burn_in: int = DEFAULT_BURN_IN,
                        r0=DEFAULT_START) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`chaos_game` but also returns the detector of each point."""
+    """Like :func:`chaos_game` but also returns the detector of each point.
+
+    Points and labels are the columns of ``sample_path(omega=0, kappa=1)``
+    past the burn-in; labels are ``uint8``.
+    """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    points, det = _chaos_core(alpha, n_points + burn_in, seed, r0)
-    return points[burn_in:], det[burn_in:]
+    path = sample_path(omega=0.0, kappa=1.0, alpha=alpha, r0=r0,
+                       n_jumps=n_points + burn_in, seed=seed)
+    return path.states[burn_in:], path.detectors[burn_in:].astype(np.uint8)
 
 
 def _ensemble_chunk(args) -> np.ndarray:

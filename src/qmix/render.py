@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .boxdim import _face_coords
+
 AXIS_PROJECTIONS = {
     "+x": (0, 1, 2), "-x": (0, 1, 2),
     "+y": (1, 0, 2), "-y": (1, 0, 2),
@@ -29,9 +31,9 @@ DETECTOR_COLORS = np.array([
     [255, 225, 25],
 ], dtype=np.uint8)
 
-_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
-# cross layout: face id (2*axis + negative) -> (panel column, panel row)
-_NET_LAYOUT = {0: (2, 1), 1: (0, 1), 2: (1, 0), 3: (1, 2), 4: (1, 1), 5: (3, 1)}
+# cross layout: panel column and row of each face id (2*axis + negative)
+_NET_COLS = np.array([2, 0, 1, 1, 1, 3])
+_NET_ROWS = np.array([1, 1, 0, 2, 1, 1])
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,11 @@ def _axis_coords(points: np.ndarray, projection: str):
 
 
 def _net_pixels(points: np.ndarray, panel: int):
-    idx = np.arange(len(points))
-    axis = np.argmax(np.abs(points), axis=1)
-    dom = points[idx, axis]
-    face = 2 * axis + (dom < 0)
-    u = points[idx, _OTHER_AXES[axis, 0]] / np.abs(dom)
-    v = points[idx, _OTHER_AXES[axis, 1]] / np.abs(dom)
+    face, u, v = _face_coords(points)
     iu = np.clip(((u + 1.0) * 0.5 * panel).astype(int), 0, panel - 1)
     iv = np.clip(((v + 1.0) * 0.5 * panel).astype(int), 0, panel - 1)
-    cols = np.array([_NET_LAYOUT[f][0] for f in face])
-    rows = np.array([_NET_LAYOUT[f][1] for f in face])
-    px = cols * panel + iu
-    py = rows * panel + iv
+    px = _NET_COLS[face] * panel + iu
+    py = _NET_ROWS[face] * panel + iv
     return px, py, np.ones(len(points), dtype=bool)
 
 

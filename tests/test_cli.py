@@ -99,6 +99,27 @@ class TestConfigHandling:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize("command", ["fractal", "render"])
+    @pytest.mark.parametrize("text", [
+        "1,0,0\n0,1\n0,0,1\n",
+        "1,0\n0,1\n",
+        "1,0,0,0\n0,1,0,0\n",
+        "1,0,0\n0,nan,1\n",
+        "1,0,0\ninf,0,0\n",
+        "1,0,0\n0,x,1\n",
+        "# header only\n",
+        "",
+    ], ids=["ragged", "two-columns", "four-columns", "nan", "inf", "unparsable",
+            "comments-only", "empty"])
+    def test_malformed_cloud_is_a_config_error(self, tmp_path, capsys, command, text):
+        cloud = tmp_path / "bad.csv"
+        cloud.write_text(text)
+        out = tmp_path / "x.out"
+        assert run([command, "--cloud", cloud, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cloud) in err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cloud = tmp_path / "tiny.csv"
         cloud.write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -223,6 +244,13 @@ class TestRenderCommand:
         for path in (full, zoom):
             _, pixels = open(path, "rb").read().split(b"255\n", 1)
             assert sum(1 for b in pixels if b > 0) > 50
+
+    def test_detector_labels_are_read_across_log_blocks(self, tmp_path, monkeypatch):
+        import qmix.cli as cli
+        _, log = self._cloud(tmp_path, 0.7, n=1000)
+        expected = [json.loads(line)["detector"] for line in open(log).read().splitlines()[1:]]
+        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 64)  # 15 full blocks and a partial one
+        np.testing.assert_array_equal(cli._detectors_from_log(str(log), 1000), expected)
 
     def test_ppm_needs_log(self, tmp_path):
         cloud, _ = self._cloud(tmp_path, 0.7)

@@ -1,5 +1,6 @@
 """Measurement jump process: maps, probabilities, paths, ensembles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,19 +83,19 @@ class TestJumpProbabilities:
 class TestSamplePath:
     def test_mean_waiting_time(self):
         path = sample_path(omega=0.0, kappa=1.0, alpha=0.5, n_jumps=10_000, seed=1)
-        gaps = np.diff(np.concatenate([[0.0], path.times()]))
+        gaps = np.diff(np.concatenate([[0.0], path.times]))
         assert gaps.mean() == pytest.approx(1.0, abs=0.03)
-        assert np.all(np.diff(path.times()) > 0)
+        assert np.all(np.diff(path.times) > 0)
 
     def test_frozen_state_at_zero_sharpness_and_precession(self):
         path = sample_path(omega=0.0, kappa=1.0, alpha=0.0, r0=[0.3, 0.4, 0.5 * math.sqrt(3)],
                            n_jumps=50, seed=2)
-        states = path.states()
+        states = path.states
         np.testing.assert_allclose(states, np.tile(states[0], (50, 1)), atol=1e-12)
 
     def test_projective_paths_live_on_vertices(self):
         path = sample_path(omega=0.0, kappa=1.0, alpha=1.0, n_jumps=500, seed=3)
-        states = path.states()
+        states = path.states
         dist_to_nearest = np.min(
             np.linalg.norm(states[:, None, :] - TETRA_DIRECTIONS[None, :, :], axis=2), axis=1)
         assert dist_to_nearest.max() <= 1e-9
@@ -111,8 +112,8 @@ class TestSamplePath:
                           rate_convention="literal")
         eeqt = sample_path(omega=0.0, kappa=1.0, alpha=1.0, n_jumps=100, seed=4,
                           rate_convention="eeqt")
-        np.testing.assert_array_equal(lit.detectors(), eeqt.detectors())
-        np.testing.assert_allclose(lit.times() / eeqt.times(), 2.0, atol=1e-12)
+        np.testing.assert_array_equal(lit.detectors, eeqt.detectors)
+        np.testing.assert_allclose(lit.times / eeqt.times, 2.0, atol=1e-12)
 
     def test_total_rate_values(self):
         assert total_rate(2.0, 0.5, "literal") == 2.0
@@ -144,10 +145,29 @@ class TestChaosGame:
         np.testing.assert_allclose(trimmed, full[50:], atol=0)
         assert labels.shape == (200,)
 
+    @pytest.mark.parametrize("alpha, seed, r0, burn_in, digest", [
+        (0.75, 0, (0, 0, 1), 100,
+         "8c736635138565b91e6a9c4414ac69001b434addf2782d1532fe392b8e2380c0"),
+        (0.5, 7, (0.6, 0, 0.8), 0,
+         "b17f81cda197f2a614d4d8611d7ac05d4fdd862ab602e8286697b96383ab3edd"),
+        (0.95, 123, (1, 1, 1), 37,
+         "0b92d2e3e05f0ecc0c0f98591f3a16848f0cbdde3a2aeabc171098a7c9bf0ddf"),
+        (1.0, 5, (0, 0, 1), 10,
+         "c806f6912686d05338ca7bd48debeff2ae2bab8875512bbc86a0da0bc93e8af0"),
+        (0.0, 2, (0, 0.6, 0.8), 5,
+         "0f4f06e10d58d31e6a4ecc06c3e84100f21f051b6cef1247639610defcdd67ee"),
+    ])
+    def test_points_and_labels_are_pinned_bit_for_bit(self, alpha, seed, r0, burn_in,
+                                                      digest):
+        pts, labels = chaos_game_labeled(alpha, 300, seed=seed, burn_in=burn_in, r0=r0)
+        assert pts.dtype == np.float64 and pts.shape == (300, 3)
+        assert labels.dtype == np.uint8
+        assert hashlib.sha256(pts.tobytes() + labels.tobytes()).hexdigest() == digest
+
     def test_matches_sample_path_jump_chain(self):
         pts = chaos_game(0.8, 100, seed=12, burn_in=0)
         path = sample_path(omega=0.0, kappa=1.0, alpha=0.8, n_jumps=100, seed=12)
-        np.testing.assert_allclose(pts, path.states(), atol=1e-15)
+        np.testing.assert_allclose(pts, path.states, atol=1e-15)
 
 
 class TestDetectorStatistics:
@@ -155,7 +175,7 @@ class TestDetectorStatistics:
         """At full sharpness the jump chain is a 4-state Markov chain with
         transition probabilities p_j(n_i); chi-square at the 1% level."""
         path = sample_path(omega=0.0, kappa=1.0, alpha=1.0, n_jumps=40_000, seed=13)
-        det = path.detectors() - 1
+        det = path.detectors - 1
         counts = np.zeros((4, 4))
         for a, b in zip(det[:-1], det[1:]):
             counts[a, b] += 1
