@@ -21,15 +21,12 @@ pieces and use the periodic trapezoid rule (the grid mean) otherwise.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .fitting import ExponentEstimate, FitWindowError, decay_slope
-
-logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 _BREAK_TOL = 1e-12

@@ -199,10 +199,10 @@ REPRO_SCHEMA = {
 
 
 def _checked(fn, *args, **kwargs):
-    """Call ``fn``; its parameter-validation ValueError becomes a ConfigError."""
+    """Call ``fn``; a ValueError or an unreadable input file becomes a ConfigError."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -340,7 +340,7 @@ def cmd_render(cfg: dict) -> None:
     if cfg["mode"] == "ppm":
         if not cfg["log"]:
             raise ConfigError("ppm mode needs the jump log ('log') for detector labels")
-        detectors = _detectors_from_log(cfg["log"], len(points))
+        detectors = _checked(_detectors_from_log, cfg["log"], len(points))
     zoom_center = tuple(cfg["zoom_center"]) if cfg["zoom_center"] else None
     try:
         spec = render.RenderSpec(
@@ -388,14 +388,15 @@ def cmd_repro(cfg: dict) -> int:
     return 0 if all_passed else 3
 
 
+# main looks ``cmd_<name>`` up at call time, so a rebound runner is the one run
 _COMMANDS = {
-    "evolve": (EVOLVE_SCHEMA, cmd_evolve),
-    "exponent": (EXPONENT_SCHEMA, cmd_exponent),
-    "pdp": (PDP_SCHEMA, cmd_pdp),
-    "fractal": (FRACTAL_SCHEMA, cmd_fractal),
-    "classical": (CLASSICAL_SCHEMA, cmd_classical),
-    "render": (RENDER_SCHEMA, cmd_render),
-    "repro": (REPRO_SCHEMA, cmd_repro),
+    "evolve": EVOLVE_SCHEMA,
+    "exponent": EXPONENT_SCHEMA,
+    "pdp": PDP_SCHEMA,
+    "fractal": FRACTAL_SCHEMA,
+    "classical": CLASSICAL_SCHEMA,
+    "render": RENDER_SCHEMA,
+    "repro": REPRO_SCHEMA,
 }
 
 
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmix",
         description="dissipative-qubit mixing diagnostics and fractal tools")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (schema, _) in _COMMANDS.items():
+    for name, schema in _COMMANDS.items():
         _add_flags(sub.add_parser(name), schema)
     return parser
 
@@ -428,11 +429,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors map to the config exit code
         return 0 if exc.code in (0, None) else 2
-    schema, runner = _COMMANDS[args.command]
+    schema = _COMMANDS[args.command]
     overrides = {k: getattr(args, k) for k in schema}
     try:
         cfg = resolve_config(schema, args.config, overrides)
-        code = runner(cfg)
+        code = globals()[f"cmd_{args.command}"](cfg)
         return int(code) if code is not None else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

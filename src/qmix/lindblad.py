@@ -227,7 +227,6 @@ class StateTrajectory:
     times: np.ndarray
     blochs: np.ndarray  # shape (n, 3)
     dt: float
-    method: str = "rk4"
 
     @property
     def states(self) -> np.ndarray:

@@ -25,9 +25,8 @@ import math
 import numpy as np
 
 # Structural invariants (hermiticity, trace, norm bookkeeping) are enforced
-# at 1e-12; physics-level assertions default to 1e-9.
+# at 1e-12.
 ATOL_STRUCT = 1e-12
-ATOL_PHYS = 1e-9
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -36,10 +35,6 @@ PAULIS = (SIGMA1, SIGMA2, SIGMA3)
 IDENTITY2 = np.eye(2, dtype=complex)
 
 MAX_ENTROPY = math.log(2.0)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
 
 
 def is_hermitian(a: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
@@ -107,10 +102,6 @@ def trace_norm(a: np.ndarray) -> float:
         raise ValueError("trace norm implemented for hermitian input only")
     lo, hi = hermitian_eigenvalues(a)
     return abs(lo) + abs(hi)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qmix import cli
 from qmix.cli import main
 from qmix.io import read_cloud_csv
 
@@ -109,16 +110,35 @@ class TestConfigHandling:
         "1,0,0\n0,x,1\n",
         "# header only\n",
         "",
+        None,
     ], ids=["ragged", "two-columns", "four-columns", "nan", "inf", "unparsable",
-            "comments-only", "empty"])
+            "comments-only", "empty", "missing"])
     def test_malformed_cloud_is_a_config_error(self, tmp_path, capsys, command, text):
         cloud = tmp_path / "bad.csv"
-        cloud.write_text(text)
+        if text is not None:
+            cloud.write_text(text)
         out = tmp_path / "x.out"
         assert run([command, "--cloud", cloud, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(cloud) in err
         assert not out.exists()
+
+    def test_missing_jump_log_is_a_config_error(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("1,0,0\n0,1,0\n")
+        log = tmp_path / "nope.jsonl"
+        out = tmp_path / "x.ppm"
+        assert run(["render", "--mode", "ppm", "--cloud", cloud, "--log", log,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(log) in err
+        assert not out.exists()
+
+    def test_runner_is_looked_up_when_main_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fractal", lambda cfg: calls.append(cfg["cloud"]))
+        assert run(["fractal", "--cloud", "c.csv", "--out", "d.json"]) == 0
+        assert calls == ["c.csv"]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cloud = tmp_path / "tiny.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths
+from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
 from qmix.pdp import (
     chaos_game,
     chaos_game_labeled,
@@ -17,6 +17,7 @@ from qmix.pdp import (
     sample_path,
     total_rate,
 )
+from qmix.states import from_bloch, to_bloch
 
 
 def random_unit(rng):
@@ -56,6 +57,25 @@ class TestJumpMap:
     def test_antipode_rejected_at_full_sharpness(self):
         with pytest.raises(ValueError, match="antipode"):
             jump_map(-TETRA_DIRECTIONS[0], 1, 1.0)
+
+    def test_kraus_operators_are_the_oracle(self):
+        """Probabilities and post-jump states equal tr(A_i rho A_i^+) / sum_j
+        and the Bloch vector of A_i rho A_i^+ / tr, for A_i = (I + a n_i.sigma) / 2."""
+        rng = np.random.default_rng(17)
+        for alpha in [0.0, 0.3, 0.8, 1.0, *rng.random(4)]:
+            kraus = [op for op, _ in build_model(Tetrahedron(kappa=1.0, alpha=alpha)).jump_terms]
+            near_antipodes = [-n + 0.1 * random_unit(rng) for n in TETRA_DIRECTIONS]
+            for r in [random_unit(rng) for _ in range(20)] + near_antipodes:
+                r = r / np.linalg.norm(r)
+                rho = from_bloch(r)
+                branches = [a @ rho @ a.conj().T for a in kraus]
+                weights = np.array([np.trace(b).real for b in branches])
+                np.testing.assert_allclose(jump_probs(r, alpha), weights / weights.sum(),
+                                           rtol=0.0, atol=1e-12)
+                for i, branch in enumerate(branches):
+                    np.testing.assert_allclose(jump_map(r, i + 1, alpha),
+                                               to_bloch(branch / weights[i]),
+                                               rtol=0.0, atol=1e-12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -209,8 +229,7 @@ class TestEnsembleConsistency:
 
     def test_thread_count_does_not_change_the_result(self):
         kwargs = dict(omega=0.5, kappa=1.0, alpha=0.6, r0=[0.0, 0.0, 1.0],
-                      n_paths=30_000, t_end=0.8, seed=11, rate_convention="eeqt",
-                      chunk_size=7_000)
+                      n_paths=50_000, t_end=0.8, seed=11, rate_convention="eeqt")
         one = ensemble_bloch_mean(threads=1, **kwargs)
         four = ensemble_bloch_mean(threads=4, **kwargs)
         np.testing.assert_array_equal(one, four)
@@ -218,6 +237,9 @@ class TestEnsembleConsistency:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             ensemble_bloch_mean(0.0, 0.0, 0.5, [0, 0, 1], 10, 1.0)
+        for alpha, t_end in [(0.5, math.nan), (0.5, math.inf), (0.5, -1.0), (1.5, 1.0)]:
+            with pytest.raises(ValueError):
+                ensemble_bloch_mean(0.0, 1.0, alpha, [0, 0, 1], 10, t_end)
         with pytest.raises(ValueError):
             sample_path(0.0, 1.0, 0.5, n_jumps=0)
 
