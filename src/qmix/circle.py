@@ -3,9 +3,10 @@
 Densities live on [0, 2pi) with the normalized measure dx / 2pi and come
 in two representations:
 
-* exact piecewise-affine (breakpoints plus c + s*x per piece), closed
-  under the transfer operator of S(x) = r x (mod 2pi), used for showcase
-  densities whose iterates have known closed forms;
+* exact piecewise-affine, one piece table: ``breaks`` 0 = b_0 < ... <
+  b_n = 2pi and ``coefs`` rows (c, s) with f = c + s x on [b_i, b_i+1).
+  The table is closed under the transfer operator of S(x) = r x (mod 2pi),
+  and every affine operation is an array operation on it;
 * uniform grids of M samples, pushed forward spectrally (the operator
   maps the Fourier coefficient at k r to the one at k), which is exact on
   trigonometric polynomials below the alias limit and spectrally accurate
@@ -45,12 +46,28 @@ def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
     return np.array(keep)
 
 
+def _piece_of(breaks: np.ndarray, x) -> np.ndarray:
+    """Index of the piece [breaks[i], breaks[i + 1]) holding each x in [0, 2pi]."""
+    return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(breaks) - 2)
+
+
+def _segment_integral(c, s, u, v):
+    """Integral of c + s x over [u, v]."""
+    return c * (v - u) + 0.5 * s * (v * v - u * u)
+
+
+def _x_log(x: np.ndarray, y=1.0) -> np.ndarray:
+    """x log(x / y) elementwise, 0 where x <= 0."""
+    pos = x > 0.0
+    return np.where(pos, x * np.log(np.where(pos, x, 1.0) / y), 0.0)
+
+
 class CircleDensity:
     """Nonnegative unit-mass density on the circle.
 
     ``grid`` always holds M samples at x_m = 2 pi m / M.  When the density
-    is piecewise affine, ``breaks``/``coefs`` hold the exact pieces and
-    every integral below is computed from them in closed form.
+    is piecewise affine, ``breaks``/``coefs`` hold the piece table and
+    every integral below is computed from it in closed form.
     """
 
     def __init__(self, grid: np.ndarray, breaks: Optional[np.ndarray] = None,
@@ -77,21 +94,21 @@ class CircleDensity:
     def from_pieces(cls, pieces: Sequence[tuple[float, float, float, float]],
                     grid_size: int = 1024) -> "CircleDensity":
         """Build from (x0, x1, c, s) pieces tiling [0, 2pi), f(x) = c + s x."""
-        pieces = sorted(pieces)
-        breaks = [p[0] for p in pieces] + [pieces[-1][1]]
-        if abs(breaks[0]) > _BREAK_TOL or abs(breaks[-1] - TWO_PI) > _BREAK_TOL:
+        table = np.asarray(pieces, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 4 or len(table) == 0:
+            raise ValueError("pieces must be (x0, x1, c, s) rows tiling [0, 2pi)")
+        table = table[np.lexsort(table.T[::-1])]  # row order of sorted(pieces)
+        br = np.append(table[:, 0], table[-1, 1])
+        if abs(br[0]) > _BREAK_TOL or abs(br[-1] - TWO_PI) > _BREAK_TOL:
             raise ValueError("pieces must tile [0, 2pi)")
-        for (a, b, _, _), nxt in zip(pieces, breaks[1:]):
-            if abs(b - nxt) > _BREAK_TOL and b != nxt:
-                raise ValueError("pieces must be contiguous")
-        br = np.array(breaks)
+        if np.any(np.abs(table[:-1, 1] - table[1:, 0]) > _BREAK_TOL):
+            raise ValueError("pieces must be contiguous")
         br[0] = 0.0
         br[-1] = TWO_PI
-        co = np.array([[c, s] for (_, _, c, s) in pieces])
+        co = table[:, 2:]
         xs = np.arange(grid_size) * (TWO_PI / grid_size)
-        idx = np.clip(np.searchsorted(br, xs, side="right") - 1, 0, len(co) - 1)
-        grid = co[idx, 0] + co[idx, 1] * xs
-        return cls(grid, br, co)
+        idx = _piece_of(br, xs)
+        return cls(co[idx, 0] + co[idx, 1] * xs, br, co)
 
     @classmethod
     def uniform(cls, grid_size: int = 1024) -> "CircleDensity":
@@ -111,16 +128,14 @@ class CircleDensity:
         if not self.has_pieces:
             step = TWO_PI / self.grid_size
             return self.grid[(x / step).astype(int) % self.grid_size]
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                      0, len(self.coefs) - 1)
+        idx = _piece_of(self.breaks, x)
         return self.coefs[idx, 0] + self.coefs[idx, 1] * x
 
     def mass(self) -> float:
         if self.has_pieces:
-            total = 0.0
-            for (u, v), (c, s) in zip(zip(self.breaks[:-1], self.breaks[1:]), self.coefs):
-                total += c * (v - u) + 0.5 * s * (v * v - u * u)
-            return total / TWO_PI
+            c, s = self.coefs.T
+            return float(np.sum(_segment_integral(c, s, self.breaks[:-1],
+                                                  self.breaks[1:]))) / TWO_PI
         return float(np.mean(self.grid))
 
 
@@ -154,24 +169,17 @@ def trig_density(cos_coeffs: Sequence[float], sin_coeffs: Sequence[float] = (),
 # -- transfer operator ----------------------------------------------------
 
 def _pf_affine(f: CircleDensity, r: int) -> CircleDensity:
-    new_breaks = _dedupe_breaks(np.concatenate([
-        np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
-    coefs = np.empty((len(new_breaks) - 1, 2))
-    for p in range(len(new_breaks) - 1):
-        xm = 0.5 * (new_breaks[p] + new_breaks[p + 1])
-        c_new = 0.0
-        s_new = 0.0
-        for j in range(r):
-            y = (xm + TWO_PI * j) / r
-            piece = min(np.searchsorted(f.breaks, y, side="right") - 1,
-                        len(f.coefs) - 1)
-            c, s = f.coefs[piece]
-            c_new += (c + s * TWO_PI * j / r) / r
-            s_new += s / (r * r)
-        coefs[p] = (c_new, s_new)
-    pieces = [(new_breaks[i], new_breaks[i + 1], coefs[i, 0], coefs[i, 1])
-              for i in range(len(coefs))]
-    return CircleDensity.from_pieces(pieces, f.grid_size)
+    # the image pieces sit between the images r b of the breaks; on each,
+    # branch j pulls back the piece of f holding its midpoint's preimage
+    breaks = _dedupe_breaks(np.concatenate([np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
+    xm = 0.5 * (breaks[:-1] + breaks[1:])
+    c_new = s_new = 0.0
+    for j in range(r):
+        c, s = f.coefs[_piece_of(f.breaks, (xm + TWO_PI * j) / r)].T
+        c_new += (c + s * TWO_PI * j / r) / r
+        s_new += s / (r * r)
+    return CircleDensity.from_pieces(
+        np.column_stack([breaks[:-1], breaks[1:], c_new, s_new]), f.grid_size)
 
 
 def _pf_spectral(f: CircleDensity, r: int) -> CircleDensity:
@@ -210,13 +218,12 @@ def pf_apply(f: CircleDensity, r: int) -> CircleDensity:
 
 # -- integrals ------------------------------------------------------------
 
-def _merged_pieces(f: CircleDensity, g: CircleDensity):
+def _merged_table(f: CircleDensity, g: CircleDensity):
+    """Merged breaks of f and g and the (c, s) columns of each on every merged piece."""
     breaks = _dedupe_breaks(np.concatenate([f.breaks[:-1], g.breaks[:-1], [0.0]]))
-    for u, v in zip(breaks[:-1], breaks[1:]):
-        xm = 0.5 * (u + v)
-        fi = min(np.searchsorted(f.breaks, xm, side="right") - 1, len(f.coefs) - 1)
-        gi = min(np.searchsorted(g.breaks, xm, side="right") - 1, len(g.coefs) - 1)
-        yield u, v, f.coefs[fi], g.coefs[gi]
+    xm = 0.5 * (breaks[:-1] + breaks[1:])
+    return (breaks, f.coefs[_piece_of(f.breaks, xm)].T,
+            g.coefs[_piece_of(g.breaks, xm)].T)
 
 
 def _grid_pair(f: CircleDensity, g: CircleDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -235,45 +242,41 @@ def _grid_pair(f: CircleDensity, g: CircleDensity) -> tuple[np.ndarray, np.ndarr
 def l1_distance(f: CircleDensity, g: CircleDensity) -> float:
     """Integral of |f - g| d mu; exact when both densities are affine."""
     if f.has_pieces and g.has_pieces:
-        total = 0.0
-        for u, v, (cf, sf), (cg, sg) in _merged_pieces(f, g):
-            dc, ds = cf - cg, sf - sg
-
-            def seg(a, b):
-                return dc * (b - a) + 0.5 * ds * (b * b - a * a)
-
-            if ds != 0.0:
-                root = -dc / ds
-                if u < root < v:
-                    total += abs(seg(u, root)) + abs(seg(root, v))
-                    continue
-            total += abs(seg(u, v))
-        return total / TWO_PI
+        breaks, (cf, sf), (cg, sg) = _merged_table(f, g)
+        u, v = breaks[:-1], breaks[1:]
+        dc, ds = cf - cg, sf - sg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = -dc / ds  # inf or nan where ds = 0, never inside (u, v)
+        root = np.where((u < root) & (root < v), root, v)
+        total = (np.abs(_segment_integral(dc, ds, u, root))
+                 + np.abs(_segment_integral(dc, ds, root, v)))
+        return float(np.sum(total)) / TWO_PI
     fv, gv = _grid_pair(f, g)
     return float(np.mean(np.abs(fv - gv)))
 
 
-def _eta_antiderivative(w: float) -> float:
-    # antiderivative of -w log w (zero at w = 0)
-    if w <= 0.0:
-        return 0.0
-    return 0.25 * w * w - 0.5 * w * w * math.log(w)
+def _eta_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean of -w log w over [a, b] for endpoint values a, b >= 0.
+
+    (lo + hi)(1/4 - log(hi)/2) - lo^2 log1p(d/lo) / (2d), d = hi - lo, stays
+    accurate as a piece flattens, where antiderivative differences cancel.
+    """
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(d > 0.0, np.log1p(d / lo) / d, 1.0 / lo)
+        head = np.where(hi > 0.0, (lo + hi) * (0.25 - 0.5 * np.log(hi)), 0.0)
+        return head - np.where(lo > 0.0, 0.5 * lo * lo * log_ratio, 0.0)
 
 
 def entropy(f: CircleDensity) -> float:
     """Integral of eta(f) d mu with eta(x) = -x log x; maximal (0) at uniform."""
     if f.has_pieces:
-        total = 0.0
-        for (u, v), (c, s) in zip(zip(f.breaks[:-1], f.breaks[1:]), f.coefs):
-            if s == 0.0:
-                total += (v - u) * (-c * math.log(c) if c > 0 else 0.0)
-            else:
-                total += (_eta_antiderivative(c + s * v) - _eta_antiderivative(c + s * u)) / s
-        return total / TWO_PI
-    vals = f.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(vals > 0, -vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
-    return float(np.mean(eta))
+        c, s = f.coefs.T
+        u, v = f.breaks[:-1], f.breaks[1:]
+        means = _eta_mean(np.clip(c + s * u, 0.0, None), np.clip(c + s * v, 0.0, None))
+        return float(np.sum((v - u) * means)) / TWO_PI
+    return float(np.mean(-_x_log(f.grid)))
 
 
 def relative_entropy(f: CircleDensity, g: CircleDensity,
@@ -285,27 +288,21 @@ def relative_entropy(f: CircleDensity, g: CircleDensity,
     the periodic trapezoid rule.
     """
     if f.has_pieces and g.has_pieces:
-        total = 0.0
-        for u, v, (cf, sf), (cg, sg) in _merged_pieces(f, g):
-            g_hi = max(cg + sg * u, cg + sg * v)
-            f_mass = cf * (v - u) + 0.5 * sf * (v * v - u * u)
-            if g_hi < support_tol:
-                if f_mass > support_tol:
-                    return math.inf
-                continue
-            x = 0.5 * (v - u) * _GL_NODES + 0.5 * (u + v)
-            fx = np.clip(cf + sf * x, 0.0, None)
-            gx = np.clip(cg + sg * x, support_tol, None)
-            integrand = np.where(fx > 0, fx * np.log(np.where(fx > 0, fx, 1.0) / gx), 0.0)
-            total += 0.5 * (v - u) * float(_GL_WEIGHTS @ integrand)
-        return max(total / TWO_PI, 0.0)
+        breaks, (cf, sf), (cg, sg) = _merged_table(f, g)
+        u, v = breaks[:-1], breaks[1:]
+        void = np.maximum(cg + sg * u, cg + sg * v) < support_tol
+        if np.any(void & (_segment_integral(cf, sf, u, v) > support_tol)):
+            return math.inf
+        half = 0.5 * (v - u)
+        x = half[:, None] * _GL_NODES + (0.5 * (u + v))[:, None]
+        fx = np.clip(cf[:, None] + sf[:, None] * x, 0.0, None)
+        gx = np.clip(cg[:, None] + sg[:, None] * x, support_tol, None)
+        per_piece = np.where(void, 0.0, half * (_x_log(fx, gx) @ _GL_WEIGHTS))
+        return max(float(np.sum(per_piece)) / TWO_PI, 0.0)
     fv, gv = _grid_pair(f, g)
     if np.any((gv < support_tol) & (fv > support_tol)):
         return math.inf
-    ok = fv > 0
-    vals = np.zeros_like(fv)
-    vals[ok] = fv[ok] * np.log(fv[ok] / np.clip(gv[ok], support_tol, None))
-    return max(float(np.mean(vals)), 0.0)
+    return max(float(np.mean(_x_log(fv, np.clip(gv, support_tol, None)))), 0.0)
 
 
 # -- exponent and Fourier diagnostics --------------------------------------
@@ -314,13 +311,15 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
                      n_max: int = 12) -> ExponentEstimate:
     """Decay exponent of ||P^n f - P^n f0||_1, minimum over probes.
 
-    Slopes are fitted over iteration counts n in [n_max/2, n_max].  Probes
-    whose distance hits the 1e-13 floor (affine iterates can reach the
-    uniform density exactly in finitely many steps) are excluded with a
-    note rather than fitted.
+    Slopes are fitted over iteration counts n in [n_max/2, n_max] (n_max >= 4
+    puts three iterates there).  Probes whose distance hits the 1e-13 floor
+    (affine iterates can reach the uniform density exactly in finitely many
+    steps) are excluded with a note rather than fitted.
     """
     if not probes:
         raise ValueError("need at least one probe density")
+    if n_max < 4:
+        raise ValueError(f"n_max must be at least 4 (got {n_max}) for three fitted iterates")
     for i, p in enumerate(probes):
         if l1_distance(p, f0) < 1e-12:
             raise ValueError(f"probe {i} equals the reference density")
@@ -397,17 +396,14 @@ def density_from_csv(text: str) -> CircleDensity:
 def density_to_json(f: CircleDensity) -> dict:
     """JSON-ready payload: affine pieces when exact, grid samples otherwise."""
     if f.has_pieces:
-        return {"pieces": [[u, v, c, s] for (u, v), (c, s) in
-                           zip(zip(f.breaks[:-1].tolist(), f.breaks[1:].tolist()),
-                               f.coefs.tolist())],
+        return {"pieces": np.column_stack([f.breaks[:-1], f.breaks[1:], f.coefs]).tolist(),
                 "grid_size": f.grid_size}
     return {"grid": f.grid.tolist()}
 
 
 def density_from_json(payload: dict) -> CircleDensity:
     if "pieces" in payload:
-        pieces = [tuple(p) for p in payload["pieces"]]
-        return CircleDensity.from_pieces(pieces, payload.get("grid_size", 1024))
+        return CircleDensity.from_pieces(payload["pieces"], payload.get("grid_size", 1024))
     if "grid" in payload:
         return CircleDensity.from_grid(payload["grid"])
     raise ValueError("density payload needs either 'pieces' or 'grid'")

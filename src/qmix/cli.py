@@ -291,7 +291,7 @@ def cmd_pdp(cfg: dict) -> None:
 
 def cmd_fractal(cfg: dict) -> None:
     points = _checked(read_cloud_csv, cfg["cloud"])
-    result = boxdim.box_count(points, levels=cfg["levels"])
+    result = _checked(boxdim.box_count, points, levels=cfg["levels"])
     dimension = boxdim.estimate_dimension(result)
     payload = {
         "n_points": result.n_points,
@@ -308,9 +308,9 @@ def cmd_fractal(cfg: dict) -> None:
 def cmd_classical(cfg: dict) -> None:
     r = cfg["r"]
     m = cfg["grid_size"]
-    f0 = circle.CircleDensity.uniform(m)
-    probes = [circle.sawtooth_density(int(k), m) for k in cfg["probe_ks"]]
-    estimate = circle.lambda_classical(f0, probes, r, n_max=cfg["n_max"])
+    f0 = _checked(circle.CircleDensity.uniform, m)
+    probes = [_checked(circle.sawtooth_density, int(k), m) for k in cfg["probe_ks"]]
+    estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
     ramp = circle.linear_ramp_density(m)
     decay = []
     g = ramp
@@ -362,6 +362,8 @@ def _detectors_from_log(path: str, expected: int) -> np.ndarray:
     with open(path) as handle:
         while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
             records = json.loads("[" + ",".join(block) + "]")
+            if not all(isinstance(rec, dict) for rec in records):
+                raise ConfigError(f"jump log {path} holds a line that is not a JSON object")
             labels.extend(int(rec["detector"]) for rec in records if "detector" in rec)
     if len(labels) != expected:
         raise ConfigError(

@@ -141,9 +141,9 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
     s_self = sum(pi * math.log(pi) for pi in p if pi > 0.0)
     value = s_self - s_cross
     if value < 0.0:
-        # Klein inequality guarantees >= 0; only rounding can dip below.
+        # Klein's inequality gives >= 0 for states; only rounding can dip below.
         if value < -1e-10:
-            raise AssertionError(f"relative entropy went negative: {value:.3e}")
+            raise ValueError(f"relative entropy went negative: {value:.3e} (not states?)")
         value = 0.0
     return value
 

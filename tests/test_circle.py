@@ -51,6 +51,17 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="tile"):
             CircleDensity.from_pieces([(0.0, 3.0, 1.0, 0.0)])
 
+    def test_pieces_are_sorted_and_must_be_contiguous(self):
+        halves = [(math.pi, TWO_PI, 0.0, 0.0), (0.0, math.pi, 2.0, 0.0)]
+        f = CircleDensity.from_pieces(halves)
+        np.testing.assert_array_equal(f.breaks, [0.0, math.pi, TWO_PI])
+        np.testing.assert_array_equal(f.coefs, [[2.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="contiguous"):
+            CircleDensity.from_pieces([(0.0, 3.0, 2.0, 0.0), (3.2, TWO_PI, 0.0, 0.0)])
+        for bad in ([], [(0.0, TWO_PI, 1.0)]):
+            with pytest.raises(ValueError, match="rows tiling"):
+                CircleDensity.from_pieces(bad)
+
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             CircleDensity.from_grid(np.full(64, -1.0))
@@ -159,6 +170,13 @@ class TestDistancesAndEntropy:
         assert values[0] < -0.1
         assert abs(values[-1]) < 1e-4
 
+    def test_entropy_of_nearly_flat_sawtooth_matches_its_series(self):
+        # H(1 + (x - pi)/(k pi)) = -sum_m 1/(2m (2m-1) (2m+1) k^(2m)); the
+        # r-adic ramp iterates are these densities with k = r^n
+        for k in (100, 3 ** 6, 2 ** 20, 3 ** 12):
+            series = -1.0 / (6 * k ** 2) - 1.0 / (60 * k ** 4) - 1.0 / (210 * k ** 6)
+            assert entropy(sawtooth_density(k)) == pytest.approx(series, rel=0, abs=1e-15)
+
     def test_relative_entropy_against_uniform_is_minus_entropy(self):
         rng = np.random.default_rng(23)
         one = CircleDensity.uniform()
@@ -209,6 +227,12 @@ class TestClassicalExponent:
         probes = [sawtooth_density(k) for k in range(1, 6)]
         est = lambda_classical(CircleDensity.uniform(), probes, 3, n_max=10)
         assert est.exponent == pytest.approx(math.log(3.0), rel=0.02)
+
+    def test_fit_window_needs_three_iterates(self):
+        with pytest.raises(ValueError, match="n_max must be at least 4"):
+            lambda_classical(CircleDensity.uniform(), [sawtooth_density(1)], 2, n_max=3)
+        est = lambda_classical(CircleDensity.uniform(), [sawtooth_density(1)], 2, n_max=4)
+        assert est.fit_window == (2.0, 4.0) and not est.notes
 
     def test_probe_equal_to_reference_rejected(self):
         with pytest.raises(ValueError, match="equals the reference"):

@@ -1,0 +1,161 @@
+"""Property tests for circle densities, the r-adic transfer operator and the
+entropy inequalities (Klein, Pinsker) on the circle and on qubits."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qmix.circle import (
+    TWO_PI,
+    CircleDensity,
+    l1_distance,
+    pf_apply,
+    relative_entropy as circle_relative_entropy,
+    trig_density,
+)
+from qmix.states import from_bloch, relative_entropy, trace_norm
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                             database=None)
+
+_radices = st.sampled_from([2, 3, 5])
+
+
+@st.composite
+def affine_densities(draw, max_pieces=200, min_value=0.0):
+    """Unit-mass piecewise-affine density with 1 to ``max_pieces`` pieces.
+
+    Hypothesis draws the piece count and a seed for the piece table (drawing
+    hundreds of floats one by one would dominate the run time).  Piece widths
+    vary by at most a factor of three, so no piece is steep enough for its
+    c + s x form to lose digits; end values lie in [min_value, 2] before the
+    mass is normalized, and with min_value = 0 some may be exactly zero.
+    """
+    n = draw(st.integers(1, max_pieces))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    widths = rng.uniform(0.5, 1.5, n)
+    edges = np.concatenate([[0.0], np.cumsum(widths) * (TWO_PI / widths.sum())])
+    edges[-1] = TWO_PI
+    ends = rng.uniform(min_value, 2.0, (n, 2))
+    if min_value == 0.0 and draw(st.booleans()):
+        ends[rng.random((n, 2)) < 0.3] = 0.0
+    u, v = edges[:-1], edges[1:]
+    s = (ends[:, 1] - ends[:, 0]) / (v - u)
+    c = ends[:, 0] - s * u
+    mass = float(np.sum(0.5 * (ends[:, 0] + ends[:, 1]) * (v - u))) / TWO_PI
+    assume(mass > 0.1)
+    return CircleDensity.from_pieces(
+        list(zip(u.tolist(), v.tolist(), (c / mass).tolist(), (s / mass).tolist())))
+
+
+@PROPERTY_SETTINGS
+@given(f=affine_densities(), r=_radices,
+       xs=st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=8))
+def test_push_forward_is_the_preimage_average(f, r, xs):
+    g = pf_apply(f, r)
+    x = np.array(xs)
+    # the image is discontinuous at its breaks, where the two sides may
+    # legitimately pick different pieces
+    assume(np.min(np.abs(np.subtract.outer(x, g.breaks))) > 1e-9)
+    expected = sum(f.evaluate((x + TWO_PI * j) / r) for j in range(r)) / r
+    np.testing.assert_allclose(g.evaluate(x), expected, rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(f=affine_densities(), r=_radices)
+def test_push_forward_keeps_unit_mass_and_sign(f, r):
+    g = pf_apply(f, r)
+    assert abs(g.mass() - 1.0) <= 1e-12
+    assert g.grid.min() >= 0.0
+    c, s = g.coefs[:, 0], g.coefs[:, 1]
+    assert min((c + s * g.breaks[:-1]).min(), (c + s * g.breaks[1:]).min()) >= -1e-12
+
+
+@PROPERTY_SETTINGS
+@given(f=affine_densities(), g=affine_densities())
+def test_l1_distance_is_symmetric_and_matches_a_midpoint_rule(f, g):
+    d = l1_distance(f, g)
+    assert d == l1_distance(g, f)
+    # midpoint rule on K cells inside each interval between breaks: exact on
+    # affine |f - g| except in the cell holding a sign change, where it is
+    # off by at most |slope| h^2 / 4
+    k = 64
+    edges = np.union1d(f.breaks, g.breaks)
+    u, v = edges[:-1], edges[1:]
+    h = (v - u) / k
+    xs = u[:, None] + h[:, None] * (np.arange(k) + 0.5)
+    diff = f.evaluate(xs) - g.evaluate(xs)
+    reference = float(np.sum(np.abs(diff) * h[:, None])) / TWO_PI
+    slope = np.abs(diff[:, -1] - diff[:, 0]) / ((k - 1) * h)
+    tol = float(np.sum(slope * h * h)) / (4.0 * TWO_PI) + 1e-12
+    assert abs(d - reference) <= tol
+
+
+@st.composite
+def trig_coefficients(draw, degree=6):
+    """Cosine and sine coefficients whose absolute sum stays below 0.9."""
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * degree,
+                                 max_size=2 * degree)))
+    scale = draw(st.floats(0.0, 0.9)) / max(1.0, float(np.abs(raw).sum()))
+    return raw[:degree] * scale, raw[degree:] * scale
+
+
+@PROPERTY_SETTINGS
+@given(coefs=trig_coefficients(), r=_radices)
+def test_affine_and_spectral_routes_agree_on_a_smooth_density(coefs, r):
+    cos_c, sin_c = coefs
+    m = 960  # divisible by 2, 3 and 5; degree 6 r stays below the alias limit
+    smooth = trig_density(cos_c.tolist(), sin_c.tolist(), grid_size=m)
+    xs = np.arange(m + 1) * (TWO_PI / m)
+    vals = np.append(smooth.grid, smooth.grid[0])
+    s = np.diff(vals) / np.diff(xs)
+    c = vals[:-1] - s * xs[:-1]
+    interpolant = CircleDensity.from_pieces(
+        list(zip(xs[:-1].tolist(), xs[1:].tolist(), c.tolist(), s.tolist())), m)
+    spectral = pf_apply(smooth, r)
+    affine = pf_apply(interpolant, r)
+    # |P(I f) - P f| <= |I f - f| <= h^2 / 8 max |f''|; the spectral route
+    # is exact on trigonometric polynomials below the alias limit
+    j = np.arange(1, len(cos_c) + 1)
+    curvature = float(np.sum(j * j * (np.abs(cos_c) + np.abs(sin_c))))
+    tol = (TWO_PI / m) ** 2 / 8.0 * curvature + 1e-12
+    np.testing.assert_allclose(affine.evaluate(xs[:-1]), spectral.grid, rtol=0, atol=tol)
+
+
+@PROPERTY_SETTINGS
+@given(f=affine_densities(max_pieces=50), g=affine_densities(max_pieces=50, min_value=0.05))
+def test_circle_relative_entropy_obeys_klein_and_pinsker(f, g):
+    h = circle_relative_entropy(f, g)
+    assert h >= 0.0
+    assert h >= 0.5 * l1_distance(f, g) ** 2 - 1e-12
+
+
+_entry = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def qubit_states(draw):
+    """Pure (radius 1) or mixed (radius in [0, 1)) state, random direction."""
+    v = np.array(draw(st.lists(_entry, min_size=3, max_size=3)))
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    radius = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_max=True)))
+    return from_bloch(radius * v / norm)
+
+
+@PROPERTY_SETTINGS
+@given(rho=qubit_states(), sigma=qubit_states())
+def test_qubit_relative_entropy_obeys_klein_and_pinsker(rho, sigma):
+    h = relative_entropy(rho, sigma)
+    assert h >= 0.0
+    assert h >= 0.5 * trace_norm(rho - sigma) ** 2 - 1e-12
+
+
+def test_negative_relative_entropy_is_a_domain_error():
+    # sigma is no state (trace 4), which drives the value far below zero
+    with pytest.raises(ValueError, match="negative"):
+        relative_entropy(from_bloch([0.0, 0.0, 0.0]), 2.0 * np.eye(2))
+    assert math.isinf(relative_entropy(from_bloch([0.0, 0.0, 1.0]),
+                                       from_bloch([0.0, 0.0, -1.0])))

@@ -93,8 +93,13 @@ class TestConfigHandling:
         ["evolve", "--preset", "zeno", "--t-end", 1e9],
         ["evolve", "--preset", "zeno", "--bloch0", "[1,1,1]"],
         ["exponent", "--preset", "fluorescence", "--gamma", -1],
+        ["classical", "--r", 1],
+        ["classical", "--probe-ks", "[0]"],
+        ["classical", "--grid-size", 4],
+        ["classical", "--n-max", 3],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
-            "evolve-bloch0-outside", "exponent-gamma-neg"])
+            "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
+            "classical-probe-k-0", "classical-grid-4", "classical-n-max-3"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, args):
         assert run(args + ["--out", tmp_path / "x.out"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -132,6 +137,26 @@ class TestConfigHandling:
                     "--out", out]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(log) in err
+        assert not out.exists()
+
+    def test_jump_log_of_non_objects_is_a_config_error(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("1,0,0\n0,1,0\n")
+        log = tmp_path / "numbers.jsonl"
+        log.write_text("5\n6\n")
+        out = tmp_path / "x.ppm"
+        assert run(["render", "--mode", "ppm", "--cloud", cloud, "--log", log,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(log) in err
+        assert not out.exists()
+
+    def test_too_few_box_levels_is_a_config_error(self, tmp_path, capsys):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        out = tmp_path / "d.json"
+        assert run(["fractal", "--cloud", cloud, "--levels", 2, "--out", out]) == 2
+        assert "at least 4 scale levels" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runner_is_looked_up_when_main_runs(self, monkeypatch):
