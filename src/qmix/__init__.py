@@ -2,8 +2,8 @@
 
 Subpackages:
 
-* :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates, entropies
-* :mod:`qmix.lindblad` -- master-equation presets, Bloch-affine RK4, closed forms
+* :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates, closed-form entropies
+* :mod:`qmix.lindblad` -- master-equation presets, Bloch-affine RK4, expm of (M, b)
 * :mod:`qmix.exponent` -- characteristic-exponent estimation and mixing tests
 * :mod:`qmix.pdp` -- measurement jump process and chaos-game sampling
 * :mod:`qmix.boxdim` -- box-counting dimension on the sphere

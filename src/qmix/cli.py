@@ -72,7 +72,7 @@ def _coerce(name: str, field: Field, value):
         value = float(value)
     if field.type is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, field.type):
+    if not isinstance(value, field.type) or (field.type is int and isinstance(value, bool)):
         raise ConfigError(f"field '{name}' expects {field.type.__name__}, got {value!r}")
     if field.choices is not None and value not in field.choices:
         raise ConfigError(f"field '{name}' must be one of {field.choices}, got {value!r}")
@@ -309,7 +309,8 @@ def cmd_classical(cfg: dict) -> None:
     r = cfg["r"]
     m = cfg["grid_size"]
     f0 = _checked(circle.CircleDensity.uniform, m)
-    probes = [_checked(circle.sawtooth_density, int(k), m) for k in cfg["probe_ks"]]
+    probes = [_checked(circle.sawtooth_density, _coerce("probe_ks", Field(int), k), m)
+              for k in cfg["probe_ks"]]
     estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
     ramp = circle.linear_ramp_density(m)
     decay = []
@@ -358,13 +359,20 @@ LOG_BLOCK_LINES = 4096  # JSONL lines decoded per json.loads call
 
 def _detectors_from_log(path: str, expected: int) -> np.ndarray:
     """Detector labels of a JSONL jump log, decoded a block of lines at a time."""
-    labels = []
+    labels, first_line = [], 1
     with open(path) as handle:
         while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
-            records = json.loads("[" + ",".join(block) + "]")
+            try:
+                records = json.loads("[" + ",".join(block) + "]")
+            except json.JSONDecodeError as exc:  # the block's line k is line k of the text
+                raise ConfigError(f"jump log {path}, line {first_line + exc.lineno - 1}: "
+                                  f"{exc.msg}") from exc
             if not all(isinstance(rec, dict) for rec in records):
                 raise ConfigError(f"jump log {path} holds a line that is not a JSON object")
-            labels.extend(int(rec["detector"]) for rec in records if "detector" in rec)
+            labels.extend(rec["detector"] for rec in records if "detector" in rec)
+            first_line += len(block)
+    if not {type(label) for label in labels} <= {int}:
+        raise ConfigError(f"jump log {path} holds a detector that is not an integer")
     if len(labels) != expected:
         raise ConfigError(
             f"jump log holds {len(labels)} events but the cloud has {expected} points")

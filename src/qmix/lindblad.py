@@ -20,10 +20,11 @@ the package:
 Propagation has one route.  In Bloch coordinates every generator is the
 affine map d x/dt = M x + b (:func:`bloch_generator`); :func:`evolve` runs
 fixed-step RK4 on it as one 4x4 step matrix acting on (x, 1), and the
-closed forms and :mod:`qmix.exponent` use the matrix exponential of the
-same system.  :func:`generator_apply`, the master equation on 2x2 density
-matrices, defines (M, b) and serves as the reference the Bloch forms are
-checked against.
+exact paths of every preset (:func:`analytic_bloch_paths`) and
+:mod:`qmix.exponent` use the matrix exponential of the same system.
+:func:`generator_apply`, the master equation on 2x2 density matrices,
+defines (M, b) and serves as the reference the Bloch forms are checked
+against.
 
 Everything is expressed against the Pauli constants in :mod:`qmix.states`.
 """
@@ -108,8 +109,8 @@ class LindbladModel:
     """Immutable Hamiltonian + jump-term bundle.
 
     ``jump_terms`` is an ordered tuple of (operator, rate) pairs with
-    rate >= 0.  Instances built from a preset remember it so closed-form
-    solutions stay available downstream.
+    rate >= 0.  Instances built from a preset remember it so its closed-form
+    exponent stays available downstream.
     """
 
     def __init__(self, hamiltonian: np.ndarray, jump_terms, preset: Optional[Preset] = None):
@@ -314,48 +315,26 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     return StateTrajectory(times, blochs, dt)
 
 
-def _affine_propagator(m: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """4x4 matrix propagating (x, 1) under d x/dt = M x + b."""
-    return expm(t * _augmented(m, b))
+def _affine_propagator(m: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """4x4 matrices propagating (x, 1) under d x/dt = M x + b, one per time.
+
+    ``t`` is a time or an array of times; the result has shape t.shape + (4, 4).
+    """
+    return expm(np.asarray(t, dtype=float)[..., None, None] * _augmented(m, b))
 
 
 def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Closed-form Bloch trajectories for a preset.
+    """Exact Bloch trajectories of a preset: the matrix exponential of (M, b).
 
     ``blochs`` has shape (n, 3); the result has shape (n, len(times), 3).
-    Tetrahedron and SigmaXConjugation use explicit formulas, Zeno and
-    Fluorescence the matrix exponential of the 3x3 Bloch system.
     """
     blochs = np.atleast_2d(np.asarray(blochs, dtype=float))
-    times = np.asarray(times, dtype=float)
-    n, m = blochs.shape[0], times.shape[0]
-    out = np.empty((n, m, 3))
-    if isinstance(preset, Tetrahedron):
-        lam = (4.0 / 3.0) * preset.kappa * preset.alpha ** 2
-        decay = np.exp(-lam * times)
-        c, s = np.cos(preset.omega * times), np.sin(preset.omega * times)
-        out[:, :, 0] = (blochs[:, None, 0] * c - blochs[:, None, 1] * s) * decay
-        out[:, :, 1] = (blochs[:, None, 0] * s + blochs[:, None, 1] * c) * decay
-        out[:, :, 2] = blochs[:, None, 2] * decay
-        return out
-    if isinstance(preset, SigmaXConjugation):
-        decay = np.exp(-2.0 * times)
-        out[:, :, 0] = blochs[:, None, 0]
-        out[:, :, 1] = blochs[:, None, 1] * decay
-        out[:, :, 2] = blochs[:, None, 2] * decay
-        return out
-    if isinstance(preset, (Zeno, Fluorescence)):
-        mmat, b = bloch_generator(build_model(preset))
-        aug = np.concatenate([blochs, np.ones((n, 1))], axis=1)
-        for i, t in enumerate(times):
-            prop = _affine_propagator(mmat, b, t)
-            out[:, i, :] = (aug @ prop.T)[:, :3]
-        return out
-    raise TypeError(f"no closed-form solution for preset {preset!r}")
+    prop = _affine_propagator(*bloch_generator(build_model(preset)), times)
+    return np.einsum("tij,nj->nti", prop[:, :3, :3], blochs) + prop[None, :, :3, 3]
 
 
 def analytic_evolve(preset: Preset, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Closed-form solution at a single time."""
+    """Exact solution at a single time (see :func:`analytic_bloch_paths`)."""
     x0 = to_bloch(check_density_matrix(rho0))
     x_t = analytic_bloch_paths(preset, x0[None, :], np.array([t]))[0, 0]
     return from_bloch(x_t)

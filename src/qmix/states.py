@@ -1,8 +1,8 @@
 """Qubit state arithmetic: Pauli basis, Bloch coordinates, trace norm,
 entropy functionals.
 
-Operators are plain 2x2 complex numpy arrays, Bloch vectors are length-3
-float arrays with components x_k = tr(rho sigma_k).  The Pauli basis used
+Operators are plain 2x2 complex numpy arrays, Bloch vectors are float
+arrays (..., 3) with components x_k = tr(rho sigma_k).  The Pauli basis used
 throughout the package is
 
     SIGMA1 = [[0, 1], [1, 0]]
@@ -15,6 +15,8 @@ permutations), so the usual Bloch-ball geometry holds verbatim.  Every
 Bloch formula elsewhere in the package is derived against these constants;
 ``test_pauli_convention`` pins the algebra.
 
+Entropies are batched closed forms of Bloch vectors (:func:`bloch_entropy`,
+:func:`bloch_relative_entropy`); the matrix forms validate, then convert.
 All logarithms are natural (entropies in nats).
 """
 
@@ -75,14 +77,19 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
     return np.array([np.trace(rho @ s).real for s in PAULIS])
 
 
+def _check_in_ball(x: np.ndarray) -> None:
+    """Raise ValueError unless every Bloch vector in ``x`` (..., 3) has |x| <= 1 + 1e-9."""
+    norm = float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
+    if norm > 1.0 + 1e-9:
+        raise ValueError(f"Bloch vector lies outside the unit ball (|x| = {norm:.12g})")
+
+
 def from_bloch(x) -> np.ndarray:
     """Statistical state rho = (I + x . sigma) / 2 for |x| <= 1."""
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("Bloch vector must have three components")
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"Bloch vector lies outside the unit ball (|x| = {norm:.12g})")
+    _check_in_ball(x)
     return 0.5 * (IDENTITY2 + x[0] * SIGMA1 + x[1] * SIGMA2 + x[2] * SIGMA3)
 
 
@@ -104,54 +111,55 @@ def trace_norm(a: np.ndarray) -> float:
     return abs(lo) + abs(hi)
 
 
+def bloch_entropy(x) -> np.ndarray:
+    """Entropy H2((1 + |x|)/2) in nats of Bloch vectors (..., 3); H2 is the
+    binary entropy, 0 log 0 = 0, and |x| is capped at 1 (see :func:`from_bloch`)."""
+    r = np.minimum(np.linalg.norm(x, axis=-1), 1.0)
+    p = np.stack([0.5 * (1.0 + r), 0.5 * (1.0 - r)])
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=0)
+
+
+def bloch_relative_entropy(x, y, support_tol: float = ATOL_STRUCT) -> np.ndarray:
+    """Relative entropy S(rho_x | rho_y) in nats of Bloch vectors (..., 3).
+
+    S = sum p log p - w+ log q+ - w- log q-, with p = (1 +- |x|)/2, rho_y's
+    eigenvalues q = (1 +- |y|)/2 and rho_x's weights w = (1 +- x.y/|y|)/2 on
+    their eigenvectors (any direction serves at y = 0, where q+ = q-).  It is
+    ``inf`` where q- < ``support_tol`` < w- (a support violation, not an
+    error); where both are below ``support_tol`` the w- term is dropped.
+    Norms are capped at 1 and rounding below 0 is clamped to 0.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ry = np.minimum(np.linalg.norm(y, axis=-1), 1.0)
+    cos = np.clip(np.sum(x * y, axis=-1) / np.where(ry > 0.0, ry, 1.0), -1.0, 1.0)
+    w_minus, q_minus = 0.5 * (1.0 - cos), 0.5 * (1.0 - ry)
+    outside = q_minus < support_tol
+    value = (-bloch_entropy(x) - (1.0 - w_minus) * np.log(0.5 * (1.0 + ry))
+             - w_minus * np.log(np.where(outside, 1.0, q_minus)))
+    return np.where(outside & (w_minus > support_tol), np.inf, np.maximum(value, 0.0))
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(lam log lam) in nats, with 0 log 0 = 0."""
-    lo, hi = hermitian_eigenvalues(rho)
-    out = 0.0
-    for lam in (lo, hi):
-        if lam > 0.0:
-            out -= lam * math.log(lam)
-    return out
+    """Entropy -tr(rho log rho) in nats of a statistical state."""
+    return float(bloch_entropy(to_bloch(check_density_matrix(rho))))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray,
                      support_tol: float = ATOL_STRUCT) -> float:
-    """tr(rho log rho - rho log sigma) in nats.
-
-    Returns ``math.inf`` when rho has weight (above ``support_tol``) on an
-    eigenvector of sigma whose eigenvalue is below ``support_tol``; a
-    support violation is a value, not an error.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    p, u = np.linalg.eigh(rho)
-    q, v = np.linalg.eigh(sigma)
-    p = np.clip(p.real, 0.0, None)
-    q = q.real
-    # overlap[i, j] = |<u_i | v_j>|^2
-    overlap = np.abs(u.conj().T @ v) ** 2
-    weight = p @ overlap  # weight rho assigns to each eigenvector of sigma
-    s_cross = 0.0
-    for j in range(2):
-        if q[j] < support_tol:
-            if weight[j] > support_tol:
-                return math.inf
-            continue
-        s_cross += weight[j] * math.log(q[j])
-    s_self = sum(pi * math.log(pi) for pi in p if pi > 0.0)
-    value = s_self - s_cross
-    if value < 0.0:
-        # Klein's inequality gives >= 0 for states; only rounding can dip below.
-        if value < -1e-10:
-            raise ValueError(f"relative entropy went negative: {value:.3e} (not states?)")
-        value = 0.0
-    return value
+    """tr(rho log rho - rho log sigma) in nats; see :func:`bloch_relative_entropy`."""
+    x, y = (to_bloch(check_density_matrix(s)) for s in (rho, sigma))
+    return float(bloch_relative_entropy(x, y, support_tol))
 
 
-def random_density(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
-    """Sample a state: Haar-like direction, radius 1 (pure) or uniform in [0, 1)."""
+def _random_bloch(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
+    """Haar-like direction, radius 1 (pure) or uniform in [0, 1)."""
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
     if not pure:
         d *= rng.random()
-    return from_bloch(d)
+    return d
+
+
+def random_density(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
+    """Sample a state with the Bloch vector of :func:`_random_bloch`."""
+    return from_bloch(_random_bloch(rng, pure))

@@ -154,8 +154,8 @@ def test_qubit_relative_entropy_obeys_klein_and_pinsker(rho, sigma):
 
 
 def test_negative_relative_entropy_is_a_domain_error():
-    # sigma is no state (trace 4), which drives the value far below zero
-    with pytest.raises(ValueError, match="negative"):
+    # sigma is no state (trace 4); it is rejected before any entropy is formed
+    with pytest.raises(ValueError, match="unit trace"):
         relative_entropy(from_bloch([0.0, 0.0, 0.0]), 2.0 * np.eye(2))
     assert math.isinf(relative_entropy(from_bloch([0.0, 0.0, 1.0]),
                                        from_bloch([0.0, 0.0, -1.0])))

@@ -97,9 +97,13 @@ class TestConfigHandling:
         ["classical", "--probe-ks", "[0]"],
         ["classical", "--grid-size", 4],
         ["classical", "--n-max", 3],
+        ["classical", "--probe-ks", "[[1]]"],
+        ["classical", "--probe-ks", "[2.5]"],
+        ["classical", "--probe-ks", "[true]"],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
-            "classical-probe-k-0", "classical-grid-4", "classical-n-max-3"])
+            "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
+            "classical-probe-k-list", "classical-probe-k-2.5", "classical-probe-k-bool"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, args):
         assert run(args + ["--out", tmp_path / "x.out"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -150,6 +154,31 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "config error" in err and str(log) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        (['{"detector": [1]}', '{"detector": 2}'], "not an integer"),
+        (['{"detector": 1}', '{"detector": 2]'] + ['{"detector": 3}'] * 8, "line 2:"),
+        (['{"detector": 1}'] * 9 + ['{"detector" 2}'], "line 10:"),
+    ], ids=["detector-not-a-number", "invalid-json", "invalid-json-in-a-later-block"])
+    def test_undecodable_jump_log_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    lines, message):
+        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 4)
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("1,0,0\n" * len(lines))
+        log = tmp_path / "bad.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.ppm"
+        assert run(["render", "--mode", "ppm", "--cloud", cloud, "--log", log,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(log) in err and message in err
+        assert not out.exists()
+
+    def test_integral_float_probe_k_is_accepted(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["classical", "--probe-ks", "[2.0]", "--grid-size", 64, "--n-max", 6,
+                    "--out", out]) == 0
+        assert len(json.loads(out.read_text())["per_probe_slopes"]) == 1
 
     def test_too_few_box_levels_is_a_config_error(self, tmp_path, capsys):
         cloud = tmp_path / "cloud.csv"

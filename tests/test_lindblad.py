@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmix.lindblad import (
     MAX_STEPS,
@@ -14,7 +15,9 @@ from qmix.lindblad import (
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
+    _affine_propagator,
     _positivity_guard,
+    analytic_bloch_paths,
     analytic_evolve,
     bloch_generator,
     build_model,
@@ -220,6 +223,64 @@ class TestEvolve:
         for x, rho in zip(traj.blochs[::100], traj.states[::100]):
             np.testing.assert_allclose(to_bloch(rho), x, atol=1e-15)
         np.testing.assert_allclose(traj.final(), traj.states[-1], atol=1e-15)
+
+
+def tetrahedron_paths(preset, blochs, times):
+    """Oracle: the Bloch vector turns at omega about z and shrinks at rate
+    (4/3) kappa alpha^2."""
+    decay = np.exp(-(4.0 / 3.0) * preset.kappa * preset.alpha ** 2 * times)
+    c, s = np.cos(preset.omega * times), np.sin(preset.omega * times)
+    x, y, z = (blochs[:, None, k] for k in range(3))
+    return np.stack([(x * c - y * s) * decay, (x * s + y * c) * decay, z * decay], axis=-1)
+
+
+def sigma_x_conjugation_paths(blochs, times):
+    """Oracle: the x component is frozen, y and z decay at rate 2."""
+    decay = np.exp(-2.0 * times)
+    x, y, z = (blochs[:, None, k] for k in range(3))
+    return np.stack([x + 0.0 * times, y * decay, z * decay], axis=-1)
+
+
+class TestAnalyticBlochPaths:
+    times = np.linspace(0.0, 60.0, 241)
+
+    @pytest.mark.parametrize("kappa,alpha,omega", [
+        (1.0, 1.0, 0.0), (1.0, 0.8, 1.0), (2.0, 0.5, 3.0), (0.3, 0.2, 0.7), (4.0, 1.0, 0.1),
+    ])
+    def test_tetrahedron_matches_the_explicit_formula(self, kappa, alpha, omega):
+        preset = Tetrahedron(kappa=kappa, alpha=alpha, omega=omega)
+        blochs = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [-0.3, 0.5, 0.1], [0, 0, 0]])
+        got = analytic_bloch_paths(preset, blochs, self.times)
+        assert got.shape == (4, len(self.times), 3)
+        np.testing.assert_allclose(got, tetrahedron_paths(preset, blochs, self.times),
+                                   rtol=0, atol=1e-12)
+
+    def test_sigma_x_conjugation_matches_the_explicit_formula(self):
+        blochs = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.1, -0.7, 0.2]])
+        got = analytic_bloch_paths(SigmaXConjugation(), blochs, self.times)
+        np.testing.assert_allclose(got, sigma_x_conjugation_paths(blochs, self.times),
+                                   rtol=0, atol=1e-12)
+
+
+_rates = st.floats(0.0, 5.0)
+_presets = st.one_of(
+    st.builds(Tetrahedron, kappa=_rates, alpha=st.floats(0.0, 1.0), omega=_rates),
+    st.builds(Zeno, kappa=_rates, omega=_rates),
+    st.builds(Fluorescence, rabi=_rates, gamma=_rates),
+    st.just(SigmaXConjugation()),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(preset=_presets, t=st.floats(0.0, 60.0),
+       direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       radius=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+def test_affine_propagator_keeps_states_in_the_ball(preset, t, direction, radius):
+    v = np.array(direction)
+    assume(np.linalg.norm(v) > 1e-3)
+    x = radius * v / np.linalg.norm(v)
+    prop = _affine_propagator(*bloch_generator(build_model(preset)), t)
+    assert np.linalg.norm(prop[:3, :3] @ x + prop[:3, 3]) <= 1.0 + 1e-12
 
 
 class TestAnalyticEvolve:

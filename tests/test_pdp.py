@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 
 from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
 from qmix.pdp import (
+    MAX_EXPECTED_JUMPS,
     chaos_game,
     chaos_game_labeled,
     ensemble_bloch_mean,
@@ -242,6 +244,16 @@ class TestEnsembleConsistency:
                 ensemble_bloch_mean(0.0, 1.0, alpha, [0, 0, 1], 10, t_end)
         with pytest.raises(ValueError):
             sample_path(0.0, 1.0, 0.5, n_jumps=0)
+
+    def test_expected_jump_count_is_capped_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
+            ensemble_bloch_mean(0.0, 1.0, 0.5, [0, 0, 1], 10, 1e9)
+        # the eeqt clock runs (1 + alpha^2) times faster than the literal one
+        t_end = 0.75 * MAX_EXPECTED_JUMPS
+        with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
+            ensemble_bloch_mean(0.0, 1.0, 1.0, [0, 0, 1], 10, t_end, rate_convention="eeqt")
+        assert time.perf_counter() - start < 1.0
 
     def test_thread_cap_env_var(self, monkeypatch):
         from qmix.io import qmix_threads
