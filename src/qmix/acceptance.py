@@ -334,4 +334,7 @@ _CRITERIA = {
 
 def run_all(which: Optional[list[int]] = None) -> list[CriterionResult]:
     ids = sorted(_CRITERIA) if which is None else sorted(which)
+    unknown = sorted(set(ids) - set(_CRITERIA))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; known: 1..{len(_CRITERIA)}")
     return [_CRITERIA[i]() for i in ids]

@@ -13,11 +13,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -52,23 +52,30 @@ from .lindblad import (
 )
 from .states import from_bloch, to_bloch
 
-PRESET_NAMES = ("tetrahedron", "zeno", "fluorescence", "sigma_x_conjugation")
+PRESETS = {"tetrahedron": Tetrahedron, "zeno": Zeno, "fluorescence": Fluorescence,
+           "sigma_x_conjugation": SigmaXConjugation}
 
 
 class ConfigError(ValueError):
     """Bad or unknown configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Field:
+    """One config value: its type, and for a list the rule of every entry."""
     type: type
     default: Any = None
     required: bool = False
     choices: Optional[tuple] = None
+    item: Optional[Field] = None
+    length: Optional[int] = None
 
 
 def _coerce(name: str, field: Field, value):
+    """Check ``value`` against ``field``; a list comes back as given, unconverted."""
     if field.type is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # nan, inf or an int past float range
+            raise ConfigError(f"field '{name}' must be finite, got {value!r}")
         value = float(value)
     if field.type is int and isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -76,6 +83,11 @@ def _coerce(name: str, field: Field, value):
         raise ConfigError(f"field '{name}' expects {field.type.__name__}, got {value!r}")
     if field.choices is not None and value not in field.choices:
         raise ConfigError(f"field '{name}' must be one of {field.choices}, got {value!r}")
+    if field.type is list:
+        if field.length is not None and len(value) != field.length:
+            raise ConfigError(f"field '{name}' must hold {field.length} entries, got {value!r}")
+        for i, entry in enumerate(value):
+            _coerce(f"{name}[{i}]", field.item, entry)
     return value
 
 
@@ -106,29 +118,15 @@ def resolve_config(schema: dict[str, Field], config_path: Optional[str],
     return resolved
 
 
-def _bloch3(cfg: dict, key: str) -> np.ndarray:
-    vec = cfg[key]
-    if not (isinstance(vec, list) and len(vec) == 3
-            and all(isinstance(c, (int, float)) for c in vec)):
-        raise ConfigError(f"field '{key}' must be a list of three numbers")
-    return np.array(vec, dtype=float)
+def _preset(cfg: dict):
+    cls = PRESETS[cfg["preset"]]
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
-def _preset_from(cfg: dict):
-    name = cfg["preset"]
-    if name == "tetrahedron":
-        return Tetrahedron(kappa=cfg["kappa"], alpha=cfg["alpha"], omega=cfg["omega"])
-    if name == "zeno":
-        return Zeno(kappa=cfg["kappa"], omega=cfg["omega"])
-    if name == "fluorescence":
-        return Fluorescence(rabi=cfg["rabi"], gamma=cfg["gamma"])
-    if name == "sigma_x_conjugation":
-        return SigmaXConjugation()
-    raise ConfigError(f"unknown preset '{name}'")
-
+_BLOCH = Field(list, [0.0, 0.0, 1.0], item=Field(float), length=3)
 
 _PRESET_FIELDS = {
-    "preset": Field(str, required=True, choices=PRESET_NAMES),
+    "preset": Field(str, required=True, choices=tuple(PRESETS)),
     "kappa": Field(float, 1.0),
     "alpha": Field(float, 1.0),
     "omega": Field(float, 0.0),
@@ -138,7 +136,7 @@ _PRESET_FIELDS = {
 
 EVOLVE_SCHEMA = {
     **_PRESET_FIELDS,
-    "bloch0": Field(list, [0.0, 0.0, 1.0]),
+    "bloch0": _BLOCH,
     "t_end": Field(float, 5.0),
     "dt": Field(float),
     "out": Field(str, required=True),
@@ -149,7 +147,7 @@ EXPONENT_SCHEMA = {
     "t_max": Field(float),
     "probe_seed": Field(int, 7),
     "tol": Field(float, 1e-4),
-    "kappa_sweep": Field(list),
+    "kappa_sweep": Field(list, item=Field(float)),
     "out": Field(str, required=True),
 }
 
@@ -161,7 +159,7 @@ PDP_SCHEMA = {
     "burn_in": Field(int, pdp.DEFAULT_BURN_IN),
     "seed": Field(int, 0),
     "rate_convention": Field(str, "literal", choices=pdp.RATE_CONVENTIONS),
-    "r0": Field(list, [0.0, 0.0, 1.0]),
+    "r0": _BLOCH,
     "out": Field(str, required=True),
     "log": Field(str),
 }
@@ -175,7 +173,7 @@ FRACTAL_SCHEMA = {
 CLASSICAL_SCHEMA = {
     "r": Field(int, 2),
     "n_max": Field(int, 12),
-    "probe_ks": Field(list, [1, 2, 3, 4, 5]),
+    "probe_ks": Field(list, [1, 2, 3, 4, 5], item=Field(int)),
     "grid_size": Field(int, 1024),
     "out": Field(str, required=True),
     "density_out": Field(str),
@@ -187,13 +185,13 @@ RENDER_SCHEMA = {
     "projection": Field(str, "+z", choices=render.PROJECTIONS),
     "size": Field(int, 800),
     "mode": Field(str, "pgm", choices=("pgm", "ppm")),
-    "zoom_center": Field(list),
+    "zoom_center": Field(list, item=Field(float), length=3),
     "zoom_radius": Field(float),
     "out": Field(str, required=True),
 }
 
 REPRO_SCHEMA = {
-    "criteria": Field(list),
+    "criteria": Field(list, item=Field(int)),
     "out": Field(str),
 }
 
@@ -207,8 +205,8 @@ def _checked(fn, *args, **kwargs):
 
 
 def cmd_evolve(cfg: dict) -> None:
-    model = _checked(build_model, _preset_from(cfg))
-    rho0 = _checked(from_bloch, _bloch3(cfg, "bloch0"))
+    model = _checked(build_model, _preset(cfg))
+    rho0 = _checked(from_bloch, np.array(cfg["bloch0"], dtype=float))
     traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
     note = None
     try:
@@ -266,21 +264,19 @@ def cmd_exponent(cfg: dict) -> None:
     if cfg["kappa_sweep"]:
         table = []
         for kappa in cfg["kappa_sweep"]:
-            if not isinstance(kappa, (int, float)):
-                raise ConfigError("kappa_sweep must hold numbers")
             point_cfg = dict(cfg, kappa=float(kappa))
-            entry = _exponent_payload(point_cfg, _preset_from(point_cfg))
+            entry = _exponent_payload(point_cfg, _preset(point_cfg))
             entry["kappa"] = float(kappa)
             table.append(entry)
         write_json(cfg["out"], {"sweep": table}, cfg)
         return
-    write_json(cfg["out"], _exponent_payload(cfg, _preset_from(cfg)), cfg)
+    write_json(cfg["out"], _exponent_payload(cfg, _preset(cfg)), cfg)
 
 
 def cmd_pdp(cfg: dict) -> None:
     path = _checked(
         pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
-        r0=_bloch3(cfg, "r0"), n_jumps=cfg["n_points"] + cfg["burn_in"],
+        r0=np.array(cfg["r0"], dtype=float), n_jumps=cfg["n_points"] + cfg["burn_in"],
         seed=cfg["seed"], rate_convention=cfg["rate_convention"])
     kept = slice(cfg["burn_in"], None)
     write_cloud_csv(cfg["out"], path.states[kept], cfg)
@@ -309,8 +305,7 @@ def cmd_classical(cfg: dict) -> None:
     r = cfg["r"]
     m = cfg["grid_size"]
     f0 = _checked(circle.CircleDensity.uniform, m)
-    probes = [_checked(circle.sawtooth_density, _coerce("probe_ks", Field(int), k), m)
-              for k in cfg["probe_ks"]]
+    probes = [_checked(circle.sawtooth_density, int(k), m) for k in cfg["probe_ks"]]
     estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
     ramp = circle.linear_ramp_density(m)
     decay = []
@@ -343,12 +338,9 @@ def cmd_render(cfg: dict) -> None:
             raise ConfigError("ppm mode needs the jump log ('log') for detector labels")
         detectors = _checked(_detectors_from_log, cfg["log"], len(points))
     zoom_center = tuple(cfg["zoom_center"]) if cfg["zoom_center"] else None
-    try:
-        spec = render.RenderSpec(
-            projection=cfg["projection"], size=cfg["size"], mode=cfg["mode"],
-            zoom_center=zoom_center, zoom_radius=cfg["zoom_radius"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _checked(render.RenderSpec, projection=cfg["projection"], size=cfg["size"],
+                    mode=cfg["mode"], zoom_center=zoom_center,
+                    zoom_radius=cfg["zoom_radius"])
     data = render.render(points, spec, detectors=detectors,
                          comments=tuple(header_comments(cfg)))
     atomic_write_bytes(cfg["out"], data)
@@ -373,6 +365,8 @@ def _detectors_from_log(path: str, expected: int) -> np.ndarray:
             first_line += len(block)
     if not {type(label) for label in labels} <= {int}:
         raise ConfigError(f"jump log {path} holds a detector that is not an integer")
+    if labels and not 1 <= min(labels) <= max(labels) <= 4:
+        raise ConfigError(f"jump log {path} holds a detector label outside 1..4")
     if len(labels) != expected:
         raise ConfigError(
             f"jump log holds {len(labels)} events but the cloud has {expected} points")
@@ -381,8 +375,7 @@ def _detectors_from_log(path: str, expected: int) -> np.ndarray:
 
 def cmd_repro(cfg: dict) -> int:
     from .acceptance import run_all
-    wanted = [int(c) for c in cfg["criteria"]] if cfg["criteria"] else None
-    results = run_all(wanted)
+    results = _checked(run_all, [int(c) for c in cfg["criteria"]] if cfg["criteria"] else None)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status}  C{res.cid} {res.description} [{res.elapsed:.1f}s] {res.detail}")
@@ -417,8 +410,6 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict[str, Field]) -> Non
         if field.type is list:
             parser.add_argument(flag, type=json.loads, default=None,
                                 help="JSON list literal")
-        elif field.type is bool:
-            parser.add_argument(flag, type=json.loads, default=None)
         else:
             parser.add_argument(flag, type=field.type, default=None,
                                 choices=field.choices)

@@ -20,17 +20,6 @@ import numpy as np
 FLOAT_FMT = "%.17g"  # 17 significant digits round-trips float64 exactly
 
 
-def qmix_threads() -> int:
-    """Worker-thread cap from QMIX_THREADS (default: cpu count)."""
-    raw = os.environ.get("QMIX_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

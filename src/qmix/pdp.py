@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import array
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -305,10 +306,20 @@ def _ensemble_chunk(args) -> np.ndarray:
     return r.sum(axis=0)
 
 
+def qmix_threads() -> int:
+    """Worker-thread cap from QMIX_THREADS (default: cpu count)."""
+    raw = os.environ.get("QMIX_THREADS", "")
+    if raw.strip():
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            return 1
+    return max(1, os.cpu_count() or 1)
+
+
 def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
                         n_paths: int, t_end: float, seed: int = 0,
-                        rate_convention: str = "literal",
-                        threads: Optional[int] = None) -> np.ndarray:
+                        rate_convention: str = "literal") -> np.ndarray:
     """Mean Bloch vector over independent paths at time ``t_end``.
 
     Paths are simulated in vectorized chunks of ``ENSEMBLE_CHUNK``; chunk c
@@ -320,14 +331,8 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     r0u = _unit(r0)
     jobs = [(omega, alpha, r0u, min(ENSEMBLE_CHUNK, n_paths - start), t_end, seed, stream, rate)
             for stream, start in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
-    if threads is None:
-        from .io import qmix_threads
-        threads = qmix_threads()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_ensemble_chunk, jobs))
-    else:
-        partials = [_ensemble_chunk(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=min(qmix_threads(), len(jobs))) as pool:
+        partials = list(pool.map(_ensemble_chunk, jobs))
     total = np.zeros(3)
     for part in partials:  # fixed chunk order keeps the sum deterministic
         total += part

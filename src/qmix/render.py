@@ -60,6 +60,8 @@ class RenderSpec:
             raise ValueError("zoom needs both a center and an angular radius")
         if self.zoom_radius is not None and not 0 < self.zoom_radius <= math.pi / 2:
             raise ValueError("zoom radius must lie in (0, pi/2]")
+        if self.zoom_center is not None and not np.linalg.norm(self.zoom_center) > 0:
+            raise ValueError("zoom_center must be a nonzero vector")
 
 
 def _zoom_coords(points: np.ndarray, center, radius: float):

@@ -100,14 +100,49 @@ class TestConfigHandling:
         ["classical", "--probe-ks", "[[1]]"],
         ["classical", "--probe-ks", "[2.5]"],
         ["classical", "--probe-ks", "[true]"],
+        ["exponent", "--preset", "tetrahedron", "--kappa-sweep", "[true]"],
+        ["evolve", "--preset", "zeno", "--bloch0", "[true,0,0]"],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--r0", "[true,0,0]"],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--r0", "[NaN,0,0]"],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--omega", "nan"],
+        ["exponent", "--preset", "zeno", "--tol", "nan"],
+        ["render", "--cloud", "cloud.csv", "--zoom-center", "[NaN,0,1]", "--zoom-radius", 0.4],
+        ["render", "--cloud", "cloud.csv", "--zoom-center", "[0,0,0]", "--zoom-radius", 0.4],
+        ["render", "--cloud", "cloud.csv", "--zoom-center", "[1,0]", "--zoom-radius", 0.4],
+        ["render", "--cloud", "cloud.csv", "--zoom-center", '["a","b","c"]',
+         "--zoom-radius", 0.4],
+        ["evolve", "--preset", "zeno", "--omega", "nan"],
+        ["exponent", "--preset", "fluorescence", "--rabi", "nan"],
+        ["exponent", "--preset", "zeno", "--t-max", "inf"],
+        ["repro", "--criteria", "[11]"],
+        ["repro", "--criteria", '["x"]'],
+        ["exponent", "--preset", "zeno", "--kappa-sweep", "[1" + "0" * 400 + "]"],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
-            "classical-probe-k-list", "classical-probe-k-2.5", "classical-probe-k-bool"])
-    def test_bad_parameters_are_config_errors(self, tmp_path, capsys, args):
+            "classical-probe-k-list", "classical-probe-k-2.5", "classical-probe-k-bool",
+            "exponent-kappa-sweep-bool", "evolve-bloch0-bool", "pdp-r0-bool", "pdp-r0-nan",
+            "pdp-omega-nan", "exponent-tol-nan", "render-zoom-nan", "render-zoom-zero",
+            "render-zoom-two-entries", "render-zoom-strings", "evolve-omega-nan",
+            "exponent-rabi-nan", "exponent-t-max-inf", "repro-criterion-11",
+            "repro-criterion-string", "exponent-kappa-sweep-past-float-range"])
+    def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert run(args + ["--out", tmp_path / "x.out"]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "x.out").exists()
+
+    def test_schema_checks_every_list_entry_and_finiteness(self):
+        for schema in cli._COMMANDS.values():
+            for name, field in schema.items():
+                if field.type is list:
+                    assert field.item is not None, name
+                    field = field.item
+                if field.type is float:
+                    for bad in (math.nan, math.inf, -math.inf, -10**400):
+                        with pytest.raises(cli.ConfigError, match="finite"):
+                            cli._coerce(name, field, bad)
 
     @pytest.mark.parametrize("command", ["fractal", "render"])
     @pytest.mark.parametrize("text", [
@@ -159,7 +194,9 @@ class TestConfigHandling:
         (['{"detector": [1]}', '{"detector": 2}'], "not an integer"),
         (['{"detector": 1}', '{"detector": 2]'] + ['{"detector": 3}'] * 8, "line 2:"),
         (['{"detector": 1}'] * 9 + ['{"detector" 2}'], "line 10:"),
-    ], ids=["detector-not-a-number", "invalid-json", "invalid-json-in-a-later-block"])
+        (['{"detector": 7}', '{"detector": 7}'], "outside 1..4"),
+    ], ids=["detector-not-a-number", "invalid-json", "invalid-json-in-a-later-block",
+            "detector-label-7"])
     def test_undecodable_jump_log_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                     lines, message):
         monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 4)

@@ -4,9 +4,12 @@ The digests pin the exact output bytes (number formatting, key order,
 draw order, projection) so a rewrite of the sampler or of the text I/O
 cannot change a file silently.  Paths are relative so the embedded
 configs, and hence the bytes, do not depend on the test's directory.
+The config hashes of one recipe per list field pin that a list value is
+embedded as given (``[1,2.0]`` stays ``[1,2.0]``).
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -52,3 +55,32 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, commands, expected):
     for argv in commands:
         assert main(argv) == 0
     assert digests(expected) == expected
+
+
+# one recipe per list field; the value is the config_hash embedded in the output
+LIST_FIELD_RECIPES = {
+    "bloch0": (["evolve", "--preset", "zeno", "--kappa", "1", "--omega", "1",
+                "--bloch0", "[0.3,0,0.4]", "--t-end", "0.5", "--out", "traj.csv"],
+               "f4a7b9fd8120de5c09e4ca838874189ce9be965efe8037831a5c7aac073e1d10"),
+    "kappa_sweep": (["exponent", "--preset", "zeno", "--omega", "1", "--kappa-sweep", "[1,2]",
+                     "--out", "sweep.json"],
+                    "02ebe0c45a8e62a0aef15e12dc8bfe075757f1e0096bae0295294a9ec3fae457"),
+    "probe_ks": (["classical", "--probe-ks", "[1,2.0]", "--grid-size", "64", "--n-max", "6",
+                  "--out", "classical.json"],
+                 "c75189009c8fb270fb5330af088f44b866527c75d1cf4ab43d703aac191fa11a"),
+    "zoom_center": (["render", "--cloud", "cloud.csv", "--zoom-center", "[1,0,0]",
+                     "--zoom-radius", "0.4", "--size", "64", "--out", "zoom.pgm"],
+                    "3f6fe754eabca4c6e9e27149e3ac503d7ef3b14bca77d10cd0a3427fb7ae9052"),
+    "criteria": (["repro", "--criteria", "[6]", "--out", "report.json"],
+                 "136ed460ce1fe37781ff19fc8a76cf70546ab5de134dbb28338a57e4554d4265"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(LIST_FIELD_RECIPES))
+def test_list_fields_embed_the_config_hash_of_the_value_as_given(tmp_path, monkeypatch, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n0.6,0,0.8\n")
+    argv, expected = LIST_FIELD_RECIPES[field]
+    assert main(argv) == 0
+    text = open(argv[-1], "rb").read()
+    assert re.search(rb'config_hash"?:\s*"?([0-9a-f]{64})', text).group(1).decode() == expected

@@ -229,11 +229,13 @@ class TestEnsembleConsistency:
                                    rate_convention="literal")
         assert np.max(np.abs(mean - target)) > 0.05
 
-    def test_thread_count_does_not_change_the_result(self):
+    def test_thread_count_does_not_change_the_result(self, monkeypatch):
         kwargs = dict(omega=0.5, kappa=1.0, alpha=0.6, r0=[0.0, 0.0, 1.0],
                       n_paths=50_000, t_end=0.8, seed=11, rate_convention="eeqt")
-        one = ensemble_bloch_mean(threads=1, **kwargs)
-        four = ensemble_bloch_mean(threads=4, **kwargs)
+        monkeypatch.setenv("QMIX_THREADS", "1")
+        one = ensemble_bloch_mean(**kwargs)
+        monkeypatch.setenv("QMIX_THREADS", "4")
+        four = ensemble_bloch_mean(**kwargs)
         np.testing.assert_array_equal(one, four)
 
     def test_input_validation(self):
@@ -256,7 +258,7 @@ class TestEnsembleConsistency:
         assert time.perf_counter() - start < 1.0
 
     def test_thread_cap_env_var(self, monkeypatch):
-        from qmix.io import qmix_threads
+        from qmix.pdp import qmix_threads
         monkeypatch.setenv("QMIX_THREADS", "3")
         assert qmix_threads() == 3
         monkeypatch.setenv("QMIX_THREADS", "0")
