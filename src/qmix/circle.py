@@ -35,15 +35,26 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
-    """Sorted breakpoints on [0, 2pi] with sub-1e-12 gaps collapsed."""
+    """Sorted breakpoints on [0, 2pi] with sub-1e-12 gaps collapsed.
+
+    A point is kept when it lies more than the tolerance past the last kept
+    one.  A point that far past its predecessor is that far past every kept
+    point before it, so only points after a sub-tolerance gap are checked
+    one by one.
+    """
     pts = np.sort(np.mod(points, TWO_PI))
     pts = pts[(pts > _BREAK_TOL) & (pts < TWO_PI - _BREAK_TOL)]
-    keep = [0.0]
-    for p in pts:
-        if p - keep[-1] > _BREAK_TOL:
-            keep.append(float(p))
-    keep.append(TWO_PI)
-    return np.array(keep)
+    keep = np.diff(pts, prepend=0.0) > _BREAK_TOL
+    close = np.flatnonzero(~keep)
+    # the largest point kept so far by the gap rule, up to each close point
+    sure = np.maximum.accumulate(np.where(keep, pts, 0.0))[close]
+    last = 0.0
+    for i, p, before in zip(close.tolist(), pts[close].tolist(), sure.tolist()):
+        last = max(last, before)
+        if p - last > _BREAK_TOL:
+            keep[i] = True
+            last = p
+    return np.concatenate(([0.0], pts[keep], [TWO_PI]))
 
 
 def _piece_of(breaks: np.ndarray, x) -> np.ndarray:

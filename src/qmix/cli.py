@@ -32,6 +32,7 @@ from .exponent import (
     lambda_q_numeric,
 )
 from .io import (
+    EVENT_LINE,
     header_comments,
     read_cloud_csv,
     atomic_write_bytes,
@@ -346,31 +347,42 @@ def cmd_render(cfg: dict) -> None:
     atomic_write_bytes(cfg["out"], data)
 
 
-LOG_BLOCK_LINES = 4096  # JSONL lines decoded per json.loads call
+LOG_BLOCK_LINES = 4096  # JSONL lines read per block
 
 
 def _detectors_from_log(path: str, expected: int) -> np.ndarray:
-    """Detector labels of a JSONL jump log, decoded a block of lines at a time."""
-    labels, first_line = [], 1
+    """Detector labels of a JSONL jump log, read a block of lines at a time.
+
+    A block of event lines as ``write_jsonl`` writes them yields its labels
+    from one regex pass; any other block is decoded with ``json.loads`` and
+    its labels checked.
+    """
+    parts, decoded, first_line = [], [], 1
     with open(path) as handle:
         while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
-            try:
-                records = json.loads("[" + ",".join(block) + "]")
-            except json.JSONDecodeError as exc:  # the block's line k is line k of the text
-                raise ConfigError(f"jump log {path}, line {first_line + exc.lineno - 1}: "
-                                  f"{exc.msg}") from exc
-            if not all(isinstance(rec, dict) for rec in records):
-                raise ConfigError(f"jump log {path} holds a line that is not a JSON object")
-            labels.extend(rec["detector"] for rec in records if "detector" in rec)
+            labels = EVENT_LINE.findall("".join(block))
+            if len(labels) == len(block):  # a match never spans two lines
+                parts.append(np.frombuffer("".join(labels).encode(), dtype=np.uint8) - ord("0"))
+            else:
+                try:
+                    records = json.loads("[" + ",".join(block) + "]")
+                except json.JSONDecodeError as exc:  # the block's line k is line k of the text
+                    raise ConfigError(f"jump log {path}, line {first_line + exc.lineno - 1}: "
+                                      f"{exc.msg}") from exc
+                if not all(isinstance(rec, dict) for rec in records):
+                    raise ConfigError(f"jump log {path} holds a line that is not a JSON object")
+                labels = [rec["detector"] for rec in records if "detector" in rec]
+                decoded.extend(labels)
+                parts.append(labels)
             first_line += len(block)
-    if not {type(label) for label in labels} <= {int}:
+    if not {type(label) for label in decoded} <= {int}:
         raise ConfigError(f"jump log {path} holds a detector that is not an integer")
-    if labels and not 1 <= min(labels) <= max(labels) <= 4:
+    if decoded and not 1 <= min(decoded) <= max(decoded) <= 4:
         raise ConfigError(f"jump log {path} holds a detector label outside 1..4")
-    if len(labels) != expected:
-        raise ConfigError(
-            f"jump log holds {len(labels)} events but the cloud has {expected} points")
-    return np.array(labels, dtype=int)
+    count = sum(len(part) for part in parts)
+    if count != expected:
+        raise ConfigError(f"jump log holds {count} events but the cloud has {expected} points")
+    return np.concatenate([np.asarray(part, dtype=int) for part in parts])
 
 
 def cmd_repro(cfg: dict) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
 
@@ -120,6 +121,11 @@ def read_cloud_csv(path: str) -> np.ndarray:
 # one jump event; keys in sorted order and floats as repr, as canonical_json
 # writes them
 _EVENT_FMT = '{"detector":%d,"time":%r,"x":%r,"y":%r,"z":%r}\n'
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"  # JSON's grammar
+# an event line as _EVENT_FMT writes it, the label as group 1; every line it
+# matches is a JSON object with an integer detector in 1..4
+EVENT_LINE = re.compile(r'^\{"detector":([1-4]),"time":%s,"x":%s,"y":%s,"z":%s\}$'
+                        % ((_NUMBER,) * 4), re.MULTILINE)
 
 
 def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray,

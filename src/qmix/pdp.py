@@ -35,7 +35,8 @@ A path is stored by column (``SamplePath.times``, ``detectors``,
 ``states``), not one object per jump.  The chaos game is the same sampler
 at omega = 0 and kappa = 1 with the burn-in sliced off, so its points are
 bit for bit the post-jump states of that path.  Ensembles run in chunks of
-``ENSEMBLE_CHUNK`` paths, one Philox stream per chunk.
+``ENSEMBLE_CHUNK`` paths, one Philox stream per chunk; each round steps only
+the chunk's live paths, kept compacted in path order.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
 # rate * t_end cap: an ensemble runs one vectorized round per jump of its
 # slowest path (about 0.1 ms each at 10 paths on a 2-vCPU Xeon)
 MAX_EXPECTED_JUMPS = 10 ** 5
+# jumps per sampled path: its columns take 40 bytes a jump, and the scalar
+# loop's Python lists of draws up to 64 more
+MAX_JUMPS = 10 ** 7
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -93,6 +97,9 @@ def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="litera
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
+    if counts.get("n_jumps", 0) > MAX_JUMPS:
+        raise ValueError(f"n_jumps = {counts['n_jumps']} exceeds the MAX_JUMPS cap of "
+                         f"{MAX_JUMPS} jumps per path")
 
 
 def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
@@ -111,19 +118,32 @@ def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
     a2 = alpha * alpha
     w = (1.0 + a2) + 2.0 * alpha * dots
     if u is not None:
-        running = np.cumsum(w, axis=1)
-        running[:, -1] = np.inf  # a u past the rounded total falls through to detector 4
-        pick = np.argmax(u[:, None] * 4.0 * (1.0 + a2) < running, axis=1)
+        # the first running sum above the threshold, else detector 4: the
+        # number of leading sums at or below it (a rounded weight can dip
+        # below zero by an ulp, so the sums need not be monotone)
+        thr = u * 4.0 * (1.0 + a2)
+        running = w[:, 0]
+        below = thr >= running
+        pick = below.astype(np.intp)
+        for k in (1, 2):
+            running = running + w[:, k]
+            below &= thr >= running
+            pick += below
     if pick is None:
         return w, None, None
-    rows = np.arange(len(r))
-    den = w[rows, pick]
-    dot = dots[rows, pick]
+    at = pick + np.arange(0, 4 * len(pick), 4)  # flat index of each row's pick
+    den = w.ravel().take(at)
+    dot = dots.ravel().take(at)
     c1 = (1.0 - a2) / den
     c2 = 2.0 * alpha * (1.0 + alpha * dot) / den
-    out = c1[:, None] * r + c2[:, None] * TETRA_DIRECTIONS[pick]
-    x, y, z = out.T
-    return w, pick, out / np.sqrt(x * x + y * y + z * z)[:, None]
+    # column by column: numpy runs an (n, 3) by (n, 1) broadcast as n inner
+    # loops of three elements, several times slower
+    x, y, z = (c1 * r[:, k] + c2 * TETRA_DIRECTIONS[:, k].take(pick) for k in range(3))
+    norm = np.sqrt(x * x + y * y + z * z)
+    out = np.empty((len(pick), 3))
+    for k, col in enumerate((x, y, z)):
+        np.divide(col, norm, out=out[:, k])
+    return w, pick, out
 
 
 def jump_probs(r, alpha: float) -> np.ndarray:
@@ -279,31 +299,35 @@ def chaos_game_labeled(alpha: float, n_points: int, seed: int = 0,
 
 
 def _ensemble_chunk(args) -> np.ndarray:
-    """Sum of final Bloch vectors for one seeded chunk of paths."""
+    """Sum of final Bloch vectors for one seeded chunk of paths.
+
+    Only live paths are stepped: ``ids``, ``t`` and ``r`` hold the paths
+    still short of ``t_end``, compacted in path order, and a path's state
+    goes to its own row of ``final`` in the round it finishes.
+    """
     (omega, alpha, r0, n_paths, t_end, seed, stream, rate) = args
     rng = make_rng(seed, stream)
-    r = np.tile(np.asarray(r0, dtype=float), (n_paths, 1))
+    final = np.empty((n_paths, 3))
+    ids = np.arange(n_paths)
     t = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        dt = rng.standard_exponential(len(idx)) / rate
-        t_next = t[idx] + dt
+    r = np.tile(np.asarray(r0, dtype=float), (n_paths, 1))
+    while len(ids):
+        dt = rng.standard_exponential(len(ids)) / rate
+        t_next = t + dt
         over = t_next > t_end
-        advanced = np.where(over, t_end - t[idx], dt)
         if omega != 0.0:
-            ang = omega * advanced
+            ang = omega * np.where(over, t_end - t, dt)
             c, s = np.cos(ang), np.sin(ang)
-            x, y = r[idx, 0], r[idx, 1]  # copies: idx is an index array
-            r[idx, 0] = c * x - s * y
-            r[idx, 1] = s * x + c * y
-        t[idx] = np.where(over, t_end, t_next)
-        active[idx[over]] = False
-        jidx = idx[~over]
-        u = rng.random(len(idx))[~over]  # fixed draw count per round
-        rj = r[jidx]
-        r[jidx] = _jump_kernel(rj, alpha, u=u, dots=rj @ TETRA_DIRECTIONS.T)[2]
-    return r.sum(axis=0)
+            new_x = c * r[:, 0] - s * r[:, 1]
+            r[:, 1] = s * r[:, 0] + c * r[:, 1]
+            r[:, 0] = new_x
+        done = np.flatnonzero(over)
+        final[ids.take(done)] = r.take(done, axis=0)
+        stay = np.flatnonzero(~over)
+        u = rng.random(len(ids)).take(stay)  # fixed draw count per round
+        ids, t, r = ids.take(stay), t_next.take(stay), r.take(stay, axis=0)
+        r = _jump_kernel(r, alpha, u=u, dots=r @ TETRA_DIRECTIONS.T)[2]
+    return final.sum(axis=0)
 
 
 def qmix_threads() -> int:

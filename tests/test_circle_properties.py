@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmix.circle import (
+    _BREAK_TOL,
     TWO_PI,
     CircleDensity,
+    _dedupe_breaks,
     l1_distance,
     pf_apply,
     relative_entropy as circle_relative_entropy,
@@ -91,6 +93,41 @@ def test_l1_distance_is_symmetric_and_matches_a_midpoint_rule(f, g):
     slope = np.abs(diff[:, -1] - diff[:, 0]) / ((k - 1) * h)
     tol = float(np.sum(slope * h * h)) / (4.0 * TWO_PI) + 1e-12
     assert abs(d - reference) <= tol
+
+
+def dedupe_breaks_oracle(points):
+    """Sorted breaks, each kept when more than the tolerance past the last
+    kept one, walked one point at a time."""
+    pts = np.sort(np.mod(points, TWO_PI))
+    pts = pts[(pts > _BREAK_TOL) & (pts < TWO_PI - _BREAK_TOL)]
+    keep = [0.0]
+    for p in pts:
+        if p - keep[-1] > _BREAK_TOL:
+            keep.append(float(p))
+    keep.append(TWO_PI)
+    return np.array(keep)
+
+
+@st.composite
+def clustered_breaks(draw):
+    """Break candidates around [0, 2pi], with 0 and 2pi among them, where
+    some points start chains of sub-tolerance steps (two steps of a chain
+    can add up past the tolerance) and some are repeated exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = np.concatenate([rng.uniform(-1.0, 8.0, draw(st.integers(0, 40))), [0.0, TWO_PI]])
+    starts = rng.choice(base, draw(st.integers(0, 20)))
+    steps = rng.uniform(0.0, 1.2 * _BREAK_TOL, (len(starts), 4)) * rng.integers(0, 2, (len(starts), 4))
+    chains = starts[:, None] + np.cumsum(steps, axis=1) * rng.choice([-1.0, 1.0], (len(starts), 1))
+    return np.concatenate([base, chains.ravel(), [0.0]])
+
+
+@PROPERTY_SETTINGS
+@given(points=clustered_breaks())
+def test_dedupe_breaks_matches_the_sequential_rule(points):
+    expected = dedupe_breaks_oracle(points)
+    out = _dedupe_breaks(points)
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
 
 
 @st.composite

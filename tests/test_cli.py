@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ class TestConfigHandling:
         ["repro", "--criteria", "[11]"],
         ["repro", "--criteria", '["x"]'],
         ["exponent", "--preset", "zeno", "--kappa-sweep", "[1" + "0" * 400 + "]"],
+        ["pdp", "--alpha", 0.5, "--n-points", 10 ** 9],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -125,11 +127,14 @@ class TestConfigHandling:
             "pdp-omega-nan", "exponent-tol-nan", "render-zoom-nan", "render-zoom-zero",
             "render-zoom-two-entries", "render-zoom-strings", "evolve-omega-nan",
             "exponent-rabi-nan", "exponent-t-max-inf", "repro-criterion-11",
-            "repro-criterion-string", "exponent-kappa-sweep-past-float-range"])
+            "repro-criterion-string", "exponent-kappa-sweep-past-float-range",
+            "pdp-n-points-past-jump-cap"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        start = time.perf_counter()
         assert run(args + ["--out", tmp_path / "x.out"]) == 2
+        assert time.perf_counter() - start < 1.0  # rejected before any real work
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "x.out").exists()
 
@@ -361,6 +366,15 @@ class TestRenderCommand:
         _, log = self._cloud(tmp_path, 0.7, n=1000)
         expected = [json.loads(line)["detector"] for line in open(log).read().splitlines()[1:]]
         monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 64)  # 15 full blocks and a partial one
+        np.testing.assert_array_equal(cli._detectors_from_log(str(log), 1000), expected)
+
+    def test_a_block_the_event_pattern_misses_is_decoded_as_json(self, tmp_path, monkeypatch):
+        _, log = self._cloud(tmp_path, 0.7, n=1000)
+        lines = log.read_text().splitlines()
+        expected = [json.loads(line)["detector"] for line in lines[1:]]
+        lines[300] = json.dumps(json.loads(lines[300]))  # spaces after ':' and ','
+        log.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 64)
         np.testing.assert_array_equal(cli._detectors_from_log(str(log), 1000), expected)
 
     def test_ppm_needs_log(self, tmp_path):

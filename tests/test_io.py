@@ -1,13 +1,15 @@
 """Output file helpers."""
 
+import json
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qmix.io import (atomic_write_bytes, canonical_json, config_hash, read_cloud_csv,
-                     write_cloud_csv, write_jsonl)
+from qmix.io import (EVENT_LINE, atomic_write_bytes, canonical_json, config_hash,
+                     read_cloud_csv, write_cloud_csv, write_jsonl)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
@@ -49,6 +51,28 @@ def test_jump_log_events_are_canonical_json(tmp_path):
     expected = [canonical_json({"time": t, "detector": d, "x": x, "y": y, "z": z})
                 for t, d, (x, y, z) in zip(times.tolist(), detectors.tolist(), states.tolist())]
     assert lines[1:] == expected
+    assert EVENT_LINE.match(lines[0]) is None
+    assert [EVENT_LINE.fullmatch(line).group(1) for line in lines[1:]] == ["1", "2", "3", "4", "1"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(label=st.one_of(st.sampled_from("12345"), st.text("0123456789-", min_size=1, max_size=2)),
+       numbers=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                  st.integers(-10 ** 20, 10 ** 20).map(str),
+                                  st.text("0123456789+-.eE", min_size=1, max_size=6)),
+                        min_size=4, max_size=4))
+def test_event_line_matches_exactly_the_json_events(label, numbers):
+    """A line of the writer's layout matches iff it is a JSON object whose
+    detector is an integer in 1..4; the match's group is that label."""
+    line = '{"detector":%s,"time":%s,"x":%s,"y":%s,"z":%s}' % (label, *numbers)
+    try:
+        detector = json.loads(line)["detector"]
+    except ValueError:
+        detector = None
+    match = EVENT_LINE.fullmatch(line)
+    assert (match is not None) == (type(detector) is int and 1 <= detector <= 4)
+    if match:
+        assert int(match.group(1)) == detector
 
 
 def test_cloud_csv_skips_blank_and_comment_lines(tmp_path):

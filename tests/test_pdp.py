@@ -11,6 +11,8 @@ from scipy.stats import chi2
 from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
 from qmix.pdp import (
     MAX_EXPECTED_JUMPS,
+    MAX_JUMPS,
+    _jump_kernel,
     chaos_game,
     chaos_game_labeled,
     ensemble_bloch_mean,
@@ -102,6 +104,42 @@ class TestJumpProbabilities:
         np.testing.assert_allclose(p, [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
 
 
+class TestPickRule:
+    def test_a_rounded_negative_weight_does_not_end_the_pick_early(self):
+        """At alpha = 1 on detector 2's antipode its weight rounds to -4e-16,
+        so the running sums dip; a threshold between the dip and the first
+        sum still picks detector 1, as the sampler's loop does."""
+        r = -TETRA_DIRECTIONS[1:2]
+        for dots in (None, r @ TETRA_DIRECTIONS.T):
+            w, _, _ = _jump_kernel(r, 1.0, dots=dots)
+            assert w[0, 1] < 0.0
+            dip = w[0, 0] + w[0, 1]
+            assert dip < w[0, 0]
+            _, pick, _ = _jump_kernel(r, 1.0, u=np.array([dip / 8.0]), dots=dots)
+            assert pick.tolist() == [0]
+
+    def test_full_sharpness_never_falls_through_from_detector_4s_antipode(self):
+        """At alpha = 1 the weight of detector 4 is exactly 0 at -n_4; the
+        first three weights sum to exactly 4 (1 + alpha^2) = 8 in the kernel's
+        and in the sampler's order of addition, so u * 8 < 8 for every uniform
+        u < 1 and detector 4 (and its 0 / 0 post-jump map) is never picked."""
+        r = -TETRA_DIRECTIONS[3:4]
+        largest_u = np.nextafter(1.0, 0.0)
+        assert largest_u * 4.0 * 2.0 < 8.0
+        for dots in (None, r @ TETRA_DIRECTIONS.T):
+            w, _, _ = _jump_kernel(r, 1.0, dots=dots)
+            assert w[0, 3] == 0.0
+            acc = 0.0
+            for weight in w[0, :3].tolist():  # the sampler's running float sum
+                acc += weight
+            assert acc == np.cumsum(w[0])[2] == 8.0
+            _, pick, out = _jump_kernel(r, 1.0, u=np.array([largest_u]), dots=dots)
+            assert pick.tolist() == [2] and np.isfinite(out).all()
+        for seed in range(200):
+            path = sample_path(omega=0.0, kappa=1.0, alpha=1.0, r0=r[0], n_jumps=1, seed=seed)
+            assert path.detectors[0] != 4
+
+
 class TestSamplePath:
     def test_mean_waiting_time(self):
         path = sample_path(omega=0.0, kappa=1.0, alpha=0.5, n_jumps=10_000, seed=1)
@@ -142,6 +180,14 @@ class TestSamplePath:
         assert total_rate(2.0, 0.5, "eeqt") == 2.5
         with pytest.raises(ValueError):
             total_rate(1.0, 0.5, "bogus")
+
+    def test_jump_count_is_capped_before_any_allocation(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_JUMPS"):
+            sample_path(0.0, 1.0, 0.5, n_jumps=MAX_JUMPS + 1)
+        with pytest.raises(ValueError, match="MAX_JUMPS"):
+            chaos_game(0.5, MAX_JUMPS, burn_in=1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestChaosGame:
@@ -256,6 +302,25 @@ class TestEnsembleConsistency:
         with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
             ensemble_bloch_mean(0.0, 1.0, 1.0, [0, 0, 1], 10, t_end, rate_convention="eeqt")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=7,
+              rate_convention="eeqt"),
+         ("0x1.1f8ce02ce1d29p-3", "0x1.b7f77930cb236p-3", "0x1.5d0856ebd9fd7p-2")),
+        (dict(omega=0.5, alpha=0.6, r0=(0.0, 0.0, 1.0), n_paths=50_000, t_end=0.8, seed=11,
+              rate_convention="eeqt"),
+         ("0x1.4b1a98d484859p-9", "0x1.48e0c1395e661p-13", "0x1.5d4b332778e7cp-1")),
+        (dict(omega=0.0, alpha=1.0, r0=(0.6, 0.0, 0.8), n_paths=30_001, t_end=1.5, seed=3,
+              rate_convention="literal"),
+         ("0x1.c1b8a460481afp-3", "-0x1.07f9357edd06ep-9", "0x1.27e39e4362a3ep-2")),
+        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=42,
+              rate_convention="literal"),
+         ("0x1.88ae8b95c2addp-3", "0x1.324337d1a7af6p-2", "0x1.e55b02ac63beep-2")),
+    ], ids=["eeqt-omega-1", "eeqt-omega-0.5", "literal-frozen-partial-chunk",
+            "literal-omega-1"])
+    def test_means_are_pinned_bit_for_bit(self, kwargs, expected):
+        mean = ensemble_bloch_mean(kappa=1.0, **kwargs)
+        assert tuple(float(v).hex() for v in mean) == expected
 
     def test_thread_cap_env_var(self, monkeypatch):
         from qmix.pdp import qmix_threads

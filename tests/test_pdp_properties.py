@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from qmix.lindblad import TETRA_DIRECTIONS
 from qmix.pdp import _jump_kernel, jump_map, jump_probs, make_rng, sample_path
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
@@ -66,3 +67,45 @@ def test_each_frozen_step_is_the_kernel_draw(r0, alpha, seed, n_jumps):
         assert pick[0] + 1 == detector
         np.testing.assert_array_equal(out[0], state)
         previous = state
+
+
+def first_running_sum_above(weights, threshold):
+    """0-based index of the first running weight sum above the threshold,
+    else 3 (detector 4), summed left to right in floats."""
+    acc = 0.0
+    for k, weight in enumerate(weights[:3]):
+        acc += weight
+        if threshold < acc:
+            return k
+    return 3
+
+
+@st.composite
+def pick_batches(draw):
+    """Rows of unit states (vertices and their antipodes among them, where a
+    weight is zero at alpha = 1) with uniforms, some of which put the
+    threshold exactly on a running sum."""
+    alpha = draw(st.one_of(st.just(1.0), st.just(0.0), _alphas))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = rng.normal(size=(64, 3))
+    r /= np.linalg.norm(r, axis=1)[:, None]
+    r[:8] = np.concatenate([TETRA_DIRECTIONS, -TETRA_DIRECTIONS])
+    scale = 4.0 * (1.0 + alpha * alpha)
+    running = np.cumsum(_jump_kernel(r, alpha)[0], axis=1)
+    u = rng.random(64)
+    on_sum = rng.random(64) < 0.5
+    u[on_sum] = np.minimum(running[np.arange(64), rng.integers(0, 3, 64)] / scale,
+                           np.nextafter(1.0, 0.0))[on_sum]
+    return r, alpha, u
+
+
+@PROPERTY_SETTINGS
+@given(batch=pick_batches(), matmul=st.booleans())
+def test_kernel_pick_is_the_first_running_sum_above_the_threshold(batch, matmul):
+    r, alpha, u = batch
+    dots = r @ TETRA_DIRECTIONS.T if matmul else None
+    with np.errstate(divide="ignore", invalid="ignore"):  # a 0 / 0 at an antipode
+        w, pick, _ = _jump_kernel(r, alpha, u=u, dots=dots)
+    thresholds = u * 4.0 * (1.0 + alpha * alpha)
+    expected = [first_running_sum_above(row, t) for row, t in zip(w.tolist(), thresholds.tolist())]
+    assert pick.tolist() == expected
