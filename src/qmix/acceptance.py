@@ -283,32 +283,37 @@ def criterion_9() -> CriterionResult:
     return _result(9, "circle-map transfer operator checks", run)
 
 
+def cli_recipes(directory: str) -> list[list[str]]:
+    """Criterion 10's CLI recipes, writing every output into ``directory``."""
+    def path(name):
+        return os.path.join(directory, name)
+
+    return [
+        ["pdp", "--alpha", "0.7", "--n-points", "2000", "--seed", "42",
+         "--out", path("cloud.csv"), "--log", path("path.jsonl")],
+        ["evolve", "--preset", "tetrahedron", "--kappa", "1", "--alpha", "1",
+         "--omega", "0", "--bloch0", "[0,0,1]", "--t-end", "1",
+         "--out", path("traj.csv")],
+        ["exponent", "--preset", "fluorescence", "--rabi", "1", "--gamma", "2",
+         "--out", path("exp.json")],
+        ["fractal", "--cloud", path("cloud.csv"), "--out", path("dim.json")],
+        ["classical", "--r", "2", "--out", path("classical.json")],
+        ["render", "--cloud", path("cloud.csv"), "--projection", "net",
+         "--size", "256", "--out", path("cloud.pgm")],
+        ["render", "--cloud", path("cloud.csv"), "--log", path("path.jsonl"),
+         "--mode", "ppm", "--size", "256", "--out", path("cloud.ppm")],
+    ]
+
+
 def criterion_10() -> CriterionResult:
     """CLI recipes rerun with the same seed are byte-identical."""
 
     def run():
         with tempfile.TemporaryDirectory() as tmp:
-            def path(name):
-                return os.path.join(tmp, name)
+            recipes = cli_recipes(tmp)
+            outputs = [arg for recipe in recipes for flag, arg in zip(recipe, recipe[1:])
+                       if flag in ("--out", "--log")]
 
-            recipes = [
-                ["pdp", "--alpha", "0.7", "--n-points", "2000", "--seed", "42",
-                 "--out", path("cloud.csv"), "--log", path("path.jsonl")],
-                ["evolve", "--preset", "tetrahedron", "--kappa", "1", "--alpha", "1",
-                 "--omega", "0", "--bloch0", "[0,0,1]", "--t-end", "1",
-                 "--out", path("traj.csv")],
-                ["exponent", "--preset", "fluorescence", "--rabi", "1", "--gamma", "2",
-                 "--out", path("exp.json")],
-                ["fractal", "--cloud", path("cloud.csv"), "--out", path("dim.json")],
-                ["classical", "--r", "2", "--out", path("classical.json")],
-                ["render", "--cloud", path("cloud.csv"), "--projection", "net",
-                 "--size", "256", "--out", path("cloud.pgm")],
-                ["render", "--cloud", path("cloud.csv"), "--log", path("path.jsonl"),
-                 "--mode", "ppm", "--size", "256", "--out", path("cloud.ppm")],
-            ]
-            outputs = [path(n) for n in ("cloud.csv", "path.jsonl", "traj.csv",
-                                         "exp.json", "dim.json", "classical.json",
-                                         "cloud.pgm", "cloud.ppm")]
             def run_all_recipes():
                 for recipe in recipes:
                     code = cli_main(recipe)

@@ -45,7 +45,8 @@ def max_cell_diameter(level: int) -> float:
 def _face_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(face id 0..5, u, v) of the cube-face central projection.
 
-    Shared with :mod:`qmix.render`, whose net view lays the faces out flat.
+    Shared with :mod:`qmix.render`, whose net view lays the faces out flat,
+    as is :func:`_cell_index`.
     """
     idx = np.arange(len(points))
     axis = np.argmax(np.abs(points), axis=1)
@@ -54,6 +55,11 @@ def _face_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     u = points[idx, _OTHER_AXES[axis, 0]] / np.abs(dom)
     v = points[idx, _OTHER_AXES[axis, 1]] / np.abs(dom)
     return face, u, v
+
+
+def _cell_index(u: np.ndarray, m: int) -> np.ndarray:
+    """Index 0..m-1 of the cell holding each u when [-1, 1] splits into m cells."""
+    return np.clip(((u + 1.0) * 0.5 * m).astype(np.int64), 0, m - 1)
 
 
 @dataclass
@@ -106,9 +112,7 @@ def box_count(points: np.ndarray, levels: Optional[int] = None) -> BoxCountResul
     counts = np.empty(levels)
     for k in range(levels):
         m = 1 << k
-        iu = np.clip(((u + 1.0) * 0.5 * m).astype(np.int64), 0, m - 1)
-        iv = np.clip(((v + 1.0) * 0.5 * m).astype(np.int64), 0, m - 1)
-        cells = (face * m + iu) * m + iv
+        cells = (face * m + _cell_index(u, m)) * m + _cell_index(v, m)
         counts[k] = len(np.unique(cells))
     slope, fit_levels, rms, r2 = _fit(eps, counts, len(points))
     return BoxCountResult(eps, counts, len(points), slope, fit_levels, rms, r2)

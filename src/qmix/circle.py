@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fitting import ExponentEstimate, FitWindowError, decay_slope
+from .fitting import ExponentEstimate, probe_exponent
 
 TWO_PI = 2.0 * math.pi
 _BREAK_TOL = 1e-12
@@ -322,10 +322,13 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
                      n_max: int = 12) -> ExponentEstimate:
     """Decay exponent of ||P^n f - P^n f0||_1, minimum over probes.
 
-    Slopes are fitted over iteration counts n in [n_max/2, n_max] (n_max >= 4
-    puts three iterates there).  Probes whose distance hits the 1e-13 floor
-    (affine iterates can reach the uniform density exactly in finitely many
-    steps) are excluded with a note rather than fitted.
+    The (probes, n) distance table goes to
+    :func:`qmix.fitting.probe_exponent`, the protocol of the quantum
+    estimator: slopes are fitted over iteration counts n in [n_max/2,
+    n_max] (n_max >= 4 puts three iterates there).  A probe whose distance
+    falls to the 1e-13 floor too early for a fit window (affine iterates
+    can reach the uniform density in finitely many steps) is excluded
+    with a note rather than fitted.
     """
     if not probes:
         raise ValueError("need at least one probe density")
@@ -342,38 +345,7 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
             dists[j, n] = l1_distance(current[j + 1], current[0])
         if n < n_max:
             current = [pf_apply(h, r) for h in current]
-    slopes: list[float] = []
-    notes: list[str] = []
-    residuals: list[float] = []
-    for j in range(len(probes)):
-        try:
-            slope, rms, note = decay_slope(steps, dists[j], 0.5 * n_max, n_max, 1e-13)
-        except FitWindowError:
-            notes.append(f"probe {j} reached the reference density exactly; excluded")
-            slopes.append(float("nan"))
-            continue
-        slopes.append(slope)
-        residuals.append(rms)
-        if note:
-            notes.append(f"probe {j}: {note}")
-    finite = [s for s in slopes if not math.isnan(s)]
-    if not finite:
-        raise FitWindowError("every probe collapsed onto the reference density")
-    return ExponentEstimate(
-        exponent=min(finite),
-        fit_window=(0.5 * n_max, float(n_max)),
-        per_probe_slopes=slopes,
-        max_residual=max(residuals) if residuals else float("nan"),
-        notes=notes,
-    )
-
-
-def density_to_csv(f: CircleDensity) -> str:
-    """Density as '# columns: x,f' plus x,f(x) rows at full precision."""
-    xs = np.arange(f.grid_size) * (TWO_PI / f.grid_size)
-    lines = ["# columns: x,f"]
-    lines.extend("%.17g,%.17g" % (x, v) for x, v in zip(xs, f.grid))
-    return "\n".join(lines) + "\n"
+    return probe_exponent(steps, dists, 1e-13)
 
 
 def density_from_csv(text: str) -> CircleDensity:

@@ -33,13 +33,13 @@ from .exponent import (
 )
 from .io import (
     EVENT_LINE,
+    atomic_write_bytes,
     header_comments,
     read_cloud_csv,
-    atomic_write_bytes,
     write_cloud_csv,
+    write_csv,
     write_json,
     write_jsonl,
-    FLOAT_FMT,
 )
 from .lindblad import (
     Fluorescence,
@@ -209,22 +209,16 @@ def cmd_evolve(cfg: dict) -> None:
     model = _checked(build_model, _preset(cfg))
     rho0 = _checked(from_bloch, np.array(cfg["bloch0"], dtype=float))
     traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
-    note = None
+    notes = ()
     try:
         x_stat = to_bloch(stationary_state(model))
     except NonUniqueStationaryError as exc:
         x_stat = np.full(3, math.nan)
-        note = str(exc)
+        notes = [f"stationary: {exc}"]
     # trace distance between qubit states is the Euclidean Bloch distance
     dists = np.linalg.norm(traj.blochs - x_stat, axis=1)
-    lines = [f"# {c}" for c in header_comments(cfg)]
-    if note:
-        lines.append(f"# stationary: {note}")
-    lines.append("# columns: t,x1,x2,x3,dist_to_stationary")
-    row_fmt = ",".join([FLOAT_FMT] * 5)
-    for t, x, dist in zip(traj.times, traj.blochs, dists):
-        lines.append(row_fmt % (t, x[0], x[1], x[2], dist))
-    atomic_write_bytes(cfg["out"], ("\n".join(lines) + "\n").encode())
+    write_csv(cfg["out"], cfg, ("t", "x1", "x2", "x3", "dist_to_stationary"),
+              traj.times, *traj.blochs.T, dists, notes=notes)
 
 
 def _exponent_payload(cfg: dict, preset) -> dict:
@@ -242,23 +236,8 @@ def _exponent_payload(cfg: dict, preset) -> dict:
     probes = default_probe_set(rho_ref, seed=cfg["probe_seed"])
     estimate = lambda_q_numeric(model, rho_ref, probes, fit_t)
     report = classify_mixing(model, probes, classify_t, tol=cfg["tol"])
-    return {
-        "analytic": analytic,
-        "numeric": {
-            "exponent": None if math.isnan(estimate.exponent) else estimate.exponent,
-            "fit_window": list(estimate.fit_window),
-            "per_probe_slopes": [None if math.isnan(s) else s
-                                 for s in estimate.per_probe_slopes],
-            "max_residual": None if math.isnan(estimate.max_residual)
-                            else estimate.max_residual,
-            "completely_mixing": estimate.completely_mixing,
-            "notes": estimate.notes,
-        },
-        "classification": {
-            "completely_mixing": report.completely_mixing,
-            "exact": report.exact,
-        },
-    }
+    return {"analytic": analytic, "numeric": dataclasses.asdict(estimate),
+            "classification": dataclasses.asdict(report)}
 
 
 def cmd_exponent(cfg: dict) -> None:
@@ -276,14 +255,12 @@ def cmd_exponent(cfg: dict) -> None:
 
 def cmd_pdp(cfg: dict) -> None:
     path = _checked(
-        pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
-        r0=np.array(cfg["r0"], dtype=float), n_jumps=cfg["n_points"] + cfg["burn_in"],
+        pdp.post_burn_in_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
+        n_points=cfg["n_points"], burn_in=cfg["burn_in"], r0=np.array(cfg["r0"], dtype=float),
         seed=cfg["seed"], rate_convention=cfg["rate_convention"])
-    kept = slice(cfg["burn_in"], None)
-    write_cloud_csv(cfg["out"], path.states[kept], cfg)
+    write_cloud_csv(cfg["out"], path.states, cfg)
     if cfg["log"]:
-        write_jsonl(cfg["log"], path.times[kept], path.detectors[kept],
-                    path.states[kept], cfg)
+        write_jsonl(cfg["log"], path.times, path.detectors, path.states, cfg)
 
 
 def cmd_fractal(cfg: dict) -> None:
@@ -326,9 +303,8 @@ def cmd_classical(cfg: dict) -> None:
     }
     write_json(cfg["out"], payload, cfg)
     if cfg["density_out"]:
-        header = "".join(f"# {c}\n" for c in header_comments(cfg))
-        atomic_write_bytes(cfg["density_out"],
-                           (header + circle.density_to_csv(g)).encode())
+        xs = np.arange(g.grid_size) * (circle.TWO_PI / g.grid_size)
+        write_csv(cfg["density_out"], cfg, ("x", "f"), xs, g.grid)
 
 
 def cmd_render(cfg: dict) -> None:

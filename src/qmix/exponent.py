@@ -4,9 +4,11 @@ The exponent of a completely mixing semigroup T_t is
 
     lambda_q(rho) = inf over sigma != rho of lim_t -(1/t) log || T_t rho - T_t sigma ||_1
 
-Closed forms exist for the three mixing presets; the numeric estimator
-fits trace-distance decay over a late time window for a finite probe
-family and takes the minimum slope.  The probe family stands in for the
+Closed forms exist for the three mixing presets.  The numeric estimator
+builds a (probes, times) table of trace distances and runs the protocol
+it shares with the classical estimator (:mod:`qmix.fitting`): the slope
+of -log distance over a late time window, minimum over the probe family.
+The probe family stands in for the
 infimum domain and is a declared protocol, not a theorem: six Bloch-axis
 pure states, ten seeded-random pure states and two seeded-random mixed
 states.  Axis states expose anisotropic decay that random probes can
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .fitting import ExponentEstimate, decay_slope
+from .fitting import ExponentEstimate, probe_exponent
 from .lindblad import (
     Fluorescence,
     LindbladModel,
@@ -139,14 +141,16 @@ def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
 
     For each probe the trace distance ||T_t rho_ref - T_t sigma||_1 (equal
     to the Euclidean norm of the Bloch difference) is sampled on a uniform
-    grid, and -log distance is fitted against t over [t_max/2, t_max].
-    The estimate is the minimum per-probe slope: a lower-bound protocol
-    for the infimum over all states.
+    grid, and the table goes to :func:`qmix.fitting.probe_exponent`: -log
+    distance is fitted against t over [t_max/2, t_max], and the estimate
+    is the minimum per-probe slope, a lower-bound protocol for the infimum
+    over all states.
 
-    A probe whose distance has not contracted below 1e-2 by the horizon
-    marks the system "not completely mixing at this horizon"; the overall
-    exponent is then nan.  Distances that underflow ``DISTANCE_FLOOR``
-    shrink their probe's window, with a note.
+    A probe whose distance has not contracted below 1e-2 by the horizon is
+    left unfitted and marks the system "not completely mixing at this
+    horizon"; the overall exponent is then nan.  Distances that underflow
+    ``DISTANCE_FLOOR`` shrink their probe's window, with a note; a probe
+    with no window of three distances above it is excluded, with a note.
     """
     ref_b = to_bloch(check_density_matrix(rho_ref))
     if not probes:
@@ -159,36 +163,14 @@ def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
     m, _ = bloch_generator(model)
     # (time, probe, component) differences T_t sigma - T_t rho_ref
     diffs = (probe_b - ref_b) @ np.swapaxes(expm(times[:, None, None] * m), 1, 2)
-    all_dists = np.linalg.norm(diffs, axis=2)
-    slopes: list[float] = []
-    notes: list[str] = []
-    residuals: list[float] = []
-    non_mixing = []
-    for i in range(len(probes)):
-        dists = all_dists[:, i]
-        if dists[-1] > 1e-2:
-            non_mixing.append(i)
-            slopes.append(float("nan"))
-            continue
-        slope, rms, note = decay_slope(times, dists, 0.5 * t_max, t_max, DISTANCE_FLOOR)
-        slopes.append(slope)
-        residuals.append(rms)
-        if note:
-            notes.append(f"probe {i}: {note}")
-    mixing = not non_mixing
-    if not mixing:
-        notes.append(
+    dists = np.linalg.norm(diffs, axis=2).T
+    stalled = dists[:, -1] > 1e-2
+    estimate = probe_exponent(times, dists, DISTANCE_FLOOR, skip=stalled)
+    if stalled.any():
+        estimate.notes.append(
             "not completely mixing at this horizon: probe(s) "
-            f"{non_mixing} kept trace distance above 1e-2 at t={t_max:g}")
-    finite = [s for s in slopes if not math.isnan(s)]
-    return ExponentEstimate(
-        exponent=min(finite) if (mixing and finite) else float("nan"),
-        fit_window=(0.5 * t_max, t_max),
-        per_probe_slopes=slopes,
-        max_residual=max(residuals) if residuals else float("nan"),
-        completely_mixing=mixing,
-        notes=notes,
-    )
+            f"{np.flatnonzero(stalled).tolist()} kept trace distance above 1e-2 at t={t_max:g}")
+    return estimate
 
 
 @dataclass

@@ -1,11 +1,13 @@
-"""Shared decay-rate fitting for the quantum and classical exponent
-estimators.
+"""One exponent protocol for the quantum and classical estimators.
 
 Both estimators measure how fast a distance d(t) between evolving states
-(or densities) shrinks, via the least-squares slope of -log d against t
-over the late half of the horizon.  The late window discards transients;
-the returned value is the minimum over a finite probe family and is a
-lower-bound protocol for the infimum it stands in for.
+(or densities) shrinks.  Each builds a (probes, times) distance table and
+hands it to :func:`probe_exponent`, which fits the least-squares slope of
+-log d against t over the late half of the horizon for every probe, and
+returns the minimum.  The late window discards transients; the minimum
+over a finite probe family is a lower-bound protocol for the infimum it
+stands in for.  A probe with no fit window above the distance floor is
+excluded with a note.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ class FitWindowError(RuntimeError):
 class ExponentEstimate:
     """Fitted decay rate with diagnostics.
 
-    ``exponent`` is the minimum of ``per_probe_slopes`` (nan when the
-    dynamics failed to contract at the probed horizon).  Residuals are
-    RMS residuals of the per-probe linear fits; the largest is reported.
+    ``exponent`` is the minimum of the fitted ``per_probe_slopes`` (nan
+    when a probe failed to contract at the probed horizon); an unfitted
+    probe's slope is nan.  Residuals are RMS residuals of the per-probe
+    linear fits; the largest is reported.
     """
 
     exponent: float
@@ -69,3 +72,38 @@ def decay_slope(ts: np.ndarray, dists: np.ndarray, t_lo: float, t_hi: float,
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return float(coef[0]), rms, note
+
+
+def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,
+                   skip: np.ndarray | None = None) -> ExponentEstimate:
+    """Minimum decay slope of a ``(probes, times)`` distance table.
+
+    Every row not marked in ``skip`` is fitted over [t_max/2, t_max], t_max
+    the last time.  Skipped rows stay unfitted (nan), and any skipped row
+    makes the exponent nan and the family not completely mixing.  A fitted
+    row with no window of three distances above ``floor`` is excluded
+    with a note; FitWindowError is raised when every fitted row is.
+    """
+    skip = np.zeros(len(dists), dtype=bool) if skip is None else np.asarray(skip)
+    t_max = float(times[-1])
+    slopes, residuals, notes = [float("nan")] * len(dists), [], []
+    for i in np.flatnonzero(~skip):
+        try:
+            slopes[i], rms, note = decay_slope(times, dists[i], 0.5 * t_max, t_max, floor)
+        except FitWindowError:
+            notes.append(f"probe {i} excluded: no fit window holds three distances "
+                         f"above the floor {floor:g}")
+            continue
+        residuals.append(rms)
+        if note:
+            notes.append(f"probe {i}: {note}")
+    if not residuals and not skip.all():
+        raise FitWindowError(f"every fitted probe was excluded at the floor {floor:g}")
+    return ExponentEstimate(
+        exponent=float("nan") if skip.any() else float(np.nanmin(slopes)),
+        fit_window=(0.5 * t_max, t_max),
+        per_probe_slopes=slopes,
+        max_residual=max(residuals, default=float("nan")),
+        completely_mixing=not skip.any(),
+        notes=notes,
+    )

@@ -2,9 +2,11 @@
 
 Every artifact embeds the resolved run configuration and its hash so any
 recipe can be replayed byte for byte; writes go through a temp file and
-rename so readers never observe partial output.  Point clouds and jump
-logs are written from whole columns, a block of rows per format pass, and
-clouds are read back with one bulk parse.
+rename so readers never observe partial output.  Every CSV (clouds,
+trajectories, densities) goes through one writer, and CSVs and jump logs
+are written from whole columns, a block of rows per format pass; clouds
+are read back with one bulk parse.  JSON reports are strict: a non-finite
+number is written as null.
 """
 
 from __future__ import annotations
@@ -78,12 +80,21 @@ def _encode_rows(head: str, row_fmt: str, *columns: np.ndarray) -> bytes:
     return b"".join(chunks)
 
 
+def write_csv(path: str, config: dict, columns, *data: np.ndarray, notes=()) -> None:
+    """CSV of the ``data`` columns at 17 significant digits.
+
+    The ``#`` header holds the config hash and config, then each note, then
+    the ``columns`` names.
+    """
+    header = header_comments(config) + list(notes) + ["columns: " + ",".join(columns)]
+    row_fmt = ",".join([FLOAT_FMT] * len(data)) + "\n"
+    atomic_write_bytes(path, _encode_rows("".join(f"# {c}\n" for c in header),
+                                          row_fmt, *data))
+
+
 def write_cloud_csv(path: str, points: np.ndarray, config: dict) -> None:
     """Point cloud as x,y,z rows at 17 significant digits."""
-    points = np.asarray(points, dtype=float)
-    header = "".join(f"# {c}\n" for c in header_comments(config) + ["columns: x,y,z"])
-    row_fmt = ",".join([FLOAT_FMT] * 3) + "\n"
-    atomic_write_bytes(path, _encode_rows(header, row_fmt, *points.T))
+    write_csv(path, config, ("x", "y", "z"), *np.asarray(points, dtype=float).T)
 
 
 def read_cloud_csv(path: str) -> np.ndarray:
@@ -140,7 +151,9 @@ def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray,
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:
-    body = dict(payload)
+    """Indented report with the config and its hash; nan and inf become null."""
+    # floats round-trip through their repr; NaN and +-Infinity parse as None
+    body = json.loads(json.dumps(payload), parse_constant=lambda constant: None)
     body["config"] = config
     body["config_hash"] = config_hash(config)
     atomic_write_bytes(path, (json.dumps(body, indent=2, sort_keys=True) + "\n").encode())

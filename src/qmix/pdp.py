@@ -45,7 +45,7 @@ import array
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -287,15 +287,26 @@ def chaos_game_labeled(alpha: float, n_points: int, seed: int = 0,
                        r0=DEFAULT_START) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`chaos_game` but also returns the detector of each point.
 
-    Points and labels are the columns of ``sample_path(omega=0, kappa=1)``
-    past the burn-in; labels are ``uint8``.
+    Points and labels are the columns of ``post_burn_in_path(omega=0,
+    kappa=1)``; labels are ``uint8``.
+    """
+    path = post_burn_in_path(0.0, 1.0, alpha, n_points, burn_in, r0, seed)
+    return path.states, path.detectors.astype(np.uint8)
+
+
+def post_burn_in_path(omega: float, kappa: float, alpha: float, n_points: int,
+                      burn_in: int = DEFAULT_BURN_IN, r0=DEFAULT_START, seed: int = 0,
+                      rate_convention: str = "literal") -> SamplePath:
+    """The last ``n_points`` events of a ``sample_path`` of ``n_points + burn_in`` jumps.
+
+    Raises ValueError unless ``n_points >= 1`` and ``burn_in >= 0``.
     """
     _check_args(alpha, n_points=n_points)
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    path = sample_path(omega=0.0, kappa=1.0, alpha=alpha, r0=r0,
-                       n_jumps=n_points + burn_in, seed=seed)
-    return path.states[burn_in:], path.detectors[burn_in:].astype(np.uint8)
+    path = sample_path(omega, kappa, alpha, r0, n_points + burn_in, seed, rate_convention)
+    return replace(path, times=path.times[burn_in:], detectors=path.detectors[burn_in:],
+                   states=path.states[burn_in:])
 
 
 def _ensemble_chunk(args) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boxdim import _face_coords
+from .boxdim import _cell_index, _face_coords
 
 AXIS_PROJECTIONS = {
     "+x": (0, 1, 2), "-x": (0, 1, 2),
@@ -90,10 +90,8 @@ def _axis_coords(points: np.ndarray, projection: str):
 
 def _net_pixels(points: np.ndarray, panel: int):
     face, u, v = _face_coords(points)
-    iu = np.clip(((u + 1.0) * 0.5 * panel).astype(int), 0, panel - 1)
-    iv = np.clip(((v + 1.0) * 0.5 * panel).astype(int), 0, panel - 1)
-    px = _NET_COLS[face] * panel + iu
-    py = _NET_ROWS[face] * panel + iv
+    px = _NET_COLS[face] * panel + _cell_index(u, panel)
+    py = _NET_ROWS[face] * panel + _cell_index(v, panel)
     return px, py, np.ones(len(points), dtype=bool)
 
 
@@ -107,10 +105,7 @@ def _pixel_coords(points: np.ndarray, spec: RenderSpec):
         u, v, mask = _zoom_coords(points, spec.zoom_center, spec.zoom_radius)
     else:
         u, v, mask = _axis_coords(points, spec.projection)
-    size = spec.size
-    px = np.clip(((u + 1.0) * 0.5 * size).astype(int), 0, size - 1)
-    py = np.clip(((v + 1.0) * 0.5 * size).astype(int), 0, size - 1)
-    return px, py, mask, size, size
+    return _cell_index(u, spec.size), _cell_index(v, spec.size), mask, spec.size, spec.size
 
 
 def _intensity(hits: np.ndarray) -> np.ndarray:

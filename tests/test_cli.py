@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmix import cli
+from qmix.acceptance import cli_recipes
 from qmix.cli import main
 from qmix.io import read_cloud_csv
 
@@ -119,6 +120,8 @@ class TestConfigHandling:
         ["repro", "--criteria", '["x"]'],
         ["exponent", "--preset", "zeno", "--kappa-sweep", "[1" + "0" * 400 + "]"],
         ["pdp", "--alpha", 0.5, "--n-points", 10 ** 9],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--burn-in", -5],
+        ["pdp", "--alpha", 0.5, "--n-points", 0],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -128,7 +131,7 @@ class TestConfigHandling:
             "render-zoom-two-entries", "render-zoom-strings", "evolve-omega-nan",
             "exponent-rabi-nan", "exponent-t-max-inf", "repro-criterion-11",
             "repro-criterion-string", "exponent-kappa-sweep-past-float-range",
-            "pdp-n-points-past-jump-cap"])
+            "pdp-n-points-past-jump-cap", "pdp-burn-in-neg", "pdp-n-points-0"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -403,6 +406,26 @@ class TestDeterminism:
                         "--out", cloud]) == 0
             outs.append(open(cloud, "rb").read())
         assert outs[0] != outs[1]
+
+    def test_reports_are_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        recipes = cli_recipes(str(tmp_path))
+        collapse = str(tmp_path / "collapse.json")
+        # probe k = 1e9 sinks below the 1e-13 floor after three steps
+        recipes.append(["classical", "--r", "10", "--probe-ks", "[1, 1000000000]",
+                        "--out", collapse])
+        for recipe in recipes:
+            assert main(recipe) == 0
+        reports = [arg for recipe in recipes for arg in recipe if arg.endswith(".json")]
+        assert len(reports) == 4
+        for path in reports:
+            json.loads(open(path).read(), parse_constant=reject)
+        payload = json.load(open(collapse))
+        assert payload["per_probe_slopes"][1] is None
+        assert payload["notes"] == ["probe 1 excluded: no fit window holds three "
+                                    "distances above the floor 1e-13"]
 
     def test_repro_subcommand_runs_selected_criteria(self, tmp_path, capsys):
         report = tmp_path / "report.json"

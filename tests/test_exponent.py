@@ -113,6 +113,20 @@ class TestNumericEstimates:
         assert math.isnan(est.exponent)
         assert any("not completely mixing at this horizon" in n for n in est.notes)
 
+    def test_probe_without_a_fit_window_is_excluded(self):
+        # the z difference decays at kappa/2 = 8 and sinks below the floor by
+        # t = 84, four samples in; the x probe decays at the slow rate 0.127
+        model = build_model(Zeno(kappa=16.0, omega=1.0))
+        ref = from_bloch([0.0, 0.0, 0.0])
+        probes = [from_bloch([0.0, 0.0, 1.0]), from_bloch([1.0, 0.0, 0.0])]
+        est = lambda_q_numeric(model, ref, probes, t_max=4000.0)
+        assert math.isnan(est.per_probe_slopes[0])
+        assert est.notes == ["probe 0 excluded: no fit window holds three distances "
+                             "above the floor 1e-290"]
+        assert est.completely_mixing
+        assert est.exponent == pytest.approx(lambda_q_analytic(Zeno(kappa=16.0, omega=1.0)),
+                                             rel=1e-3)
+
     def test_reference_state_does_not_matter_when_stationary_exists(self):
         preset = Zeno(kappa=2.0, omega=1.0)
         model = build_model(preset)

@@ -1,4 +1,5 @@
-"""Golden bytes of the fractal recipe: pdp with a log, fractal, both renders.
+"""Golden bytes of the fractal recipe (pdp with a log, fractal, both renders),
+of the evolve and density CSVs, and of the +z and zoom views.
 
 The digests pin the exact output bytes (number formatting, key order,
 draw order, projection) so a rewrite of the sampler or of the text I/O
@@ -43,13 +44,38 @@ PRECESSING_DIGESTS = {
 }
 
 
+# the CSV writer behind evolve and classical --density-out (a stationary
+# note, a nan column), and the pixel index of the +z and zoom views
+WRITERS = [
+    ["evolve", "--preset", "tetrahedron", "--kappa", "1", "--alpha", "1", "--omega", "0",
+     "--bloch0", "[0,0,1]", "--t-end", "1", "--out", "traj.csv"],
+    ["evolve", "--preset", "sigma_x_conjugation", "--bloch0", "[0.5,0,0.5]", "--t-end", "1",
+     "--out", "traj_sx.csv"],
+    ["classical", "--r", "3", "--grid-size", "96", "--n-max", "6", "--out", "classical.json",
+     "--density-out", "density.csv"],
+    ["pdp", "--alpha", "0.75", "--n-points", "2000", "--seed", "3", "--out", "cloud.csv"],
+    ["render", "--cloud", "cloud.csv", "--size", "128", "--out", "z.pgm"],
+    ["render", "--cloud", "cloud.csv", "--zoom-center", "[1,0,0]", "--zoom-radius", "0.35",
+     "--size", "128", "--out", "zoom.pgm"],
+]
+WRITERS_DIGESTS = {
+    "traj.csv": "5f479f7c8ac94b7306e68f6baa32aa85959e7686f25746ea6ae20f919b446463",
+    "traj_sx.csv": "b33f15611aa97ceed813aec53a2ad782eea8ac47478384ddbc0d9d479933f1a2",
+    "classical.json": "b4558a1276f3280eab8aae17368976a02c936399c8163afc4639315b3afe9205",
+    "density.csv": "8b2aa90e32d2dad5406a5899e28bfc6971df5ea6eeb0cfe112fa9d4ce699a090",
+    "z.pgm": "49c0cd49977bfc9bac9062613944bc4e9aaecca29ef4d43085eed7e531765db7",
+    "zoom.pgm": "26bb0636382c643651423e0713ee1e42933dd1d103cda860fc5b75dd8cf68876",
+}
+
+
 def digests(names):
     return {name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("commands, expected", [
     (RECIPE, RECIPE_DIGESTS), ([PRECESSING], PRECESSING_DIGESTS),
-], ids=["fractal-recipe", "precessing-path"])
+    (WRITERS, WRITERS_DIGESTS),
+], ids=["fractal-recipe", "precessing-path", "writers"])
 def test_outputs_match_golden_bytes(tmp_path, monkeypatch, commands, expected):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
