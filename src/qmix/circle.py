@@ -57,6 +57,11 @@ def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], pts[keep], [TWO_PI]))
 
 
+def grid_points(m: int) -> np.ndarray:
+    """The uniform grid x_j = j 2pi / m, j = 0..m-1, on which densities are sampled."""
+    return np.arange(m) * (TWO_PI / m)
+
+
 def _piece_of(breaks: np.ndarray, x) -> np.ndarray:
     """Index of the piece [breaks[i], breaks[i + 1]) holding each x in [0, 2pi]."""
     return np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(breaks) - 2)
@@ -117,7 +122,7 @@ class CircleDensity:
         br[0] = 0.0
         br[-1] = TWO_PI
         co = table[:, 2:]
-        xs = np.arange(grid_size) * (TWO_PI / grid_size)
+        xs = grid_points(grid_size)
         idx = _piece_of(br, xs)
         return cls(co[idx, 0] + co[idx, 1] * xs, br, co)
 
@@ -166,7 +171,7 @@ def linear_ramp_density(grid_size: int = 1024) -> CircleDensity:
 def trig_density(cos_coeffs: Sequence[float], sin_coeffs: Sequence[float] = (),
                  grid_size: int = 1024) -> CircleDensity:
     """1 + sum_j a_j cos(j x) + b_j sin(j x); must be nonnegative."""
-    xs = np.arange(grid_size) * (TWO_PI / grid_size)
+    xs = grid_points(grid_size)
     vals = np.ones(grid_size)
     for j, a in enumerate(cos_coeffs, start=1):
         vals += a * np.cos(j * xs)
@@ -242,11 +247,9 @@ def _grid_pair(f: CircleDensity, g: CircleDensity) -> tuple[np.ndarray, np.ndarr
     if f.grid_size == g.grid_size:
         return f.grid, g.grid
     if f.has_pieces:
-        xs = np.arange(g.grid_size) * (TWO_PI / g.grid_size)
-        return f.evaluate(xs), g.grid
+        return f.evaluate(grid_points(g.grid_size)), g.grid
     if g.has_pieces:
-        xs = np.arange(f.grid_size) * (TWO_PI / f.grid_size)
-        return f.grid, g.evaluate(xs)
+        return f.grid, g.evaluate(grid_points(f.grid_size))
     raise ValueError("grid densities must share a grid size")
 
 
@@ -364,8 +367,7 @@ def density_from_csv(text: str) -> CircleDensity:
         xs.append(float(x))
         vals.append(float(v))
     xs = np.asarray(xs)
-    step = TWO_PI / len(xs)
-    if np.max(np.abs(xs - np.arange(len(xs)) * step)) > 1e-9:
+    if np.max(np.abs(xs - grid_points(len(xs)))) > 1e-9:
         raise ValueError("density CSV must sample a uniform grid over [0, 2pi)")
     vals = np.asarray(vals, dtype=float)
     mass = float(np.mean(vals))

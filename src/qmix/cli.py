@@ -303,8 +303,7 @@ def cmd_classical(cfg: dict) -> None:
     }
     write_json(cfg["out"], payload, cfg)
     if cfg["density_out"]:
-        xs = np.arange(g.grid_size) * (circle.TWO_PI / g.grid_size)
-        write_csv(cfg["density_out"], cfg, ("x", "f"), xs, g.grid)
+        write_csv(cfg["density_out"], cfg, ("x", "f"), circle.grid_points(g.grid_size), g.grid)
 
 
 def cmd_render(cfg: dict) -> None:

@@ -67,17 +67,18 @@ def header_comments(config: dict) -> list[str]:
 _BLOCK_ROWS = 65536
 
 
-def _encode_rows(head: str, row_fmt: str, *columns: np.ndarray) -> bytes:
+def _encode_rows(head: str, row_fmt: str, *columns: np.ndarray) -> bytearray:
     """``head`` and then one ``row_fmt`` line per row of the columns, encoded.
 
-    Rows are formatted and encoded a block at a time, so the per-row
-    Python objects never outnumber one block.
+    Rows are formatted and encoded a block at a time and appended to one
+    buffer, so the per-row Python objects never outnumber one block and
+    the file is held in memory once.
     """
-    chunks = [head.encode()]
+    data = bytearray(head.encode())
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns))
-        chunks.append("".join([row_fmt % row for row in block]).encode())
-    return b"".join(chunks)
+        data += "".join([row_fmt % row for row in block]).encode()
+    return data
 
 
 def write_csv(path: str, config: dict, columns, *data: np.ndarray, notes=()) -> None:

@@ -36,7 +36,11 @@ A path is stored by column (``SamplePath.times``, ``detectors``,
 at omega = 0 and kappa = 1 with the burn-in sliced off, so its points are
 bit for bit the post-jump states of that path.  Ensembles run in chunks of
 ``ENSEMBLE_CHUNK`` paths, one Philox stream per chunk; each round steps only
-the chunk's live paths, kept compacted in path order.
+the chunk's live paths, kept compacted in path order.  Of T worker threads,
+worker w runs chunks w, w + T, w + 2T, ... in one workspace of its own:
+every round writes its intermediates into that workspace instead of fresh
+arrays, because freshly allocated arrays come back from the allocator as
+fresh zeroed pages, and faulting those in cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -59,9 +64,10 @@ ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
 # rate * t_end cap: an ensemble runs one vectorized round per jump of its
 # slowest path (about 0.1 ms each at 10 paths on a 2-vCPU Xeon)
 MAX_EXPECTED_JUMPS = 10 ** 5
-# jumps per sampled path: its columns take 40 bytes a jump, and the scalar
-# loop's Python lists of draws up to 64 more
+# jumps per sampled path: its columns take 40 bytes a jump, and its draws
+# 16 more as arrays (the scalar loop's Python lists of them hold one block)
 MAX_JUMPS = 10 ** 7
+_DRAW_BLOCK = 65536  # draws per block of the scalar loop
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -102,8 +108,41 @@ def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="litera
                          f"{MAX_JUMPS} jumps per path")
 
 
+# TETRA_DIRECTIONS by coordinate, so one take gathers the picked directions
+_DIRECTIONS_BY_AXIS = np.ascontiguousarray(TETRA_DIRECTIONS.T)
+
+
+class _Workspace:
+    """Arrays for batches of up to ``rows`` states.
+
+    ``_jump_kernel`` and ``_ensemble_chunk`` write every batch-sized
+    intermediate through ``out=`` into prefix views of these arrays, so one
+    workspace serves every round of every chunk a worker runs, and a round
+    faults in no fresh pages.  ``out`` holds the kernel's post-jump states
+    (the ensemble's current states), ``src`` the live states a round
+    compacts for the kernel, and ``scratch`` the temporaries of both.
+    """
+
+    def __init__(self, rows: int):
+        self.dots = np.empty((rows, 4))
+        self.w = np.empty((rows, 4))
+        self.out = np.empty((rows, 3))
+        self.src = np.empty((rows, 3))
+        self.final = np.empty((rows, 3))
+        self.scratch = np.empty((10, rows))
+        self.t = np.empty(rows)
+        self.u = np.empty(rows)
+        self.flags = np.empty((3, rows), dtype=bool)
+        self.pick = np.empty(rows, dtype=np.intp)
+        self.at = np.empty(rows, dtype=np.intp)
+        self.ids = np.empty((2, rows), dtype=np.intp)
+        self.index = np.arange(rows)
+        self.offsets = np.arange(0, 4 * rows, 4)  # flat index of each row of an (n, 4) array
+
+
 def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
-                 pick: Optional[np.ndarray] = None, dots: Optional[np.ndarray] = None):
+                 pick: Optional[np.ndarray] = None, dots: Optional[np.ndarray] = None,
+                 ws: Optional[_Workspace] = None):
     """Weights ``w`` (n, 4), 0-based picks and renormalized post-jump states
     for a batch ``r`` (n, 3); returns ``(w, pick, out)``.
 
@@ -111,38 +150,66 @@ def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
     given; with neither, ``pick`` and ``out`` are None.  ``dots`` defaults
     to r.n_i summed in the ``sample_path`` loop's order, so one state steps
     exactly as the sampler does; the ensemble passes its faster matmul.
+    Results are views into ``ws`` (a fresh workspace when None), valid
+    until its next use; ``r`` must not be a view of ``ws.out``.
     """
+    m = len(r)
+    if ws is None:
+        ws = _Workspace(m)
+    w = ws.w[:m]
     if dots is None:
+        dots = ws.dots[:m]
         n = TETRA_DIRECTIONS
-        dots = r[:, 0:1] * n[:, 0] + r[:, 1:2] * n[:, 1] + r[:, 2:3] * n[:, 2]
+        np.multiply(r[:, 0:1], n[:, 0], out=dots)
+        for k in (1, 2):
+            np.multiply(r[:, k:k + 1], n[:, k], out=w)
+            np.add(dots, w, out=dots)
     a2 = alpha * alpha
-    w = (1.0 + a2) + 2.0 * alpha * dots
+    np.multiply(dots, 2.0 * alpha, out=w)
+    np.add(w, 1.0 + a2, out=w)
     if u is not None:
         # the first running sum above the threshold, else detector 4: the
         # number of leading sums at or below it (a rounded weight can dip
         # below zero by an ulp, so the sums need not be monotone)
-        thr = u * 4.0 * (1.0 + a2)
-        running = w[:, 0]
-        below = thr >= running
-        pick = below.astype(np.intp)
-        for k in (1, 2):
-            running = running + w[:, k]
-            below &= thr >= running
-            pick += below
+        thr, running = ws.scratch[:2, :m]
+        below = ws.flags[:, :m]
+        pick = ws.pick[:m]
+        np.multiply(u, 4.0 * (1.0 + a2), out=thr)  # u * 4 is exact: the bits of u * 4 * (1 + a2)
+        np.greater_equal(thr, w[:, 0], out=below[0])
+        np.add(w[:, 0], w[:, 1], out=running)
+        np.greater_equal(thr, running, out=below[1])
+        np.add(running, w[:, 2], out=running)
+        np.greater_equal(thr, running, out=below[2])
+        np.logical_and(below[1], below[0], out=below[1])
+        np.logical_and(below[2], below[1], out=below[2])
+        count = below.view(np.uint8)  # summed as bytes: a bool add is an "or"
+        np.add(count[0], count[1], out=count[0])
+        np.add(count[0], count[2], out=count[0])
+        np.copyto(pick, count[0])
     if pick is None:
         return w, None, None
-    at = pick + np.arange(0, 4 * len(pick), 4)  # flat index of each row's pick
-    den = w.ravel().take(at)
-    dot = dots.ravel().take(at)
-    c1 = (1.0 - a2) / den
-    c2 = 2.0 * alpha * (1.0 + alpha * dot) / den
-    # column by column: numpy runs an (n, 3) by (n, 1) broadcast as n inner
-    # loops of three elements, several times slower
-    x, y, z = (c1 * r[:, k] + c2 * TETRA_DIRECTIONS[:, k].take(pick) for k in range(3))
-    norm = np.sqrt(x * x + y * y + z * z)
-    out = np.empty((len(pick), 3))
-    for k, col in enumerate((x, y, z)):
-        np.divide(col, norm, out=out[:, k])
+    den, dot, c1, c2 = ws.scratch[:4, :m]
+    normals, xyz = ws.scratch[4:7, :m], ws.scratch[7:10, :m]
+    at = ws.at[:m]
+    np.add(pick, ws.offsets[:m], out=at)
+    w.ravel().take(at, out=den, mode="clip")
+    dots.ravel().take(at, out=dot, mode="clip")
+    np.divide(1.0 - a2, den, out=c1)
+    np.multiply(dot, alpha, out=c2)  # 2 a (1 + a dot) / den
+    np.add(c2, 1.0, out=c2)
+    np.multiply(c2, 2.0 * alpha, out=c2)
+    np.divide(c2, den, out=c2)
+    _DIRECTIONS_BY_AXIS.take(pick, axis=1, out=normals, mode="clip")
+    np.multiply(normals, c2, out=normals)
+    np.multiply(r.T, c1, out=xyz)
+    np.add(xyz, normals, out=xyz)
+    norm = den
+    np.multiply(xyz, xyz, out=normals)
+    np.add(normals[0], normals[1], out=norm)
+    np.add(norm, normals[2], out=norm)
+    np.sqrt(norm, out=norm)
+    out = ws.out[:m]
+    np.divide(xyz, norm, out=out.T)
     return w, pick, out
 
 
@@ -230,8 +297,7 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
     rate = total_rate(kappa, alpha, rate_convention)
     rng = make_rng(seed)
     waits = rng.standard_exponential(n_jumps) / rate
-    us = rng.random(n_jumps).tolist()
-    angles = (omega * waits).tolist() if omega != 0.0 else None
+    uniforms = rng.random(n_jumps)
 
     a = alpha
     one_a2 = 1.0 + a * a
@@ -240,31 +306,38 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
     x, y, z = _unit(r0)
     picks = array.array("q", [0]) * n_jumps
     states = array.array("d", [0.0]) * (3 * n_jumps)
-    # _jump_kernel for one state, operation for operation (equal bit for bit):
-    # about 2 us per step against 50 us per one-row kernel call (2-vCPU Xeon)
-    for i in range(n_jumps):
-        if angles is not None:
-            c, s = math.cos(angles[i]), math.sin(angles[i])
-            x, y = c * x - s * y, s * x + c * y
-        u = us[i] * 4.0 * one_a2
-        acc = 0.0
-        for j in range(4):
-            nx, ny, nz = _DIRECTIONS[j]
-            dot = x * nx + y * ny + z * nz
-            w = one_a2 + two_a * dot
-            acc += w
-            if u < acc:
-                break
-        c1 = one_minus_a2 / w
-        c2 = two_a * (1.0 + a * dot) / w
-        x, y, z = c1 * x + c2 * nx, c1 * y + c2 * ny, c1 * z + c2 * nz
-        norm = math.sqrt(x * x + y * y + z * z)
-        x, y, z = x / norm, y / norm, z / norm
-        picks[i] = j + 1
-        k = 3 * i
-        states[k] = x
-        states[k + 1] = y
-        states[k + 2] = z
+    # the draws become Python floats one block at a time, so their lists
+    # never outgrow a block
+    for start in range(0, n_jumps, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n_jumps)
+        us = uniforms[start:stop].tolist()
+        angles = (omega * waits[start:stop]).tolist() if omega != 0.0 else repeat(None)
+        # _jump_kernel for one state, operation for operation (equal bit for
+        # bit): about 2 us per step against 50 us per one-row kernel call
+        # (2-vCPU Xeon)
+        for i, draw, angle in zip(range(start, stop), us, angles):
+            if angle is not None:
+                c, s = math.cos(angle), math.sin(angle)
+                x, y = c * x - s * y, s * x + c * y
+            u = draw * 4.0 * one_a2
+            acc = 0.0
+            for j in range(4):
+                nx, ny, nz = _DIRECTIONS[j]
+                dot = x * nx + y * ny + z * nz
+                w = one_a2 + two_a * dot
+                acc += w
+                if u < acc:
+                    break
+            c1 = one_minus_a2 / w
+            c2 = two_a * (1.0 + a * dot) / w
+            x, y, z = c1 * x + c2 * nx, c1 * y + c2 * ny, c1 * z + c2 * nz
+            norm = math.sqrt(x * x + y * y + z * z)
+            x, y, z = x / norm, y / norm, z / norm
+            picks[i] = j + 1
+            k = 3 * i
+            states[k] = x
+            states[k + 1] = y
+            states[k + 2] = z
     # cumsum adds in sequence, so arrival times match a running t += dt
     return SamplePath(_unit(r0), omega, kappa, alpha, seed, rate_convention,
                       np.cumsum(waits), np.frombuffer(picks, dtype=np.int64),
@@ -309,35 +382,57 @@ def post_burn_in_path(omega: float, kappa: float, alpha: float, n_points: int,
                    states=path.states[burn_in:])
 
 
-def _ensemble_chunk(args) -> np.ndarray:
+def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
     """Sum of final Bloch vectors for one seeded chunk of paths.
 
     Only live paths are stepped: ``ids``, ``t`` and ``r`` hold the paths
     still short of ``t_end``, compacted in path order, and a path's state
-    goes to its own row of ``final`` in the round it finishes.
+    goes to its own row of ``final`` in the round it finishes.  Every
+    round works in ``ws``; ``ids`` alternates between its two rows.
     """
     (omega, alpha, r0, n_paths, t_end, seed, stream, rate) = args
     rng = make_rng(seed, stream)
-    final = np.empty((n_paths, 3))
-    ids = np.arange(n_paths)
-    t = np.zeros(n_paths)
-    r = np.tile(np.asarray(r0, dtype=float), (n_paths, 1))
-    while len(ids):
-        dt = rng.standard_exponential(len(ids)) / rate
-        t_next = t + dt
-        over = t_next > t_end
-        if omega != 0.0:
-            ang = omega * np.where(over, t_end - t, dt)
-            c, s = np.cos(ang), np.sin(ang)
-            new_x = c * r[:, 0] - s * r[:, 1]
-            r[:, 1] = s * r[:, 0] + c * r[:, 1]
-            r[:, 0] = new_x
+    final = ws.final[:n_paths]
+    m, side = n_paths, 0
+    ids, t, r = ws.ids[side, :m], ws.t[:m], ws.out[:m]
+    np.copyto(ids, ws.index[:m])
+    t.fill(0.0)
+    r[...] = r0
+    while m:
+        dt, t_next, c, s, p, q, drawn = ws.scratch[:7, :m]
+        over = ws.flags[0, :m]
+        rng.standard_exponential(out=dt)
+        np.divide(dt, rate, out=dt)
+        np.add(t, dt, out=t_next)
+        np.greater(t_next, t_end, out=over)
         done = np.flatnonzero(over)
-        final[ids.take(done)] = r.take(done, axis=0)
-        stay = np.flatnonzero(~over)
-        u = rng.random(len(ids)).take(stay)  # fixed draw count per round
-        ids, t, r = ids.take(stay), t_next.take(stay), r.take(stay, axis=0)
-        r = _jump_kernel(r, alpha, u=u, dots=r @ TETRA_DIRECTIONS.T)[2]
+        if omega != 0.0:
+            # a finishing path precesses only up to t_end
+            left = t.take(done, out=p[:len(done)], mode="clip")
+            dt.put(done, np.subtract(t_end, left, out=left), mode="clip")
+            np.multiply(dt, omega, out=dt)
+            np.cos(dt, out=c)
+            np.sin(dt, out=s)
+            x, y = r[:, 0], r[:, 1]
+            np.multiply(c, x, out=p)
+            np.multiply(s, y, out=q)
+            np.subtract(p, q, out=p)
+            np.multiply(s, x, out=q)
+            np.multiply(c, y, out=y)
+            np.add(q, y, out=y)
+            np.copyto(x, p)
+        spare = ws.ids[1 - side]
+        final[ids.take(done, out=spare[:len(done)], mode="clip")] = \
+            r.take(done, axis=0, out=ws.src[:len(done)], mode="clip")
+        stay = np.flatnonzero(np.logical_not(over, out=over))
+        m, side = len(stay), 1 - side
+        rng.random(out=drawn)  # fixed draw count per round
+        u = drawn.take(stay, out=ws.u[:m], mode="clip")
+        ids = ids.take(stay, out=spare[:m], mode="clip")
+        t = t_next.take(stay, out=ws.t[:m], mode="clip")
+        live = r.take(stay, axis=0, out=ws.src[:m], mode="clip")
+        dots = np.matmul(live, TETRA_DIRECTIONS.T, out=ws.dots[:m])
+        r = _jump_kernel(live, alpha, u=u, dots=dots, ws=ws)[2]
     return final.sum(axis=0)
 
 
@@ -360,14 +455,25 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     Paths are simulated in vectorized chunks of ``ENSEMBLE_CHUNK``; chunk c
     draws from the Philox stream (seed, c), and partial sums are combined
     in chunk order, so the result does not depend on the thread count.
+    With T = min(QMIX_THREADS, chunks) workers, worker w runs chunks w,
+    w + T, ... in one ``_Workspace`` it allocates once, so no round
+    allocates batch-sized arrays (each would fault in fresh pages).
     """
     _check_args(alpha, kappa, t_end, rate_convention=rate_convention, n_paths=n_paths)
     rate = total_rate(kappa, alpha, rate_convention)
     r0u = _unit(r0)
     jobs = [(omega, alpha, r0u, min(ENSEMBLE_CHUNK, n_paths - start), t_end, seed, stream, rate)
             for stream, start in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
-    with ThreadPoolExecutor(max_workers=min(qmix_threads(), len(jobs))) as pool:
-        partials = list(pool.map(_ensemble_chunk, jobs))
+    n_workers = min(qmix_threads(), len(jobs))
+
+    def run_chunks(worker: int) -> list[np.ndarray]:
+        ws = _Workspace(min(ENSEMBLE_CHUNK, n_paths))
+        return [_ensemble_chunk(job, ws) for job in jobs[worker::n_workers]]
+
+    partials = [None] * len(jobs)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for worker, sums in enumerate(pool.map(run_chunks, range(n_workers))):
+            partials[worker::n_workers] = sums
     total = np.zeros(3)
     for part in partials:  # fixed chunk order keeps the sum deterministic
         total += part

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmix import io
 from qmix.io import (EVENT_LINE, atomic_write_bytes, canonical_json, config_hash,
-                     read_cloud_csv, write_cloud_csv, write_jsonl)
+                     header_comments, read_cloud_csv, write_cloud_csv, write_csv, write_jsonl)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
@@ -79,3 +80,24 @@ def test_cloud_csv_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "cloud.csv"
     path.write_text("# header\n1,0,0\n   # indented comment\n\n0,1,0\n \t\n0,0,1\n  \n")
     np.testing.assert_array_equal(read_cloud_csv(str(path)), np.eye(3))
+
+
+def test_rows_across_encoding_blocks_match_a_per_row_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 4)  # 11 rows: blocks of 4, 4 and 3
+    rng = np.random.default_rng(5)
+    times, x, y, z = rng.normal(size=(4, 11)) * 10.0 ** rng.integers(-20, 20, size=(4, 11))
+    detectors = rng.integers(1, 5, size=11)
+    config = {"n": 11}
+    write_csv(str(tmp_path / "rows.csv"), config, ("t", "x"), times, x, notes=("a note",))
+    header = header_comments(config) + ["a note", "columns: t,x"]
+    expected = "".join(f"# {line}\n" for line in header)
+    expected += "".join("%.17g,%.17g\n" % row for row in zip(times.tolist(), x.tolist()))
+    assert (tmp_path / "rows.csv").read_bytes() == expected.encode()
+
+    write_jsonl(str(tmp_path / "path.jsonl"), times, detectors, np.column_stack([x, y, z]),
+                config)
+    expected = canonical_json({"config": config, "config_hash": config_hash(config)}) + "\n"
+    expected += "".join('{"detector":%d,"time":%r,"x":%r,"y":%r,"z":%r}\n' % row for row in
+                        zip(detectors.tolist(), times.tolist(), x.tolist(), y.tolist(),
+                            z.tolist()))
+    assert (tmp_path / "path.jsonl").read_bytes() == expected.encode()

@@ -9,7 +9,9 @@ import pytest
 from scipy.stats import chi2
 
 from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
+from qmix import pdp
 from qmix.pdp import (
+    ENSEMBLE_CHUNK,
     MAX_EXPECTED_JUMPS,
     MAX_JUMPS,
     _jump_kernel,
@@ -181,6 +183,14 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             total_rate(1.0, 0.5, "bogus")
 
+    @pytest.mark.parametrize("omega", [0.0, 0.7])
+    def test_draw_blocks_do_not_change_the_path(self, monkeypatch, omega):
+        whole = sample_path(omega=omega, kappa=1.0, alpha=0.8, n_jumps=11, seed=12)
+        monkeypatch.setattr(pdp, "_DRAW_BLOCK", 4)  # blocks of 4, 4 and 3 jumps
+        blocked = sample_path(omega=omega, kappa=1.0, alpha=0.8, n_jumps=11, seed=12)
+        for column in ("times", "detectors", "states"):
+            assert getattr(blocked, column).tobytes() == getattr(whole, column).tobytes()
+
     def test_jump_count_is_capped_before_any_allocation(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_JUMPS"):
@@ -276,13 +286,17 @@ class TestEnsembleConsistency:
         assert np.max(np.abs(mean - target)) > 0.05
 
     def test_thread_count_does_not_change_the_result(self, monkeypatch):
+        # five chunks, the last one partial: with 2 or 3 workers they own
+        # unequal numbers of chunks, and each reuses one workspace
         kwargs = dict(omega=0.5, kappa=1.0, alpha=0.6, r0=[0.0, 0.0, 1.0],
-                      n_paths=50_000, t_end=0.8, seed=11, rate_convention="eeqt")
-        monkeypatch.setenv("QMIX_THREADS", "1")
-        one = ensemble_bloch_mean(**kwargs)
-        monkeypatch.setenv("QMIX_THREADS", "4")
-        four = ensemble_bloch_mean(**kwargs)
-        np.testing.assert_array_equal(one, four)
+                      n_paths=4 * ENSEMBLE_CHUNK + 12_345, t_end=0.8, seed=11,
+                      rate_convention="eeqt")
+        means = {}
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setenv("QMIX_THREADS", str(threads))
+            means[threads] = ensemble_bloch_mean(**kwargs)
+        for threads in (2, 3, 7):
+            np.testing.assert_array_equal(means[threads], means[1])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from qmix.lindblad import TETRA_DIRECTIONS
-from qmix.pdp import _jump_kernel, jump_map, jump_probs, make_rng, sample_path
+from qmix.pdp import _jump_kernel, _Workspace, jump_map, jump_probs, make_rng, sample_path
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                              database=None)
@@ -109,3 +109,40 @@ def test_kernel_pick_is_the_first_running_sum_above_the_threshold(batch, matmul)
     thresholds = u * 4.0 * (1.0 + alpha * alpha)
     expected = [first_running_sum_above(row, t) for row, t in zip(w.tolist(), thresholds.tolist())]
     assert pick.tolist() == expected
+
+
+@st.composite
+def shrinking_rounds(draw):
+    """Batches of shrinking size, as the ensemble's rounds are, at one alpha;
+    vertices and their antipodes (a zero weight at alpha = 1) among the rows."""
+    alpha = draw(st.one_of(st.just(1.0), _alphas))
+    sizes = sorted(draw(st.lists(st.integers(1, 40), min_size=2, max_size=6)), reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rounds = []
+    for m in sizes:
+        r = rng.normal(size=(m, 3))
+        r /= np.linalg.norm(r, axis=1)[:, None]
+        special = np.concatenate([TETRA_DIRECTIONS, -TETRA_DIRECTIONS])[rng.permutation(8)]
+        r[:min(m, 8)] = special[:m]
+        rounds.append((r, rng.random(m)))
+    return alpha, rounds
+
+
+@PROPERTY_SETTINGS
+@given(case=shrinking_rounds(), matmul=st.booleans())
+def test_a_reused_workspace_gives_the_fresh_workspace_bits(case, matmul):
+    """One workspace, dirty from the larger rounds before, steps each round
+    exactly as a fresh one does, with the inputs placed as the ensemble
+    places them."""
+    alpha, rounds = case
+    ws = _Workspace(len(rounds[0][0]))
+    for r, u in rounds:
+        m = len(r)
+        fresh = _jump_kernel(r, alpha, u=u, dots=r @ TETRA_DIRECTIONS.T if matmul else None)
+        fresh = [a.copy() for a in fresh]
+        live, drawn = ws.src[:m], ws.u[:m]
+        live[...], drawn[...] = r, u
+        dots = np.matmul(live, TETRA_DIRECTIONS.T, out=ws.dots[:m]) if matmul else None
+        reused = _jump_kernel(live, alpha, u=drawn, dots=dots, ws=ws)
+        for a, b in zip(fresh, reused):
+            assert a.tobytes() == b.tobytes()
