@@ -17,7 +17,6 @@ from .lindblad import (
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
-    analytic_evolve,
     build_model,
     evolve,
     generator_apply,
@@ -43,10 +42,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Fluorescence", "LindbladModel", "SigmaXConjugation", "Tetrahedron", "Zeno",
-    "analytic_evolve", "build_model", "evolve", "generator_apply",
-    "stationary_state", "classify_mixing", "default_probe_set",
-    "lambda_q_analytic", "lambda_q_numeric", "chaos_game", "jump_map",
-    "jump_probs", "sample_path", "box_count", "estimate_dimension",
+    "build_model", "evolve", "generator_apply", "stationary_state",
+    "classify_mixing", "default_probe_set", "lambda_q_analytic",
+    "lambda_q_numeric", "chaos_game", "jump_map", "jump_probs",
+    "sample_path", "box_count", "estimate_dimension",
     "from_bloch", "relative_entropy", "to_bloch", "trace_norm",
     "von_neumann_entropy", "__version__",
 ]

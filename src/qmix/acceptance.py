@@ -31,7 +31,6 @@ from .lindblad import (
     Tetrahedron,
     Zeno,
     analytic_bloch_paths,
-    analytic_evolve,
     build_model,
     evolve,
     generator_apply,
@@ -42,7 +41,6 @@ from .states import (
     bloch_relative_entropy,
     from_bloch,
     pure_state,
-    relative_entropy,
     to_bloch,
     trace_norm,
 )
@@ -166,15 +164,14 @@ def criterion_5() -> CriterionResult:
     def run():
         preset = SigmaXConjugation()
         model = build_model(preset)
-        worst = 0.0
-        for phi in (math.pi / 16, math.pi / 8, 3 * math.pi / 16):
-            e1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-            e2 = np.array([
-                [math.cos(phi) ** 2, math.sin(phi) * math.cos(phi)],
-                [math.sin(phi) * math.cos(phi), math.sin(phi) ** 2]], dtype=complex)
-            value = relative_entropy(analytic_evolve(preset, e1, 20.0),
-                                     analytic_evolve(preset, e2, 20.0))
-            worst = max(worst, abs(value - (-math.log(math.cos(2 * phi)))))
+        phis = np.array([math.pi / 16, math.pi / 8, 3 * math.pi / 16])
+        # e1 = |0><0| against e2 = cos(phi)|0> + sin(phi)|1>, as Bloch vectors
+        e2 = np.column_stack([np.sin(2 * phis), np.zeros(3), np.cos(2 * phis)])
+        at_20 = np.array([20.0])
+        x1 = analytic_bloch_paths(preset, [0.0, 0.0, 1.0], at_20)[0, 0]
+        x2 = analytic_bloch_paths(preset, e2, at_20)[:, 0]
+        values = bloch_relative_entropy(x1, x2)
+        worst = float(np.max(np.abs(values + np.log(np.cos(2 * phis)))))
         ref = from_bloch([0.0, 0.0, 0.0])
         report = classify_mixing(model, default_probe_set(ref), 20.0)
         ok = worst <= 1e-6 and not report.completely_mixing and not report.exact

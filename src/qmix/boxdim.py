@@ -26,6 +26,10 @@ from typing import Optional
 import numpy as np
 
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
+# Scale levels, k = 0..levels-1: max_cell_diameter rounds to 0.0 from level
+# 28 (level 27 is 2.1e-8), and the int64 cell key holds 6 * 4^k cells only
+# up to level 30.
+MAX_LEVELS = 28
 
 
 def default_levels(n_points: int) -> int:
@@ -99,14 +103,16 @@ def box_count(points: np.ndarray, levels: Optional[int] = None) -> BoxCountResul
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
         raise ValueError("expected a nonempty (n, 3) point cloud")
-    radii = np.linalg.norm(points, axis=1)
-    worst = float(np.max(np.abs(radii - 1.0)))
-    if worst > 1e-9:
-        raise ValueError(f"cloud is {worst:.2e} off the unit sphere")
     if levels is None:
         levels = default_levels(len(points))
     if levels < 4:
         raise ValueError("need at least 4 scale levels")
+    if levels > MAX_LEVELS:
+        raise ValueError(f"levels = {levels} exceeds the MAX_LEVELS cap of {MAX_LEVELS}")
+    radii = np.linalg.norm(points, axis=1)
+    worst = float(np.max(np.abs(radii - 1.0)))
+    if worst > 1e-9:
+        raise ValueError(f"cloud is {worst:.2e} off the unit sphere")
     face, u, v = _face_coords(points)
     eps = np.array([max_cell_diameter(k) for k in range(levels)])
     counts = np.empty(levels)

@@ -32,6 +32,17 @@ from .fitting import ExponentEstimate, probe_exponent
 TWO_PI = 2.0 * math.pi
 _BREAK_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Samples per density grid: 8 MB a grid; `qmix classical` peaks at about
+# 230 MB at the cap (60 MB at the default 1024).
+MAX_GRID_SIZE = 2 ** 20
+# Radix of the r-adic map: the exact affine push-forward loops once per
+# branch, so its cost is linear in r (`qmix classical` takes about 1.2 s at
+# the cap with its other defaults).
+MAX_R = 1024
+# Iterates per probe in lambda_classical: its run time is linear in n_max
+# (`qmix classical` takes about 1.1 s at the cap with its other defaults).
+# The sawtooth probes reach the 1e-13 floor within about 45 iterates at r = 2.
+MAX_ITERATES = 1000
 
 
 def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
@@ -59,6 +70,8 @@ def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
 
 def grid_points(m: int) -> np.ndarray:
     """The uniform grid x_j = j 2pi / m, j = 0..m-1, on which densities are sampled."""
+    if m > MAX_GRID_SIZE:
+        raise ValueError(f"grid size {m} exceeds the MAX_GRID_SIZE cap of {MAX_GRID_SIZE}")
     return np.arange(m) * (TWO_PI / m)
 
 
@@ -224,8 +237,8 @@ def pf_apply(f: CircleDensity, r: int) -> CircleDensity:
     Affine densities transform exactly (pieces map to pieces); grid-only
     densities use the spectral rule (P f)^(k) = f^(k r).
     """
-    if r < 2 or int(r) != r:
-        raise ValueError("r must be an integer >= 2")
+    if not 2 <= r <= MAX_R or int(r) != r:
+        raise ValueError(f"r must be an integer from 2 to the MAX_R cap of {MAX_R} (got {r})")
     r = int(r)
     if f.has_pieces:
         return _pf_affine(f, r)
@@ -337,6 +350,8 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
         raise ValueError("need at least one probe density")
     if n_max < 4:
         raise ValueError(f"n_max must be at least 4 (got {n_max}) for three fitted iterates")
+    if n_max > MAX_ITERATES:
+        raise ValueError(f"n_max = {n_max} exceeds the MAX_ITERATES cap of {MAX_ITERATES}")
     for i, p in enumerate(probes):
         if l1_distance(p, f0) < 1e-12:
             raise ValueError(f"probe {i} equals the reference density")
@@ -376,22 +391,6 @@ def density_from_csv(text: str) -> CircleDensity:
     if abs(mass - 1.0) > 1e-12:
         vals = vals / mass
     return CircleDensity.from_grid(vals)
-
-
-def density_to_json(f: CircleDensity) -> dict:
-    """JSON-ready payload: affine pieces when exact, grid samples otherwise."""
-    if f.has_pieces:
-        return {"pieces": np.column_stack([f.breaks[:-1], f.breaks[1:], f.coefs]).tolist(),
-                "grid_size": f.grid_size}
-    return {"grid": f.grid.tolist()}
-
-
-def density_from_json(payload: dict) -> CircleDensity:
-    if "pieces" in payload:
-        return CircleDensity.from_pieces(payload["pieces"], payload.get("grid_size", 1024))
-    if "grid" in payload:
-        return CircleDensity.from_grid(payload["grid"])
-    raise ValueError("density payload needs either 'pieces' or 'grid'")
 
 
 def fourier_coefficient(f: CircleDensity, k: int) -> complex:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -32,10 +31,10 @@ from .exponent import (
     lambda_q_numeric,
 )
 from .io import (
-    EVENT_LINE,
     atomic_write_bytes,
     header_comments,
     read_cloud_csv,
+    read_jsonl_detectors,
     write_cloud_csv,
     write_csv,
     write_json,
@@ -260,7 +259,7 @@ def cmd_pdp(cfg: dict) -> None:
         seed=cfg["seed"], rate_convention=cfg["rate_convention"])
     write_cloud_csv(cfg["out"], path.states, cfg)
     if cfg["log"]:
-        write_jsonl(cfg["log"], path.times, path.detectors, path.states, cfg)
+        write_jsonl(cfg["log"], path.times, path.detectors, cfg)
 
 
 def cmd_fractal(cfg: dict) -> None:
@@ -312,7 +311,10 @@ def cmd_render(cfg: dict) -> None:
     if cfg["mode"] == "ppm":
         if not cfg["log"]:
             raise ConfigError("ppm mode needs the jump log ('log') for detector labels")
-        detectors = _checked(_detectors_from_log, cfg["log"], len(points))
+        detectors = _checked(read_jsonl_detectors, cfg["log"])
+        if len(detectors) != len(points):
+            raise ConfigError(f"jump log {cfg['log']} holds {len(detectors)} events but the "
+                              f"cloud has {len(points)} points")
     zoom_center = tuple(cfg["zoom_center"]) if cfg["zoom_center"] else None
     spec = _checked(render.RenderSpec, projection=cfg["projection"], size=cfg["size"],
                     mode=cfg["mode"], zoom_center=zoom_center,
@@ -320,44 +322,6 @@ def cmd_render(cfg: dict) -> None:
     data = render.render(points, spec, detectors=detectors,
                          comments=tuple(header_comments(cfg)))
     atomic_write_bytes(cfg["out"], data)
-
-
-LOG_BLOCK_LINES = 4096  # JSONL lines read per block
-
-
-def _detectors_from_log(path: str, expected: int) -> np.ndarray:
-    """Detector labels of a JSONL jump log, read a block of lines at a time.
-
-    A block of event lines as ``write_jsonl`` writes them yields its labels
-    from one regex pass; any other block is decoded with ``json.loads`` and
-    its labels checked.
-    """
-    parts, decoded, first_line = [], [], 1
-    with open(path) as handle:
-        while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
-            labels = EVENT_LINE.findall("".join(block))
-            if len(labels) == len(block):  # a match never spans two lines
-                parts.append(np.frombuffer("".join(labels).encode(), dtype=np.uint8) - ord("0"))
-            else:
-                try:
-                    records = json.loads("[" + ",".join(block) + "]")
-                except json.JSONDecodeError as exc:  # the block's line k is line k of the text
-                    raise ConfigError(f"jump log {path}, line {first_line + exc.lineno - 1}: "
-                                      f"{exc.msg}") from exc
-                if not all(isinstance(rec, dict) for rec in records):
-                    raise ConfigError(f"jump log {path} holds a line that is not a JSON object")
-                labels = [rec["detector"] for rec in records if "detector" in rec]
-                decoded.extend(labels)
-                parts.append(labels)
-            first_line += len(block)
-    if not {type(label) for label in decoded} <= {int}:
-        raise ConfigError(f"jump log {path} holds a detector that is not an integer")
-    if decoded and not 1 <= min(decoded) <= max(decoded) <= 4:
-        raise ConfigError(f"jump log {path} holds a detector label outside 1..4")
-    count = sum(len(part) for part in parts)
-    if count != expected:
-        raise ConfigError(f"jump log holds {count} events but the cloud has {expected} points")
-    return np.concatenate([np.asarray(part, dtype=int) for part in parts])
 
 
 def cmd_repro(cfg: dict) -> int:

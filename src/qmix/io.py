@@ -5,13 +5,15 @@ recipe can be replayed byte for byte; writes go through a temp file and
 rename so readers never observe partial output.  Every CSV (clouds,
 trajectories, densities) goes through one writer, and CSVs and jump logs
 are written from whole columns, a block of rows per format pass; clouds
-are read back with one bulk parse.  JSON reports are strict: a non-finite
-number is written as null.
+are read back with one bulk parse.  Only this module knows the jump log's
+event layout: it writes the log and reads its detector labels back.  JSON
+reports are strict: a non-finite number is written as null.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -130,25 +132,61 @@ def read_cloud_csv(path: str) -> np.ndarray:
     return points
 
 
-# one jump event; keys in sorted order and floats as repr, as canonical_json
+# one jump event; keys in sorted order and the time as repr, as canonical_json
 # writes them
-_EVENT_FMT = '{"detector":%d,"time":%r,"x":%r,"y":%r,"z":%r}\n'
+_EVENT_FMT = '{"detector":%d,"time":%r}\n'
 _NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"  # JSON's grammar
 # an event line as _EVENT_FMT writes it, the label as group 1; every line it
 # matches is a JSON object with an integer detector in 1..4
-EVENT_LINE = re.compile(r'^\{"detector":([1-4]),"time":%s,"x":%s,"y":%s,"z":%s\}$'
-                        % ((_NUMBER,) * 4), re.MULTILINE)
+EVENT_LINE = re.compile(r'^\{"detector":([1-4]),"time":%s\}$' % _NUMBER, re.MULTILINE)
+LOG_BLOCK_LINES = 4096  # jump log lines read per block
 
 
-def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray,
-                states: np.ndarray, config: dict) -> None:
+def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray, config: dict) -> None:
     """JSONL jump log: a metadata record, then one event per jump.
 
-    Events are ``{"detector", "time", "x", "y", "z"}`` objects in the bytes
-    ``canonical_json`` gives for finite values.
+    Events are ``{"detector", "time"}`` objects in the bytes
+    ``canonical_json`` gives for finite values.  Event i is the jump that
+    led to row i of the cloud CSV written from the same path (the config's
+    ``out``), so the post-jump state is not repeated here.
     """
     meta = canonical_json({"config": config, "config_hash": config_hash(config)}) + "\n"
-    atomic_write_bytes(path, _encode_rows(meta, _EVENT_FMT, detectors, times, *states.T))
+    atomic_write_bytes(path, _encode_rows(meta, _EVENT_FMT, detectors, times))
+
+
+def read_jsonl_detectors(path: str) -> np.ndarray:
+    """Detector labels of a JSONL jump log in event order, read a block of lines at a time.
+
+    A block of event lines as ``write_jsonl`` writes them yields its labels
+    from one regex pass; any other block (the metadata record, or events in
+    another layout such as older logs that also held x, y, z) is decoded with
+    ``json.loads``, and its records with a detector key are events.
+    Undecodable lines, lines that are not JSON objects and labels that are
+    not integers in 1..4 raise ``ValueError`` naming the file.
+    """
+    parts, decoded, first_line = [np.empty(0, dtype=int)], [], 1
+    with open(path) as handle:
+        while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
+            labels = EVENT_LINE.findall("".join(block))
+            if len(labels) == len(block):  # a match never spans two lines
+                parts.append(np.frombuffer("".join(labels).encode(), dtype=np.uint8) - ord("0"))
+            else:
+                try:
+                    records = json.loads("[" + ",".join(block) + "]")
+                except json.JSONDecodeError as exc:  # the block's line k is line k of the text
+                    raise ValueError(f"jump log {path}, line {first_line + exc.lineno - 1}: "
+                                     f"{exc.msg}") from None
+                if not all(isinstance(rec, dict) for rec in records):
+                    raise ValueError(f"jump log {path} holds a line that is not a JSON object")
+                labels = [rec["detector"] for rec in records if "detector" in rec]
+                decoded.extend(labels)
+                parts.append(labels)
+            first_line += len(block)
+    if not {type(label) for label in decoded} <= {int}:
+        raise ValueError(f"jump log {path} holds a detector that is not an integer")
+    if decoded and not 1 <= min(decoded) <= max(decoded) <= 4:
+        raise ValueError(f"jump log {path} holds a detector label outside 1..4")
+    return np.concatenate([np.asarray(part, dtype=int) for part in parts])
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:

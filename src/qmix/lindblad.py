@@ -333,13 +333,6 @@ def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) 
     return np.einsum("tij,nj->nti", prop[:, :3, :3], blochs) + prop[None, :, :3, 3]
 
 
-def analytic_evolve(preset: Preset, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Exact solution at a single time (see :func:`analytic_bloch_paths`)."""
-    x0 = to_bloch(check_density_matrix(rho0))
-    x_t = analytic_bloch_paths(preset, x0[None, :], np.array([t]))[0, 0]
-    return from_bloch(x_t)
-
-
 def stationary_state(model: LindbladModel) -> np.ndarray:
     """Unique solution of L(rho) = 0 with unit trace.
 

@@ -9,8 +9,6 @@ from qmix.circle import (
     TWO_PI,
     CircleDensity,
     density_from_csv,
-    density_from_json,
-    density_to_json,
     entropy,
     fourier_check,
     fourier_coefficient,
@@ -265,20 +263,6 @@ class TestDensityInterchange:
     def test_csv_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError, match="uniform grid"):
             density_from_csv("0.0,1.0\n0.5,1.0\n0.7,1.0\n" + "1.0,1.0\n" * 5)
-
-    def test_json_round_trip_keeps_pieces_exact(self):
-        f = sawtooth_density(3)
-        again = density_from_json(density_to_json(f))
-        assert again.has_pieces
-        np.testing.assert_array_equal(again.coefs, f.coefs)
-        g = trig_density([0.1])
-        g2 = density_from_json(density_to_json(g))
-        assert not g2.has_pieces
-        np.testing.assert_array_equal(g2.grid, g.grid)
-
-    def test_json_payload_validated(self):
-        with pytest.raises(ValueError, match="pieces"):
-            density_from_json({"nonsense": 1})
 
 
 class TestFourier:

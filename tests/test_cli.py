@@ -2,15 +2,18 @@
 
 import json
 import math
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmix import cli
+from qmix import cli, io
 from qmix.acceptance import cli_recipes
 from qmix.cli import main
-from qmix.io import read_cloud_csv
+from qmix.io import canonical_json, read_cloud_csv
 
 
 def run(args):
@@ -122,6 +125,10 @@ class TestConfigHandling:
         ["pdp", "--alpha", 0.5, "--n-points", 10 ** 9],
         ["pdp", "--alpha", 0.5, "--n-points", 10, "--burn-in", -5],
         ["pdp", "--alpha", 0.5, "--n-points", 0],
+        ["fractal", "--cloud", "cloud.csv", "--levels", 29],
+        ["classical", "--grid-size", 2 ** 20 + 1],
+        ["classical", "--n-max", 1001],
+        ["classical", "--r", 1025],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -131,7 +138,9 @@ class TestConfigHandling:
             "render-zoom-two-entries", "render-zoom-strings", "evolve-omega-nan",
             "exponent-rabi-nan", "exponent-t-max-inf", "repro-criterion-11",
             "repro-criterion-string", "exponent-kappa-sweep-past-float-range",
-            "pdp-n-points-past-jump-cap", "pdp-burn-in-neg", "pdp-n-points-0"])
+            "pdp-n-points-past-jump-cap", "pdp-burn-in-neg", "pdp-n-points-0",
+            "fractal-levels-past-cap", "classical-grid-past-cap", "classical-n-max-past-cap",
+            "classical-r-past-cap"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -203,11 +212,12 @@ class TestConfigHandling:
         (['{"detector": 1}', '{"detector": 2]'] + ['{"detector": 3}'] * 8, "line 2:"),
         (['{"detector": 1}'] * 9 + ['{"detector" 2}'], "line 10:"),
         (['{"detector": 7}', '{"detector": 7}'], "outside 1..4"),
+        (['{"config": {}}', '{"detector": 1}'], "holds 1 events but the cloud has 2 points"),
     ], ids=["detector-not-a-number", "invalid-json", "invalid-json-in-a-later-block",
-            "detector-label-7"])
+            "detector-label-7", "fewer-events-than-points"])
     def test_undecodable_jump_log_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                     lines, message):
-        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 4)
+        monkeypatch.setattr(io, "LOG_BLOCK_LINES", 4)
         cloud = tmp_path / "cloud.csv"
         cloud.write_text("1,0,0\n" * len(lines))
         log = tmp_path / "bad.jsonl"
@@ -243,6 +253,24 @@ class TestConfigHandling:
         cloud = tmp_path / "tiny.csv"
         cloud.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert run(["fractal", "--cloud", cloud, "--out", tmp_path / "d.json"]) == 3
+
+    def test_readme_commands_parse(self):
+        """Every ``qmix`` command of the README's sh blocks parses, so a renamed
+        or removed flag fails here rather than in a reader's shell."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines
+                    if line.startswith("qmix ")]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        rejected = []
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                rejected.append(" ".join(argv))
+        assert rejected == []
 
 
 class TestPdpAndFractal:
@@ -365,20 +393,25 @@ class TestRenderCommand:
             assert sum(1 for b in pixels if b > 0) > 50
 
     def test_detector_labels_are_read_across_log_blocks(self, tmp_path, monkeypatch):
-        import qmix.cli as cli
         _, log = self._cloud(tmp_path, 0.7, n=1000)
         expected = [json.loads(line)["detector"] for line in open(log).read().splitlines()[1:]]
-        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 64)  # 15 full blocks and a partial one
-        np.testing.assert_array_equal(cli._detectors_from_log(str(log), 1000), expected)
+        monkeypatch.setattr(io, "LOG_BLOCK_LINES", 64)  # 15 full blocks and a partial one
+        np.testing.assert_array_equal(io.read_jsonl_detectors(str(log)), expected)
 
     def test_a_block_the_event_pattern_misses_is_decoded_as_json(self, tmp_path, monkeypatch):
-        _, log = self._cloud(tmp_path, 0.7, n=1000)
+        cloud, log = self._cloud(tmp_path, 0.7, n=1000)
         lines = log.read_text().splitlines()
         expected = [json.loads(line)["detector"] for line in lines[1:]]
-        lines[300] = json.dumps(json.loads(lines[300]))  # spaces after ':' and ','
-        log.write_text("\n".join(lines) + "\n")
-        monkeypatch.setattr(cli, "LOG_BLOCK_LINES", 64)
-        np.testing.assert_array_equal(cli._detectors_from_log(str(log), 1000), expected)
+        respaced = list(lines)
+        respaced[300] = json.dumps(json.loads(lines[300]))  # spaces after ':' and ','
+        # the older layout, whose events repeated the post-jump state (cloud row i)
+        five_keys = lines[:1] + [canonical_json(dict(json.loads(line), x=x, y=y, z=z))
+                                 for line, (x, y, z) in zip(lines[1:],
+                                                            read_cloud_csv(cloud).tolist())]
+        monkeypatch.setattr(io, "LOG_BLOCK_LINES", 64)
+        for variant in (respaced, five_keys):
+            log.write_text("\n".join(variant) + "\n")
+            np.testing.assert_array_equal(io.read_jsonl_detectors(str(log)), expected)
 
     def test_ppm_needs_log(self, tmp_path):
         cloud, _ = self._cloud(tmp_path, 0.7)

@@ -27,7 +27,7 @@ RECIPE = [
 ]
 RECIPE_DIGESTS = {
     "cloud.csv": "eb8fa5f7c220ee05c1f4379af5a8fd2488d59af8ee59aebeaa91513b0ccf5524",
-    "path.jsonl": "3039d50be061ed8707ab315cbdcfb47c45531ff7edd9a80c34be7aac3032de68",
+    "path.jsonl": "0c4d749ec522440eb1fa25c307cc93c7eca4350e8e2f816b9527d9be0c6954de",
     "dimension.json": "2e28d30b549bd82c303eb81d76fcc8b042aa702c23f1319bbd77737750ad3eaa",
     "cloud.ppm": "64b52fe4992286f4dad45ca59585c2cb5058a44db0f824e3100f3512b4c7b221",
     "cloud.pgm": "5aaa5e133ceb084bd9b58ee52995d91b1db812040759b9a323c0f9bd92905990",
@@ -40,7 +40,7 @@ PRECESSING = ["pdp", "--alpha", "0.6", "--omega", "0.7", "--kappa", "2",
               "--log", "path.jsonl"]
 PRECESSING_DIGESTS = {
     "cloud.csv": "e07bcfa9d7545ba4f11dc50bf7c3403d68351d72bacb7d993bdf436fac9a17f5",
-    "path.jsonl": "e3a1589241a5ff7b21b6478207b6e8d4e9ad799332abe5c009dbdecb1a1c5efe",
+    "path.jsonl": "a3447a0be73f9b40ae050537de8701e9c6beafe9a647927d71c7b4a152331060",
 }
 
 

@@ -18,7 +18,6 @@ from qmix.lindblad import (
     _affine_propagator,
     _positivity_guard,
     analytic_bloch_paths,
-    analytic_evolve,
     bloch_generator,
     build_model,
     default_timestep,
@@ -44,6 +43,11 @@ ALL_PRESETS = [
     Fluorescence(rabi=1.5, gamma=1.0),
     SigmaXConjugation(),
 ]
+
+
+def analytic_evolve(preset, rho0, t):
+    """The exact state of a preset at time t, from its Bloch path."""
+    return from_bloch(analytic_bloch_paths(preset, to_bloch(rho0), np.array([t]))[0, 0])
 
 
 class TestTetrahedronGeometry:
