@@ -3,8 +3,10 @@
 Subpackages:
 
 * :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates, closed-form entropies
-* :mod:`qmix.lindblad` -- master-equation presets, Bloch-affine RK4, expm of (M, b)
-* :mod:`qmix.exponent` -- characteristic-exponent estimation and mixing tests
+* :mod:`qmix.lindblad` -- master-equation presets, Bloch-affine RK4, expm of (M, b),
+  grid powers of exp(M dt)
+* :mod:`qmix.exponent` -- characteristic-exponent estimation on grid-power distance
+  tables, and mixing tests
 * :mod:`qmix.pdp` -- measurement jump process and chaos-game sampling
 * :mod:`qmix.boxdim` -- box-counting dimension on the sphere
 * :mod:`qmix.circle` -- circle densities and the r-adic transfer operator

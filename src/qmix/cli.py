@@ -69,6 +69,7 @@ class Field:
     choices: Optional[tuple] = None
     item: Optional[Field] = None
     length: Optional[int] = None
+    max_length: Optional[int] = None
 
 
 def _coerce(name: str, field: Field, value):
@@ -86,6 +87,9 @@ def _coerce(name: str, field: Field, value):
     if field.type is list:
         if field.length is not None and len(value) != field.length:
             raise ConfigError(f"field '{name}' must hold {field.length} entries, got {value!r}")
+        if field.max_length is not None and len(value) > field.max_length:
+            raise ConfigError(f"field '{name}' holds {len(value)} entries, past the cap of "
+                              f"{field.max_length}")
         for i, entry in enumerate(value):
             _coerce(f"{name}[{i}]", field.item, entry)
     return value
@@ -123,6 +127,15 @@ def _preset(cfg: dict):
     return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
+# Entries of `exponent --kappa-sweep`: each is one full exponent report, about
+# 5 ms at the default horizon and probe set (a sweep at the cap takes about
+# 0.55 s).
+MAX_SWEEP_POINTS = 100
+# Entries of `classical --probe-ks`: run time and memory are linear in the
+# probe count (`qmix classical` takes about 0.5 s at the cap with its other
+# defaults).
+MAX_PROBE_KS = 100
+
 _BLOCH = Field(list, [0.0, 0.0, 1.0], item=Field(float), length=3)
 
 _PRESET_FIELDS = {
@@ -147,7 +160,7 @@ EXPONENT_SCHEMA = {
     "t_max": Field(float),
     "probe_seed": Field(int, 7),
     "tol": Field(float, 1e-4),
-    "kappa_sweep": Field(list, item=Field(float)),
+    "kappa_sweep": Field(list, item=Field(float), max_length=MAX_SWEEP_POINTS),
     "out": Field(str, required=True),
 }
 
@@ -173,7 +186,7 @@ FRACTAL_SCHEMA = {
 CLASSICAL_SCHEMA = {
     "r": Field(int, 2),
     "n_max": Field(int, 12),
-    "probe_ks": Field(list, [1, 2, 3, 4, 5], item=Field(int)),
+    "probe_ks": Field(list, [1, 2, 3, 4, 5], item=Field(int), max_length=MAX_PROBE_KS),
     "grid_size": Field(int, 1024),
     "out": Field(str, required=True),
     "density_out": Field(str),
@@ -233,7 +246,7 @@ def _exponent_payload(cfg: dict, preset) -> dict:
     except NonUniqueStationaryError:
         rho_ref = from_bloch([0.0, 0.0, 0.0])
     probes = default_probe_set(rho_ref, seed=cfg["probe_seed"])
-    estimate = lambda_q_numeric(model, rho_ref, probes, fit_t)
+    estimate = _checked(lambda_q_numeric, model, rho_ref, probes, fit_t)
     report = classify_mixing(model, probes, classify_t, tol=cfg["tol"])
     return {"analytic": analytic, "numeric": dataclasses.asdict(estimate),
             "classification": dataclasses.asdict(report)}
@@ -368,11 +381,11 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict[str, Field]) -> Non
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="qmix",
+        prog="qmix", allow_abbrev=False,
         description="dissipative-qubit mixing diagnostics and fractal tools")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, schema in _COMMANDS.items():
-        _add_flags(sub.add_parser(name), schema)
+        _add_flags(sub.add_parser(name, allow_abbrev=False), schema)
     return parser
 
 

@@ -129,6 +129,11 @@ class TestConfigHandling:
         ["classical", "--grid-size", 2 ** 20 + 1],
         ["classical", "--n-max", 1001],
         ["classical", "--r", 1025],
+        ["exponent", "--preset", "zeno", "--omega", 1, "--t-max", -5],
+        ["exponent", "--preset", "zeno", "--omega", 1, "--kappa-sweep", "[1,2]", "--t-max", -5],
+        ["exponent", "--preset", "zeno", "--omega", 1,
+         "--kappa-sweep", json.dumps([1.0] * (cli.MAX_SWEEP_POINTS + 1))],
+        ["classical", "--probe-ks", json.dumps([1] * (cli.MAX_PROBE_KS + 1))],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -140,7 +145,8 @@ class TestConfigHandling:
             "repro-criterion-string", "exponent-kappa-sweep-past-float-range",
             "pdp-n-points-past-jump-cap", "pdp-burn-in-neg", "pdp-n-points-0",
             "fractal-levels-past-cap", "classical-grid-past-cap", "classical-n-max-past-cap",
-            "classical-r-past-cap"])
+            "classical-r-past-cap", "exponent-t-max-neg", "exponent-sweep-t-max-neg",
+            "exponent-kappa-sweep-past-cap", "classical-probe-ks-past-cap"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -149,6 +155,14 @@ class TestConfigHandling:
         assert time.perf_counter() - start < 1.0  # rejected before any real work
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "x.out").exists()
+
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        out = tmp_path / "zoom.pgm"
+        assert run(["render", "--cloud", tmp_path / "cloud.csv", "--zoom-center", "[1,0,0]",
+                    "--zoom-radiu", 0.35, "--out", out]) == 2
+        assert "unrecognized arguments: --zoom-radiu" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schema_checks_every_list_entry_and_finiteness(self):
         for schema in cli._COMMANDS.values():

@@ -146,6 +146,23 @@ class TestNumericEstimates:
         est = lambda_q_numeric(bare, ref, probes, t_max=15.0, n_samples=61)
         assert est.exponent == pytest.approx(4.0 / 3.0, rel=0.01)
 
+    @pytest.mark.parametrize("t_max", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_horizon_rejected(self, t_max):
+        model = build_model(Zeno(kappa=1.0, omega=1.0))
+        ref = from_bloch([0.0, 0.0, 0.0])
+        probes = default_probe_set(ref)
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+            lambda_q_numeric(model, ref, probes, t_max=t_max)
+        with pytest.raises(ValueError, match="t_max must be finite and positive"):
+            classify_mixing(model, probes, t_max=t_max)
+
+    @pytest.mark.parametrize("n_samples", [2, 1, 0])
+    def test_too_few_samples_rejected(self, n_samples):
+        model = build_model(Zeno(kappa=1.0, omega=1.0))
+        ref = from_bloch([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="n_samples must be at least 3"):
+            lambda_q_numeric(model, ref, default_probe_set(ref), 20.0, n_samples=n_samples)
+
     def test_probe_equal_to_reference_rejected(self):
         model = build_model(Zeno(kappa=1.0, omega=1.0))
         ref = from_bloch([0.2, 0.0, 0.0])
