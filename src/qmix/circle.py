@@ -1,12 +1,14 @@
 """Densities on the circle and the transfer operator of the r-adic map.
 
-Densities live on [0, 2pi) with the normalized measure dx / 2pi and come
-in two representations:
+Densities live on [0, 2pi) with the normalized measure dx / 2pi, and each
+holds exactly one of two representations:
 
 * exact piecewise-affine, one piece table: ``breaks`` 0 = b_0 < ... <
   b_n = 2pi and ``coefs`` rows (c, s) with f = c + s x on [b_i, b_i+1).
   The table is closed under the transfer operator of S(x) = r x (mod 2pi),
-  and every affine operation is an array operation on it;
+  and every affine operation is an array operation on it.  No samples are
+  kept; ``evaluate(grid_points(m))`` samples the table where a grid is
+  needed;
 * uniform grids of M samples, pushed forward spectrally (the operator
   maps the Fourier coefficient at k r to the one at k), which is exact on
   trigonometric polynomials below the alias limit and spectrally accurate
@@ -17,7 +19,8 @@ The transfer operator itself is
     (P f)(x) = (1/r) * sum_{j=0..r-1} f(x / r + 2 pi j / r)
 
 Grid mode requires M divisible by r.  Integrals are exact on affine
-pieces and use the periodic trapezoid rule (the grid mean) otherwise.
+pairs and use the periodic trapezoid rule (the grid mean) otherwise, an
+affine side sampled on the other's grid.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .fitting import ExponentEstimate, probe_exponent
 TWO_PI = 2.0 * math.pi
 _BREAK_TOL = 1e-12
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Samples per density grid: 8 MB a grid; `qmix classical` peaks at about
-# 230 MB at the cap (60 MB at the default 1024).
+# Samples per grid, 8 MB at the cap.  `qmix classical` samples only for
+# --density-out: 145 MB and 2.6 s at this cap with 100 probe ks (2 CPUs).
 MAX_GRID_SIZE = 2 ** 20
 # Radix of the r-adic map: the exact affine push-forward loops once per
 # branch, so its cost is linear in r (`qmix classical` takes about 1.2 s at
@@ -70,8 +73,8 @@ def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
 
 def grid_points(m: int) -> np.ndarray:
     """The uniform grid x_j = j 2pi / m, j = 0..m-1, on which densities are sampled."""
-    if m > MAX_GRID_SIZE:
-        raise ValueError(f"grid size {m} exceeds the MAX_GRID_SIZE cap of {MAX_GRID_SIZE}")
+    if not 8 <= m <= MAX_GRID_SIZE:
+        raise ValueError(f"grid size {m} must be from 8 to the MAX_GRID_SIZE cap of {MAX_GRID_SIZE}")
     return np.arange(m) * (TWO_PI / m)
 
 
@@ -92,25 +95,35 @@ def _x_log(x: np.ndarray, y=1.0) -> np.ndarray:
 
 
 class CircleDensity:
-    """Nonnegative unit-mass density on the circle.
+    """Nonnegative unit-mass density on the circle, in one representation.
 
-    ``grid`` always holds M samples at x_m = 2 pi m / M.  When the density
-    is piecewise affine, ``breaks``/``coefs`` hold the piece table and
-    every integral below is computed from it in closed form.
+    An affine density holds only its piece table ``breaks``/``coefs``
+    (``grid`` is None), and every integral below is computed from it in
+    closed form.  A grid density holds only ``grid``, M samples at
+    x_m = 2 pi m / M (``breaks`` and ``coefs`` are None).
     """
 
-    def __init__(self, grid: np.ndarray, breaks: Optional[np.ndarray] = None,
+    def __init__(self, grid: Optional[np.ndarray], breaks: Optional[np.ndarray] = None,
                  coefs: Optional[np.ndarray] = None):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 8:
-            raise ValueError("grid must hold at least 8 samples")
-        if grid.min() < -1e-12:
-            raise ValueError(f"density has negative values (min {grid.min():.3e})")
-        self.grid = np.clip(grid, 0.0, None)
+        if grid is not None:
+            grid = np.asarray(grid, dtype=float)
+            if grid.ndim != 1 or len(grid) < 8:
+                raise ValueError("grid must hold at least 8 samples")
+            if not np.all(np.isfinite(grid)):
+                raise ValueError("density samples must be finite")
+            low = grid.min()
+            grid = np.clip(grid, 0.0, None)
+        else:
+            # an affine piece takes its minimum at one of its ends
+            c, s = coefs.T
+            low = min(np.min(c + s * breaks[:-1]), np.min(c + s * breaks[1:]))
+        if low < -1e-12:
+            raise ValueError(f"density has negative values (min {low:.3e})")
+        self.grid = grid
         self.breaks = breaks
         self.coefs = coefs
         mass = self.mass()
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:
             raise ValueError(f"density mass is {mass:.12g}, expected 1")
 
     # -- constructors -------------------------------------------------
@@ -120,12 +133,13 @@ class CircleDensity:
         return cls(np.asarray(values, dtype=float))
 
     @classmethod
-    def from_pieces(cls, pieces: Sequence[tuple[float, float, float, float]],
-                    grid_size: int = 1024) -> "CircleDensity":
+    def from_pieces(cls, pieces: Sequence[tuple[float, float, float, float]]) -> "CircleDensity":
         """Build from (x0, x1, c, s) pieces tiling [0, 2pi), f(x) = c + s x."""
         table = np.asarray(pieces, dtype=float)
         if table.ndim != 2 or table.shape[1] != 4 or len(table) == 0:
             raise ValueError("pieces must be (x0, x1, c, s) rows tiling [0, 2pi)")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("pieces must be finite")
         table = table[np.lexsort(table.T[::-1])]  # row order of sorted(pieces)
         br = np.append(table[:, 0], table[-1, 1])
         if abs(br[0]) > _BREAK_TOL or abs(br[-1] - TWO_PI) > _BREAK_TOL:
@@ -134,14 +148,11 @@ class CircleDensity:
             raise ValueError("pieces must be contiguous")
         br[0] = 0.0
         br[-1] = TWO_PI
-        co = table[:, 2:]
-        xs = grid_points(grid_size)
-        idx = _piece_of(br, xs)
-        return cls(co[idx, 0] + co[idx, 1] * xs, br, co)
+        return cls(None, br, table[:, 2:])
 
     @classmethod
-    def uniform(cls, grid_size: int = 1024) -> "CircleDensity":
-        return cls.from_pieces([(0.0, TWO_PI, 1.0, 0.0)], grid_size)
+    def uniform(cls) -> "CircleDensity":
+        return cls.from_pieces([(0.0, TWO_PI, 1.0, 0.0)])
 
     @property
     def has_pieces(self) -> bool:
@@ -152,11 +163,8 @@ class CircleDensity:
         return len(self.grid)
 
     def evaluate(self, x) -> np.ndarray:
-        """Pointwise values (affine representation when available)."""
+        """Pointwise values of an affine density."""
         x = np.mod(np.asarray(x, dtype=float), TWO_PI)
-        if not self.has_pieces:
-            step = TWO_PI / self.grid_size
-            return self.grid[(x / step).astype(int) % self.grid_size]
         idx = _piece_of(self.breaks, x)
         return self.coefs[idx, 0] + self.coefs[idx, 1] * x
 
@@ -168,17 +176,17 @@ class CircleDensity:
         return float(np.mean(self.grid))
 
 
-def sawtooth_density(k: int, grid_size: int = 1024) -> CircleDensity:
+def sawtooth_density(k: int) -> CircleDensity:
     """f(x) = 1 + (x - pi) / (k pi): a tilted density converging to uniform."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     return CircleDensity.from_pieces(
-        [(0.0, TWO_PI, 1.0 - 1.0 / k, 1.0 / (k * math.pi))], grid_size)
+        [(0.0, TWO_PI, 1.0 - 1.0 / k, 1.0 / (k * math.pi))])
 
 
-def linear_ramp_density(grid_size: int = 1024) -> CircleDensity:
+def linear_ramp_density() -> CircleDensity:
     """f(x) = x / pi: the unit-interval density 2x rescaled to the circle."""
-    return CircleDensity.from_pieces([(0.0, TWO_PI, 0.0, 1.0 / math.pi)], grid_size)
+    return CircleDensity.from_pieces([(0.0, TWO_PI, 0.0, 1.0 / math.pi)])
 
 
 def trig_density(cos_coeffs: Sequence[float], sin_coeffs: Sequence[float] = (),
@@ -208,7 +216,7 @@ def _pf_affine(f: CircleDensity, r: int) -> CircleDensity:
         c_new += (c + s * TWO_PI * j / r) / r
         s_new += s / (r * r)
     return CircleDensity.from_pieces(
-        np.column_stack([breaks[:-1], breaks[1:], c_new, s_new]), f.grid_size)
+        np.column_stack([breaks[:-1], breaks[1:], c_new, s_new]))
 
 
 def _pf_spectral(f: CircleDensity, r: int) -> CircleDensity:
@@ -256,14 +264,14 @@ def _merged_table(f: CircleDensity, g: CircleDensity):
 
 
 def _grid_pair(f: CircleDensity, g: CircleDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Sample values on a shared grid; an affine side adopts the other's grid."""
-    if f.grid_size == g.grid_size:
-        return f.grid, g.grid
+    """Sample values on a shared grid; an affine side is sampled on the other's grid."""
     if f.has_pieces:
         return f.evaluate(grid_points(g.grid_size)), g.grid
     if g.has_pieces:
         return f.grid, g.evaluate(grid_points(f.grid_size))
-    raise ValueError("grid densities must share a grid size")
+    if f.grid_size != g.grid_size:
+        raise ValueError("grid densities must share a grid size")
+    return f.grid, g.grid
 
 
 def l1_distance(f: CircleDensity, g: CircleDensity) -> float:
@@ -394,7 +402,9 @@ def density_from_csv(text: str) -> CircleDensity:
 
 
 def fourier_coefficient(f: CircleDensity, k: int) -> complex:
-    """f^(k) = (1/2pi) integral e^{-ikx} f(x) dx via the grid DFT."""
+    """f^(k) = (1/2pi) integral e^{-ikx} f(x) dx via the DFT of a grid density."""
+    if f.has_pieces:
+        raise ValueError("Fourier coefficients need a grid density; sample an affine one")
     m = f.grid_size
     if not 0 <= k < m // 2:
         raise ValueError(f"coefficient index {k} is beyond the alias limit {m // 2}")
@@ -402,12 +412,9 @@ def fourier_coefficient(f: CircleDensity, k: int) -> complex:
 
 
 def fourier_check(f: CircleDensity, r: int, k: int, n: int) -> tuple[complex, complex]:
-    """Return ((P^n f)^(k), f^(k r^n)); the two agree for the r-adic map."""
-    target = k * r ** n
-    if target >= f.grid_size // 2:
-        raise ValueError(
-            f"index k r^n = {target} exceeds the alias limit {f.grid_size // 2}")
+    """Return ((P^n f)^(k), f^(k r^n)) for a grid density; the two agree for the r-adic map."""
+    target = fourier_coefficient(f, k * r ** n)
     g = f
     for _ in range(n):
         g = pf_apply(g, r)
-    return fourier_coefficient(g, k), fourier_coefficient(f, target)
+    return fourier_coefficient(g, k), target

@@ -293,13 +293,12 @@ def cmd_fractal(cfg: dict) -> None:
 
 def cmd_classical(cfg: dict) -> None:
     r = cfg["r"]
-    m = cfg["grid_size"]
-    f0 = _checked(circle.CircleDensity.uniform, m)
-    probes = [_checked(circle.sawtooth_density, int(k), m) for k in cfg["probe_ks"]]
+    xs = _checked(circle.grid_points, cfg["grid_size"])  # the --density-out samples
+    f0 = circle.CircleDensity.uniform()
+    probes = [_checked(circle.sawtooth_density, int(k)) for k in cfg["probe_ks"]]
     estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
-    ramp = circle.linear_ramp_density(m)
     decay = []
-    g = ramp
+    g = circle.linear_ramp_density()
     for n in range(cfg["n_max"] + 1):
         decay.append(circle.l1_distance(g, f0))
         if n < cfg["n_max"]:
@@ -315,7 +314,7 @@ def cmd_classical(cfg: dict) -> None:
     }
     write_json(cfg["out"], payload, cfg)
     if cfg["density_out"]:
-        write_csv(cfg["density_out"], cfg, ("x", "f"), circle.grid_points(g.grid_size), g.grid)
+        write_csv(cfg["density_out"], cfg, ("x", "f"), xs, g.evaluate(xs))
 
 
 def cmd_render(cfg: dict) -> None:

@@ -121,6 +121,8 @@ class LindbladModel:
         h = np.array(hamiltonian, dtype=complex)
         if h.shape != (2, 2):
             raise ValueError("hamiltonian must be 2x2")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("hamiltonian must be finite")
         if np.max(np.abs(h - h.conj().T)) > 1e-10:
             raise ValueError("hamiltonian must be hermitian")
         terms = []
@@ -129,8 +131,10 @@ class LindbladModel:
             op = np.array(op, dtype=complex)
             if op.shape != (2, 2):
                 raise ValueError("jump operators must be 2x2")
-            if rate < 0:
-                raise ValueError("jump rates must be nonnegative")
+            if not np.all(np.isfinite(op)):
+                raise ValueError("jump operators must be finite")
+            if not 0 <= rate < math.inf:
+                raise ValueError("jump rates must be finite and nonnegative")
             op.setflags(write=False)
             terms.append((op, float(rate)))
             grams.append(op.conj().T @ op)

@@ -272,8 +272,8 @@ class SamplePath:
 def _unit(v) -> tuple[float, float, float]:
     x, y, z = (float(c) for c in v)
     n = math.sqrt(x * x + y * y + z * z)
-    if n == 0:
-        raise ValueError("state must be a nonzero 3-vector")
+    if not 0 < n < math.inf:
+        raise ValueError("state must be a finite nonzero 3-vector")
     return x / n, y / n, z / n
 
 

@@ -12,6 +12,7 @@ from qmix.circle import (
     entropy,
     fourier_check,
     fourier_coefficient,
+    grid_points,
     l1_distance,
     lambda_classical,
     linear_ramp_density,
@@ -20,10 +21,11 @@ from qmix.circle import (
     sawtooth_density,
     trig_density,
 )
+from qmix import circle
 from qmix.cli import main
 
 
-def random_affine_density(rng, pieces=6, grid_size=1024):
+def random_affine_density(rng, pieces=6):
     """Strictly positive piecewise-affine density with unit mass."""
     breaks = np.sort(rng.uniform(0.3, TWO_PI - 0.3, size=pieces - 1))
     edges = np.concatenate([[0.0], breaks, [TWO_PI]])
@@ -36,14 +38,14 @@ def random_affine_density(rng, pieces=6, grid_size=1024):
         spec.append((u, v, c, s))
         mass += (c * (v - u) + 0.5 * s * (v * v - u * u)) / TWO_PI
     rescaled = [(u, v, c / mass, s / mass) for (u, v, c, s) in spec]
-    return CircleDensity.from_pieces(rescaled, grid_size)
+    return CircleDensity.from_pieces(rescaled)
 
 
 class TestRepresentation:
     def test_uniform_density(self):
         one = CircleDensity.uniform()
         assert one.mass() == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(one.grid, 1.0, atol=1e-15)
+        np.testing.assert_allclose(one.evaluate(grid_points(1024)), 1.0, atol=1e-15)
 
     def test_pieces_must_tile_the_circle(self):
         with pytest.raises(ValueError, match="tile"):
@@ -68,6 +70,54 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="mass"):
             CircleDensity.from_grid(np.full(64, 2.0))
 
+    def test_negative_piece_between_samples_rejected(self):
+        # -0.5 on a piece lying between the samples x_1 and x_2 of a
+        # 1024-point grid: only the piece table shows it
+        h = TWO_PI / 1024
+        a, b = 1.2 * h, 1.8 * h
+        v = (TWO_PI + 0.5 * (b - a)) / (TWO_PI - (b - a))  # unit mass
+        with pytest.raises(ValueError, match="negative"):
+            CircleDensity.from_pieces([(0.0, a, v, 0.0), (a, b, -0.5, 0.0),
+                                       (b, TWO_PI, v, 0.0)])
+
+    @pytest.mark.parametrize("pieces", [
+        [(0.0, TWO_PI, math.nan, 0.0)],
+        [(0.0, math.nan, 1.0, 0.0), (math.nan, TWO_PI, 1.0, 0.0)],
+        [(math.nan, TWO_PI, 1.0, 0.0)],
+        [(0.0, TWO_PI, 1.0, math.inf)],
+    ], ids=["nan-value", "nan-break", "nan-first-break", "inf-slope"])
+    def test_non_finite_pieces_rejected(self, pieces):
+        with pytest.raises(ValueError, match="finite"):
+            CircleDensity.from_pieces(pieces)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_samples_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            CircleDensity.from_grid(np.full(64, value))
+        samples = np.ones(64)
+        samples[5] = value
+        with pytest.raises(ValueError, match="finite"):
+            CircleDensity.from_grid(samples)
+
+    def test_affine_densities_hold_no_grid(self, monkeypatch):
+        # the exact route keeps only piece tables: every iterate of
+        # lambda_classical and every affine push-forward has no samples
+        outputs = []
+
+        def recording_pf_apply(f, r):
+            g = pf_apply(f, r)
+            outputs.append(g)
+            return g
+
+        monkeypatch.setattr(circle, "pf_apply", recording_pf_apply)
+        probes = [sawtooth_density(k) for k in (1, 2, 3)]
+        lambda_classical(CircleDensity.uniform(), probes, 2, n_max=6)
+        assert len(outputs) == 4 * 6
+        rng = np.random.default_rng(37)
+        for r in (2, 3, 5):
+            outputs.append(pf_apply(random_affine_density(rng), r))
+        assert all(g.grid is None and g.has_pieces for g in outputs)
+
     def test_evaluate_matches_grid_sampling(self):
         f = sawtooth_density(2)
         xs = np.array([0.1, 1.0, 4.0, 6.0])
@@ -78,7 +128,7 @@ class TestTransferOperator:
     def test_uniform_is_fixed_in_both_modes(self):
         one = CircleDensity.uniform()
         out = pf_apply(one, 2)
-        np.testing.assert_allclose(out.grid, 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.evaluate(grid_points(1024)), 1.0, atol=1e-12)
         grid_one = CircleDensity.from_grid(np.ones(512))
         np.testing.assert_allclose(pf_apply(grid_one, 2).grid, 1.0, atol=1e-12)
 
@@ -253,12 +303,13 @@ class TestDensityInterchange:
         assert main(["classical", "--r", "3", "--grid-size", "96", "--n-max", "6",
                      "--out", str(tmp_path / "classical.json"),
                      "--density-out", str(out)]) == 0
-        g = linear_ramp_density(96)
+        g = linear_ramp_density()
         for _ in range(6):
             g = pf_apply(g, 3)
+        samples = g.evaluate(grid_points(96))
         again = density_from_csv(out.read_text())
         # the samples miss O(1/M) of the mass at the jumps; the import renormalizes
-        np.testing.assert_array_equal(again.grid, g.grid / np.mean(g.grid))
+        np.testing.assert_array_equal(again.grid, samples / np.mean(samples))
 
     def test_csv_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError, match="uniform grid"):
@@ -267,7 +318,7 @@ class TestDensityInterchange:
 
 class TestFourier:
     def test_uniform_coefficients_vanish(self):
-        one = CircleDensity.uniform()
+        one = CircleDensity.from_grid(np.ones(1024))
         for k in (1, 2, 5):
             assert abs(fourier_coefficient(one, k)) <= 1e-14
         lhs, rhs = fourier_check(one, 2, 1, 2)
@@ -293,6 +344,13 @@ class TestFourier:
             for (k, n) in ((1, 1), (1, 2), (2, 2), (3, 1)):
                 lhs, rhs = fourier_check(probe, 2, k, n)
                 assert abs(lhs - rhs) <= 1e-10
+
+    def test_affine_densities_are_sampled_first(self):
+        f = sawtooth_density(2)
+        with pytest.raises(ValueError, match="grid density"):
+            fourier_coefficient(f, 1)
+        with pytest.raises(ValueError, match="grid density"):
+            fourier_check(f, 2, 1, 1)
 
     def test_alias_limit_enforced(self):
         f = trig_density([0.5], grid_size=64)

@@ -346,6 +346,17 @@ class TestPdpAndFractal:
         final = density_from_csv(open(density_out).read())
         np.testing.assert_allclose(final.grid, 1.0, atol=1e-3)
 
+    def test_classical_report_does_not_depend_on_grid_size(self, tmp_path):
+        # --grid-size sets only the number of --density-out samples
+        reports = []
+        for m in (64, 4096):
+            out = tmp_path / f"classical-{m}.json"
+            assert run(["classical", "--grid-size", m, "--out", out]) == 0
+            payload = json.loads(out.read_text())
+            del payload["config"], payload["config_hash"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
+
     def test_exponent_sweep_traces_the_frequency_curve(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert run(["exponent", "--preset", "zeno", "--omega", 1,

@@ -99,6 +99,16 @@ class TestModelBuilding:
         with pytest.raises(ValueError):
             LindbladModel(SIGMA1, [(SIGMA1, -1.0)])
 
+    @pytest.mark.parametrize("hamiltonian, op, rate", [
+        (np.full((2, 2), math.nan), SIGMA1, 1.0),
+        (SIGMA1, SIGMA1, math.nan),
+        (SIGMA1, SIGMA1, math.inf),
+        (SIGMA1, np.array([[math.inf, 0.0], [0.0, 0.0]]), 1.0),
+    ], ids=["hamiltonian-nan", "rate-nan", "rate-inf", "operator-inf"])
+    def test_non_finite_model_rejected(self, hamiltonian, op, rate):
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(hamiltonian, [(op, rate)])
+
 
 class TestGenerator:
     def test_tetrahedron_fixes_center(self):

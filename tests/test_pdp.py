@@ -307,6 +307,14 @@ class TestEnsembleConsistency:
         with pytest.raises(ValueError):
             sample_path(0.0, 1.0, 0.5, n_jumps=0)
 
+    @pytest.mark.parametrize("r0", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [0, 0, 0]],
+                             ids=["nan", "inf", "zero"])
+    def test_start_must_be_a_finite_nonzero_vector(self, r0):
+        with pytest.raises(ValueError, match="finite nonzero"):
+            sample_path(0.0, 1.0, 0.5, r0=r0, n_jumps=10)
+        with pytest.raises(ValueError, match="finite nonzero"):
+            ensemble_bloch_mean(0.0, 1.0, 0.5, r0, 10, 1.0)
+
     def test_expected_jump_count_is_capped_before_any_work(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
