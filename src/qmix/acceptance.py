@@ -185,7 +185,7 @@ def criterion_6() -> CriterionResult:
     """Pinsker bound H(rho|sigma) >= ||rho - sigma||_1^2 / 2 on 1e4 pairs."""
 
     def run():
-        rng = np.random.Generator(np.random.Philox(key=np.array([6, 0], dtype=np.uint64)))
+        rng = pdp.make_rng(6)
         pairs = [(_random_bloch(rng, pure=(i % 5 == 0)),
                   _random_bloch(rng, pure=(i % 7 == 0))) for i in range(10_000)]
         x, y = np.array(pairs).transpose(1, 0, 2)
@@ -265,7 +265,7 @@ def criterion_9() -> CriterionResult:
             ok &= rel <= 0.02
             details.append(f"r={r}: {est.exponent:.5f}/{math.log(r):.5f} ({100 * rel:.2f}%)")
         # Fourier push-forward identity on trig-polynomial probes
-        rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
+        rng = pdp.make_rng(9)
         worst_f = 0.0
         for _ in range(5):
             coeffs = 0.1 * rng.normal(size=4)

@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .fitting import line_fit
+
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 # Scale levels, k = 0..levels-1: max_cell_diameter rounds to 0.0 from level
 # 28 (level 27 is 2.1e-8), and the int64 cell key holds 6 * 4^k cells only
@@ -84,14 +86,12 @@ def _fit(eps: np.ndarray, counts: np.ndarray, n_points: int):
         return float("nan"), None, float("nan"), float("nan")
     x = np.log(1.0 / eps[usable])
     y = np.log(counts[usable])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
+    slope, resid = line_fit(x, y)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     lv = np.nonzero(usable)[0]
-    return float(coef[0]), (int(lv[0]), int(lv[-1])), rms, r2
+    return slope, (int(lv[0]), int(lv[-1])), rms, r2
 
 
 def box_count(points: np.ndarray, levels: Optional[int] = None) -> BoxCountResult:

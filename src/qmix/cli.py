@@ -245,7 +245,7 @@ def _exponent_payload(cfg: dict, preset) -> dict:
         rho_ref = stationary_state(model)
     except NonUniqueStationaryError:
         rho_ref = from_bloch([0.0, 0.0, 0.0])
-    probes = default_probe_set(rho_ref, seed=cfg["probe_seed"])
+    probes = _checked(default_probe_set, rho_ref, seed=cfg["probe_seed"])
     estimate = _checked(lambda_q_numeric, model, rho_ref, probes, fit_t)
     report = classify_mixing(model, probes, classify_t, tol=cfg["tol"])
     return {"analytic": analytic, "numeric": dataclasses.asdict(estimate),
@@ -267,9 +267,9 @@ def cmd_exponent(cfg: dict) -> None:
 
 def cmd_pdp(cfg: dict) -> None:
     path = _checked(
-        pdp.post_burn_in_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
-        n_points=cfg["n_points"], burn_in=cfg["burn_in"], r0=np.array(cfg["r0"], dtype=float),
-        seed=cfg["seed"], rate_convention=cfg["rate_convention"])
+        pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
+        r0=np.array(cfg["r0"], dtype=float), n_jumps=cfg["n_points"], seed=cfg["seed"],
+        rate_convention=cfg["rate_convention"], burn_in=cfg["burn_in"])
     write_cloud_csv(cfg["out"], path.states, cfg)
     if cfg["log"]:
         write_jsonl(cfg["log"], path.times, path.detectors, cfg)

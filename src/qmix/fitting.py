@@ -39,6 +39,14 @@ class ExponentEstimate:
     notes: list[str] = field(default_factory=list)
 
 
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least-squares slope of ``y`` against ``x`` (with an intercept) and the
+    fit's residuals."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(coef[0]), y - design @ coef
+
+
 def decay_slope(ts: np.ndarray, dists: np.ndarray, t_lo: float, t_hi: float,
                 floor: float) -> tuple[float, float, str | None]:
     """Least-squares slope of -log(dists) vs ts restricted to [t_lo, t_hi].
@@ -65,13 +73,8 @@ def decay_slope(ts: np.ndarray, dists: np.ndarray, t_lo: float, t_hi: float,
             raise FitWindowError(
                 "fewer than three usable samples even after shrinking the window; "
                 "increase sampling density or shorten the horizon")
-    x = ts[mask]
-    y = -np.log(dists[mask])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
-    return float(coef[0]), rms, note
+    slope, resid = line_fit(ts[mask], -np.log(dists[mask]))
+    return slope, float(np.sqrt(np.mean(resid ** 2))), note
 
 
 def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,

@@ -24,8 +24,8 @@ exact paths of every preset (:func:`analytic_bloch_paths`) and the mixing
 classification at a horizon use the matrix exponential of the same system
 at arbitrary times.  The exponent's distance tables live on a uniform grid,
 where exp(M t_k) is the k-th power of one exp(M dt) (:func:`_grid_propagator`,
-2.3e-11 relative to a per-time exponential in the property tests).  This
-module is the one caller of scipy's ``expm``.
+3e-13 relative to an extended-precision per-time exponential in the
+property tests).  This module is the one caller of scipy's ``expm``.
 :func:`generator_apply`, the master equation on 2x2 density matrices,
 defines (M, b) and serves as the reference the Bloch forms are checked
 against.
@@ -336,11 +336,18 @@ def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
 
     One matrix exponential of the step, then its powers by doubling:
     with P[0..k] filled, P[k+1 : k+1+c] = P[1 : 1+c] @ P[k], so about
-    log2(n) batched products fill the stack.
+    log2(n) batched products fill the stack.  The step is halved j times
+    until its 1-norm is below 2 and its ``expm`` squared j times: scipy's
+    ``expm`` of a longer step with a fast rotation can be off by 2e-11
+    relative, which the k-th power multiplies by k.
     """
+    step = (t_max / (n - 1)) * m
+    j = max(0, math.frexp(np.linalg.norm(step, 1))[1] - 1)
     p = np.empty((n, 3, 3))
     p[0] = np.eye(3)
-    p[1] = expm((t_max / (n - 1)) * m)
+    p[1] = expm(np.ldexp(step, -j))
+    for _ in range(j):
+        p[1] = p[1] @ p[1]
     k = 1
     while k < n - 1:
         c = min(k, n - 1 - k)

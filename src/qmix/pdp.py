@@ -31,10 +31,11 @@ the pick rule (for a uniform u, the first detector whose running weight sum
 exceeds u 4 (1 + a^2), else detector 4) and the renormalized post-jump map.
 The sequential sampler repeats its arithmetic for one state, bit for bit.
 
-A path is stored by column (``SamplePath.times``, ``detectors``,
-``states``), not one object per jump.  The chaos game is the same sampler
-at omega = 0 and kappa = 1 with the burn-in sliced off, so its points are
-bit for bit the post-jump states of that path.  Ensembles run in chunks of
+``sample_path`` is the one path sampler: it runs a burn-in and the kept
+jumps as one path, and stores the kept events by column
+(``SamplePath.times``, ``detectors``, ``states``), not one object per
+jump.  The chaos game is that sampler at omega = 0 and kappa = 1, its
+points the kept post-jump states.  Ensembles run in chunks of
 ``ENSEMBLE_CHUNK`` paths, one Philox stream per chunk; each round steps only
 the chunk's live paths, kept compacted in path order.  Of T worker threads,
 worker w runs chunks w, w + T, w + 2T, ... in one workspace of its own:
@@ -49,7 +50,7 @@ import array
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -71,9 +72,14 @@ _DRAW_BLOCK = 65536  # draws per block of the scalar loop
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by (seed, stream)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    """Philox4x64-10 generator keyed by (seed, stream), each in [0, 2^64).
+
+    Every Philox key in the package is built here.  A key word outside that
+    range raises ValueError rather than wrapping onto another seed's stream.
+    """
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ValueError(f"Philox key (seed={seed}, stream={stream}) must lie in [0, 2^64)")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -86,7 +92,7 @@ def total_rate(kappa: float, alpha: float, rate_convention: str = "literal") -> 
 
 
 def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="literal",
-                **counts) -> None:
+                burn_in=0, **counts) -> None:
     """Raise ValueError for a parameter outside the process's domain."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -103,8 +109,11 @@ def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="litera
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
-    if counts.get("n_jumps", 0) > MAX_JUMPS:
-        raise ValueError(f"n_jumps = {counts['n_jumps']} exceeds the MAX_JUMPS cap of "
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    jumps = burn_in + counts.get("n_jumps", 0)
+    if jumps > MAX_JUMPS:
+        raise ValueError(f"burn_in + n_jumps = {jumps} exceeds the MAX_JUMPS cap of "
                          f"{MAX_JUMPS} jumps per path")
 
 
@@ -253,11 +262,6 @@ class SamplePath:
     detector ``detectors[i]`` (1..4) and left the state ``states[i]``.
     """
     r0: tuple[float, float, float]
-    omega: float
-    kappa: float
-    alpha: float
-    seed: int
-    rate_convention: str
     times: np.ndarray  # shape (n,)
     detectors: np.ndarray  # shape (n,), values 1..4
     states: np.ndarray  # shape (n, 3)
@@ -283,33 +287,35 @@ _DIRECTIONS = tuple(tuple(row) for row in TETRA_DIRECTIONS.tolist())
 
 
 def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
-                n_jumps: int = 1000, seed: int = 0,
-                rate_convention: str = "literal") -> SamplePath:
-    """Simulate one path of the jump process.
+                n_jumps: int = 1000, seed: int = 0, rate_convention: str = "literal",
+                burn_in: int = 0) -> SamplePath:
+    """Simulate ``burn_in + n_jumps`` jumps of the process from t = 0 and
+    keep the last ``n_jumps`` events; their times stay absolute.
 
-    Draw order is fixed: first a block of ``n_jumps`` exponential waiting
-    times, then a block of ``n_jumps`` uniforms for the detector choices
-    (inverse CDF in detector order 1..4).  The scalar jump loop writes
-    detectors and states into preallocated typed buffers that become the
-    path's columns without a copy.
+    Draw order is fixed: first a block of ``burn_in + n_jumps`` exponential
+    waiting times, then a block of as many uniforms for the detector
+    choices (inverse CDF in detector order 1..4).  The scalar jump loop
+    writes detectors and states into preallocated typed buffers whose tails
+    become the path's columns without a copy.
     """
-    _check_args(alpha, kappa, n_jumps=n_jumps)
+    _check_args(alpha, kappa, burn_in=burn_in, n_jumps=n_jumps)
     rate = total_rate(kappa, alpha, rate_convention)
+    n = burn_in + n_jumps
     rng = make_rng(seed)
-    waits = rng.standard_exponential(n_jumps) / rate
-    uniforms = rng.random(n_jumps)
+    waits = rng.standard_exponential(n) / rate
+    uniforms = rng.random(n)
 
     a = alpha
     one_a2 = 1.0 + a * a
     one_minus_a2 = 1.0 - a * a
     two_a = 2.0 * a
     x, y, z = _unit(r0)
-    picks = array.array("q", [0]) * n_jumps
-    states = array.array("d", [0.0]) * (3 * n_jumps)
+    picks = array.array("q", [0]) * n
+    states = array.array("d", [0.0]) * (3 * n)
     # the draws become Python floats one block at a time, so their lists
     # never outgrow a block
-    for start in range(0, n_jumps, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, n_jumps)
+    for start in range(0, n, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, n)
         us = uniforms[start:stop].tolist()
         angles = (omega * waits[start:stop]).tolist() if omega != 0.0 else repeat(None)
         # _jump_kernel for one state, operation for operation (equal bit for
@@ -339,9 +345,9 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
             states[k + 1] = y
             states[k + 2] = z
     # cumsum adds in sequence, so arrival times match a running t += dt
-    return SamplePath(_unit(r0), omega, kappa, alpha, seed, rate_convention,
-                      np.cumsum(waits), np.frombuffer(picks, dtype=np.int64),
-                      np.frombuffer(states).reshape(n_jumps, 3))
+    return SamplePath(_unit(r0), np.cumsum(waits)[burn_in:],
+                      np.frombuffer(picks, dtype=np.int64)[burn_in:],
+                      np.frombuffer(states).reshape(n, 3)[burn_in:])
 
 
 def chaos_game(alpha: float, n_points: int, seed: int = 0,
@@ -351,35 +357,7 @@ def chaos_game(alpha: float, n_points: int, seed: int = 0,
     The first ``burn_in`` jumps are discarded; the remaining ``n_points``
     post-jump states sample the attractor of the four detector maps.
     """
-    points, _ = chaos_game_labeled(alpha, n_points, seed, burn_in, r0)
-    return points
-
-
-def chaos_game_labeled(alpha: float, n_points: int, seed: int = 0,
-                       burn_in: int = DEFAULT_BURN_IN,
-                       r0=DEFAULT_START) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`chaos_game` but also returns the detector of each point.
-
-    Points and labels are the columns of ``post_burn_in_path(omega=0,
-    kappa=1)``; labels are ``uint8``.
-    """
-    path = post_burn_in_path(0.0, 1.0, alpha, n_points, burn_in, r0, seed)
-    return path.states, path.detectors.astype(np.uint8)
-
-
-def post_burn_in_path(omega: float, kappa: float, alpha: float, n_points: int,
-                      burn_in: int = DEFAULT_BURN_IN, r0=DEFAULT_START, seed: int = 0,
-                      rate_convention: str = "literal") -> SamplePath:
-    """The last ``n_points`` events of a ``sample_path`` of ``n_points + burn_in`` jumps.
-
-    Raises ValueError unless ``n_points >= 1`` and ``burn_in >= 0``.
-    """
-    _check_args(alpha, n_points=n_points)
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    path = sample_path(omega, kappa, alpha, r0, n_points + burn_in, seed, rate_convention)
-    return replace(path, times=path.times[burn_in:], detectors=path.detectors[burn_in:],
-                   states=path.states[burn_in:])
+    return sample_path(0.0, 1.0, alpha, r0, n_points, seed, burn_in=burn_in).states
 
 
 def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:

@@ -134,6 +134,10 @@ class TestConfigHandling:
         ["exponent", "--preset", "zeno", "--omega", 1,
          "--kappa-sweep", json.dumps([1.0] * (cli.MAX_SWEEP_POINTS + 1))],
         ["classical", "--probe-ks", json.dumps([1] * (cli.MAX_PROBE_KS + 1))],
+        ["exponent", "--preset", "zeno", "--omega", 1, "--probe-seed", -1],
+        ["exponent", "--preset", "zeno", "--omega", 1, "--probe-seed", 2 ** 64],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--seed", -1],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--seed", 2 ** 64],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -146,7 +150,9 @@ class TestConfigHandling:
             "pdp-n-points-past-jump-cap", "pdp-burn-in-neg", "pdp-n-points-0",
             "fractal-levels-past-cap", "classical-grid-past-cap", "classical-n-max-past-cap",
             "classical-r-past-cap", "exponent-t-max-neg", "exponent-sweep-t-max-neg",
-            "exponent-kappa-sweep-past-cap", "classical-probe-ks-past-cap"])
+            "exponent-kappa-sweep-past-cap", "classical-probe-ks-past-cap",
+            "exponent-probe-seed-neg", "exponent-probe-seed-2^64", "pdp-seed-neg",
+            "pdp-seed-2^64"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")

@@ -2,18 +2,20 @@
 
 :func:`qmix.exponent.lambda_q_numeric` propagates probe differences with
 ``lindblad._grid_propagator``: one ``expm`` of the grid step, then its
-powers.  The property test compares it with scipy's ``expm`` at every
-grid time, on every preset (critical Zeno damping and sigma1 conjugation
-included) and on random bare models.  The pin test holds the README
-exponent reports to the floats that the per-time ``expm`` route wrote.
+powers.  The property test compares it at every grid time with a per-time
+matrix exponential in extended precision (``np.longdouble``, 64-bit
+significand), on every preset (critical Zeno damping and sigma1
+conjugation included) and on random bare models.  A double-precision
+``expm`` is no oracle at the 1e-10 bound: at long fit horizons its own
+error reaches 1.1e-10.  The pin test holds the README exponent reports to
+the floats that the per-time ``expm`` route wrote.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from hypothesis import example, given, settings, strategies as st
 
 from qmix.cli import main
 from qmix.exponent import DISTANCE_FLOOR, default_fit_horizon
@@ -65,17 +67,48 @@ def horizons(draw):
     return LindbladModel(0.5 * (a + a.conj().T), terms), draw(st.floats(0.1, 100.0))
 
 
+def expm_longdouble(m: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(t m) for every t, by scaling and squaring in ``np.longdouble``.
+
+    Each t m is halved s times until its 1-norm is at most 1/4, summed by a
+    20-term Taylor series (truncation below 1e-30) and squared s times.
+    The rounding error grows like 2^s times the unit roundoff (5.4e-20):
+    about 5e-15 relative at the longest fit horizon here, against a
+    30-digit mpmath exponential.
+    """
+    assert np.finfo(np.longdouble).eps < 1e-18, "the oracle needs extended precision"
+    a = times.astype(np.longdouble)[:, None, None] * m.astype(np.longdouble)
+    norms = np.abs(a).sum(axis=1).max(axis=1).astype(float)
+    s = np.ceil(np.log2(np.maximum(norms, 1e-300) / 0.25)).clip(0).astype(int)
+    a = np.ldexp(a, -s[:, None, None])
+    term = np.broadcast_to(np.eye(3, dtype=np.longdouble), a.shape)
+    total = term.copy()
+    for k in range(1, 20):
+        term = term @ a / k
+        total += term
+    for j in range(s.max(initial=0)):
+        more = s > j
+        total[more] = total[more] @ total[more]
+    return total
+
+
+# a scipy expm reference misses e^{-lambda t} here by 1.1e-10
+_SLOW_TETRAHEDRON = build_model(Tetrahedron(0.1, 0.24087661857266263, 1.0))
+
+
 @PROPERTY_SETTINGS
 @given(case=horizons(), n=st.integers(3, 400),
        extra=st.lists(st.lists(_entry, min_size=3, max_size=3), max_size=3))
+@example(case=(_SLOW_TETRAHEDRON, default_fit_horizon(_SLOW_TETRAHEDRON)), n=4, extra=[])
 def test_grid_powers_match_the_per_time_expm(case, n, extra):
     model, t_max = case
     m, _ = bloch_generator(model)
     diffs = np.vstack([np.eye(3), np.reshape(extra, (-1, 3))])
     times = np.linspace(0.0, t_max, n)
-    grid = np.linalg.norm(diffs @ np.swapaxes(_grid_propagator(m, t_max, n), 1, 2), axis=2)
-    reference = np.linalg.norm(diffs @ np.swapaxes(expm(times[:, None, None] * m), 1, 2),
-                               axis=2)
+    # hypot, not norm: the squares of distances below 1e-154 underflow
+    grid = np.hypot.reduce(diffs @ np.swapaxes(_grid_propagator(m, t_max, n), 1, 2), axis=2)
+    exact = diffs.astype(np.longdouble) @ np.swapaxes(expm_longdouble(m, times), 1, 2)
+    reference = np.sqrt(np.sum(exact * exact, axis=2))
     above = reference > DISTANCE_FLOOR
     assert above[0, :3].all()
     error = np.abs(grid[above] - reference[above]) / reference[above]

@@ -16,7 +16,6 @@ from qmix.pdp import (
     MAX_JUMPS,
     _jump_kernel,
     chaos_game,
-    chaos_game_labeled,
     ensemble_bloch_mean,
     jump_map,
     jump_probs,
@@ -196,6 +195,8 @@ class TestSamplePath:
         with pytest.raises(ValueError, match="MAX_JUMPS"):
             sample_path(0.0, 1.0, 0.5, n_jumps=MAX_JUMPS + 1)
         with pytest.raises(ValueError, match="MAX_JUMPS"):
+            sample_path(0.0, 1.0, 0.5, n_jumps=MAX_JUMPS, burn_in=1)
+        with pytest.raises(ValueError, match="MAX_JUMPS"):
             chaos_game(0.5, MAX_JUMPS, burn_in=1)
         assert time.perf_counter() - start < 1.0
 
@@ -218,10 +219,11 @@ class TestChaosGame:
         assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-9
 
     def test_burn_in_shifts_the_sequence(self):
-        full, labels = chaos_game_labeled(0.7, 200, seed=8, burn_in=0)
-        trimmed = chaos_game(0.7, 150, seed=8, burn_in=50)
-        np.testing.assert_allclose(trimmed, full[50:], atol=0)
-        assert labels.shape == (200,)
+        full = sample_path(0.0, 1.0, 0.7, n_jumps=200, seed=8)
+        trimmed = sample_path(0.0, 1.0, 0.7, n_jumps=150, seed=8, burn_in=50)
+        for column in ("times", "detectors", "states"):
+            assert getattr(trimmed, column).tobytes() == getattr(full, column)[50:].tobytes()
+        assert trimmed.states.tobytes() == chaos_game(0.7, 150, seed=8, burn_in=50).tobytes()
 
     @pytest.mark.parametrize("alpha, seed, r0, burn_in, digest", [
         (0.75, 0, (0, 0, 1), 100,
@@ -237,7 +239,8 @@ class TestChaosGame:
     ])
     def test_points_and_labels_are_pinned_bit_for_bit(self, alpha, seed, r0, burn_in,
                                                       digest):
-        pts, labels = chaos_game_labeled(alpha, 300, seed=seed, burn_in=burn_in, r0=r0)
+        path = sample_path(0.0, 1.0, alpha, r0, 300, seed, burn_in=burn_in)
+        pts, labels = path.states, path.detectors.astype(np.uint8)
         assert pts.dtype == np.float64 and pts.shape == (300, 3)
         assert labels.dtype == np.uint8
         assert hashlib.sha256(pts.tobytes() + labels.tobytes()).hexdigest() == digest
@@ -306,6 +309,12 @@ class TestEnsembleConsistency:
                 ensemble_bloch_mean(0.0, 1.0, alpha, [0, 0, 1], 10, t_end)
         with pytest.raises(ValueError):
             sample_path(0.0, 1.0, 0.5, n_jumps=0)
+        with pytest.raises(ValueError, match="burn_in"):
+            sample_path(0.0, 1.0, 0.5, n_jumps=10, burn_in=-1)
+        for seed in (-1, 2 ** 64):  # no wrapping onto another seed's stream
+            with pytest.raises(ValueError, match="Philox key"):
+                sample_path(0.0, 1.0, 0.5, n_jumps=10, seed=seed)
+        assert len(sample_path(0.0, 1.0, 0.5, n_jumps=10, seed=2 ** 64 - 1).times) == 10
 
     @pytest.mark.parametrize("r0", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [0, 0, 0]],
                              ids=["nan", "inf", "zero"])
