@@ -24,8 +24,9 @@ exact paths of every preset (:func:`analytic_bloch_paths`) and the mixing
 classification at a horizon use the matrix exponential of the same system
 at arbitrary times.  The exponent's distance tables live on a uniform grid,
 where exp(M t_k) is the k-th power of one exp(M dt) (:func:`_grid_propagator`,
-3e-13 relative to an extended-precision per-time exponential in the
-property tests).  This module is the one caller of scipy's ``expm``.
+1.7e-12 relative to an extended-precision per-time exponential in the
+property tests).  Every matrix exponential is :func:`_expm`, scaling and
+squaring in numpy.
 :func:`generator_apply`, the master equation on 2x2 density matrices,
 defines (M, b) and serves as the reference the Bloch forms are checked
 against.
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import (
     ATOL_STRUCT,
@@ -323,12 +323,51 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     return StateTrajectory(times, blochs, dt)
 
 
+# 1/k! for k = 0..24 in five rows of five: the blocks of the Taylor polynomial
+# of exp as a polynomial in A^5 whose coefficients are quartics in A
+_TAYLOR_BLOCKS = np.array([1 / math.factorial(k) for k in range(25)]).reshape(5, 5)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) for every k x k matrix of a float array of shape (..., k, k).
+
+    Scaling and squaring: each A is halved s times until its 1-norm is
+    below 2, the degree-24 Taylor polynomial of the result (relative
+    truncation error below 2e-17) is summed Paterson-Stockmeyer style in
+    eight products, and the sum is squared s times.  The halving is exact,
+    but every squaring about doubles the relative error of a mode whose
+    rate is small against the norm (a slow decay under a fast rotation,
+    over a long grid step), so the threshold is 2, not the 1/2 at which a
+    degree-19 polynomial in seven products would do: one product more,
+    two squarings fewer.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(0.5 * norm)[1], 0)  # 2^-s norm < 2
+    p = np.empty((6,) + a.shape)  # A^0 .. A^5
+    p[0] = np.eye(a.shape[-1])
+    p[1] = np.ldexp(a, -s[..., None, None])
+    for j in range(2, 6):
+        np.matmul(p[j - 1], p[1], out=p[j])
+    blocks = np.einsum("bj,j...->b...", _TAYLOR_BLOCKS, p[:5])
+    e = blocks[4]
+    for j in (3, 2, 1, 0):
+        e = e @ p[5] + blocks[j]
+    if e.ndim == 2:
+        for _ in range(s):
+            e = e @ e
+        return e
+    for j in range(s.max(initial=0)):
+        more = s > j
+        e[more] = e[more] @ e[more]
+    return e
+
+
 def _affine_propagator(m: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     """4x4 matrices propagating (x, 1) under d x/dt = M x + b, one per time.
 
     ``t`` is a time or an array of times; the result has shape t.shape + (4, 4).
     """
-    return expm(np.asarray(t, dtype=float)[..., None, None] * _augmented(m, b))
+    return _expm(np.asarray(t, dtype=float)[..., None, None] * _augmented(m, b))
 
 
 def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
@@ -336,18 +375,11 @@ def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
 
     One matrix exponential of the step, then its powers by doubling:
     with P[0..k] filled, P[k+1 : k+1+c] = P[1 : 1+c] @ P[k], so about
-    log2(n) batched products fill the stack.  The step is halved j times
-    until its 1-norm is below 2 and its ``expm`` squared j times: scipy's
-    ``expm`` of a longer step with a fast rotation can be off by 2e-11
-    relative, which the k-th power multiplies by k.
+    log2(n) batched products fill the stack.
     """
-    step = (t_max / (n - 1)) * m
-    j = max(0, math.frexp(np.linalg.norm(step, 1))[1] - 1)
     p = np.empty((n, 3, 3))
     p[0] = np.eye(3)
-    p[1] = expm(np.ldexp(step, -j))
-    for _ in range(j):
-        p[1] = p[1] @ p[1]
+    p[1] = _expm((t_max / (n - 1)) * m)
     k = 1
     while k < n - 1:
         c = min(k, n - 1 - k)

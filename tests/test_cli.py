@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmix
 from qmix import cli, io
 from qmix.acceptance import cli_recipes
 from qmix.cli import main
@@ -498,3 +502,16 @@ class TestDeterminism:
         assert "C6" in text and "PASS" in text
         payload = json.load(open(report))
         assert payload["criteria"][0]["passed"] is True
+
+
+def test_startup_imports_no_scipy():
+    # scipy is a test dependency only; importing it would add about 0.3 s and
+    # 20 MB to every qmix process
+    env = dict(os.environ)
+    src = str(Path(qmix.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, qmix, qmix.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

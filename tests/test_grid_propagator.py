@@ -1,13 +1,13 @@
 """The grid-powers distance route against the per-time matrix exponential.
 
 :func:`qmix.exponent.lambda_q_numeric` propagates probe differences with
-``lindblad._grid_propagator``: one ``expm`` of the grid step, then its
+``lindblad._grid_propagator``: one exponential of the grid step, then its
 powers.  The property test compares it at every grid time with a per-time
 matrix exponential in extended precision (``np.longdouble``, 64-bit
 significand), on every preset (critical Zeno damping and sigma1
 conjugation included) and on random bare models.  A double-precision
-``expm`` is no oracle at the 1e-10 bound: at long fit horizons its own
-error reaches 1.1e-10.  The pin test holds the README exponent reports to
+exponential is no oracle at the 1e-10 bound: at long fit horizons scipy's
+``expm`` was off by 1.1e-10.  The pin test holds the README exponent reports to
 the floats that the per-time ``expm`` route wrote.
 """
 
@@ -17,80 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from expm_oracle import expm_longdouble, horizons
 from qmix.cli import main
 from qmix.exponent import DISTANCE_FLOOR, default_fit_horizon
-from qmix.lindblad import (
-    Fluorescence,
-    LindbladModel,
-    SigmaXConjugation,
-    Tetrahedron,
-    Zeno,
-    _grid_propagator,
-    bloch_generator,
-    build_model,
-)
+from qmix.lindblad import Tetrahedron, _grid_propagator, bloch_generator, build_model
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                              database=None)
-
-_entry = st.floats(-1.0, 1.0)
-_operators = st.lists(_entry, min_size=8, max_size=8).map(
-    lambda v: (np.array(v[:4]) + 1j * np.array(v[4:])).reshape(2, 2))
-_rates = st.floats(0.1, 5.0)
-
-
-@st.composite
-def presets(draw):
-    """Any preset; Zeno at critical damping (kappa = 4 omega) half the time."""
-    kind = draw(st.sampled_from(["tetrahedron", "zeno", "fluorescence", "sigma1"]))
-    if kind == "tetrahedron":
-        return Tetrahedron(draw(_rates), draw(st.floats(0.1, 1.0)), draw(st.floats(0.0, 5.0)))
-    if kind == "zeno":
-        omega = draw(_rates)
-        critical = draw(st.booleans())
-        return Zeno(4.0 * omega if critical else draw(st.floats(0.1, 20.0)), omega)
-    if kind == "fluorescence":
-        return Fluorescence(draw(st.floats(0.0, 5.0)), draw(_rates))
-    return SigmaXConjugation()
-
-
-@st.composite
-def horizons(draw):
-    """A model and a horizon: presets at a fraction of their fit horizon,
-    bare models (random H and jump operators) at up to 100."""
-    if draw(st.booleans()):
-        model = build_model(draw(presets()))
-        return model, default_fit_horizon(model) * draw(st.floats(0.05, 1.5))
-    a = draw(_operators)
-    terms = [(draw(_operators), draw(st.floats(0.0, 2.0)))
-             for _ in range(draw(st.integers(1, 3)))]
-    return LindbladModel(0.5 * (a + a.conj().T), terms), draw(st.floats(0.1, 100.0))
-
-
-def expm_longdouble(m: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(t m) for every t, by scaling and squaring in ``np.longdouble``.
-
-    Each t m is halved s times until its 1-norm is at most 1/4, summed by a
-    20-term Taylor series (truncation below 1e-30) and squared s times.
-    The rounding error grows like 2^s times the unit roundoff (5.4e-20):
-    about 5e-15 relative at the longest fit horizon here, against a
-    30-digit mpmath exponential.
-    """
-    assert np.finfo(np.longdouble).eps < 1e-18, "the oracle needs extended precision"
-    a = times.astype(np.longdouble)[:, None, None] * m.astype(np.longdouble)
-    norms = np.abs(a).sum(axis=1).max(axis=1).astype(float)
-    s = np.ceil(np.log2(np.maximum(norms, 1e-300) / 0.25)).clip(0).astype(int)
-    a = np.ldexp(a, -s[:, None, None])
-    term = np.broadcast_to(np.eye(3, dtype=np.longdouble), a.shape)
-    total = term.copy()
-    for k in range(1, 20):
-        term = term @ a / k
-        total += term
-    for j in range(s.max(initial=0)):
-        more = s > j
-        total[more] = total[more] @ total[more]
-    return total
-
 
 # a scipy expm reference misses e^{-lambda t} here by 1.1e-10
 _SLOW_TETRAHEDRON = build_model(Tetrahedron(0.1, 0.24087661857266263, 1.0))
@@ -98,7 +31,7 @@ _SLOW_TETRAHEDRON = build_model(Tetrahedron(0.1, 0.24087661857266263, 1.0))
 
 @PROPERTY_SETTINGS
 @given(case=horizons(), n=st.integers(3, 400),
-       extra=st.lists(st.lists(_entry, min_size=3, max_size=3), max_size=3))
+       extra=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), max_size=3))
 @example(case=(_SLOW_TETRAHEDRON, default_fit_horizon(_SLOW_TETRAHEDRON)), n=4, extra=[])
 def test_grid_powers_match_the_per_time_expm(case, n, extra):
     model, t_max = case
@@ -116,7 +49,9 @@ def test_grid_powers_match_the_per_time_expm(case, n, extra):
 
 
 # Exponents and per-probe slopes of the README exponent recipes, as written
-# by the per-time expm route that the grid powers replaced.
+# by the per-time expm route that the grid powers replaced; the z-axis probes
+# of kappa = 8 and 16, whose distances sink below 1e-154, as written once the
+# distances were taken with hypot (their squares had underflowed).
 FLUORESCENCE_EXPONENT = 0.49999999999999983
 FLUORESCENCE_SLOPES = [
     0.49999999999999994, 0.49999999999999994, 0.750012256378386,
@@ -160,7 +95,7 @@ ZENO_SWEEP_SLOPES = {
     ],
     8.0: [
         0.2679491924311228, 0.2679491924311228, 0.2679491924311228,
-        0.2679491924311228, 4.000003329503348, 4.000003329503348,
+        0.2679491924311228, 4.000000000000002, 4.000000000000002,
         0.2679491924311228, 0.2679491924311228, 0.2679491924311228,
         0.2679491924311228, 0.2679491924311228, 0.26794919243112275,
         0.2679491924311228, 0.2679491924311228, 0.2679491924311228,
@@ -168,7 +103,7 @@ ZENO_SWEEP_SLOPES = {
     ],
     16.0: [
         0.1270166537925831, 0.1270166537925831, 0.1270166537925831,
-        0.1270166537925831, 8.000000000000343, 8.000000000000343,
+        0.1270166537925831, 8.000000000000004, 8.000000000000004,
         0.1270166537925831, 0.1270166537925831, 0.12701665379258306,
         0.1270166537925831, 0.1270166537925831, 0.1270166537925831,
         0.1270166537925831, 0.1270166537925831, 0.1270166537925831,
@@ -183,7 +118,7 @@ ZENO_SWEEP_WINDOWS = {
     16.0: [472.379000772445, 944.75800154489],
 }
 # the z axis probes (4 and 5) decay at kappa/2 and sink below the floor
-ZENO_SWEEP_SHRUNK = {8.0: "[46.1841, 92.3683]", 16.0: "[20.6666, 41.3332]"}
+ZENO_SWEEP_SHRUNK = {8.0: "[82.5716, 165.143]", 16.0: "[41.3332, 82.6663]"}
 
 
 def _report(tmp_path, argv):
