@@ -41,7 +41,6 @@ from .states import (
     bloch_relative_entropy,
     from_bloch,
     pure_state,
-    to_bloch,
     trace_norm,
 )
 
@@ -136,12 +135,11 @@ def criterion_4() -> CriterionResult:
             preset = Fluorescence(rabi=rabi, gamma=gamma)
             model = build_model(preset)
             expected = lambda_q_analytic(preset)
-            rho0 = stationary_state(model)
-            residual = trace_norm(generator_apply(model, rho0))
-            est = lambda_q_numeric(model, rho0, default_probe_set(rho0), 40.0 / gamma)
+            x = stationary_state(model)
+            residual = trace_norm(generator_apply(model, from_bloch(x)))
+            est = lambda_q_numeric(model, x, default_probe_set(x), 40.0 / gamma)
             rel = abs(est.exponent - expected) / expected
             ok &= rel <= 0.01 and residual <= 1e-12
-            x = to_bloch(rho0)
             d2 = 2.0 * rabi ** 2 + gamma ** 2
             d4 = 4.0 * rabi ** 2 + gamma ** 2
             printed_asis = (2.0 * rabi * gamma / d4, -gamma ** 2 / d4)
@@ -172,8 +170,7 @@ def criterion_5() -> CriterionResult:
         x2 = analytic_bloch_paths(preset, e2, at_20)[:, 0]
         values = bloch_relative_entropy(x1, x2)
         worst = float(np.max(np.abs(values + np.log(np.cos(2 * phis)))))
-        ref = from_bloch([0.0, 0.0, 0.0])
-        report = classify_mixing(model, default_probe_set(ref), 20.0)
+        report = classify_mixing(model, default_probe_set(np.zeros(3)), 20.0)
         ok = worst <= 1e-6 and not report.completely_mixing and not report.exact
         return ok, (f"max |H - limit| = {worst:.2e}; "
                     f"classified mixing={report.completely_mixing} exact={report.exact}")

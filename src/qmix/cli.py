@@ -50,7 +50,7 @@ from .lindblad import (
     evolve,
     stationary_state,
 )
-from .states import from_bloch, to_bloch
+from .states import from_bloch
 
 PRESETS = {"tetrahedron": Tetrahedron, "zeno": Zeno, "fluorescence": Fluorescence,
            "sigma_x_conjugation": SigmaXConjugation}
@@ -223,7 +223,7 @@ def cmd_evolve(cfg: dict) -> None:
     traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
     notes = ()
     try:
-        x_stat = to_bloch(stationary_state(model))
+        x_stat = stationary_state(model)
     except NonUniqueStationaryError as exc:
         x_stat = np.full(3, math.nan)
         notes = [f"stationary: {exc}"]
@@ -242,11 +242,11 @@ def _exponent_payload(cfg: dict, preset) -> dict:
     fit_t = cfg["t_max"] if cfg["t_max"] else default_fit_horizon(model)
     classify_t = cfg["t_max"] if cfg["t_max"] else default_horizon(model)
     try:
-        rho_ref = stationary_state(model)
+        x_ref = stationary_state(model)
     except NonUniqueStationaryError:
-        rho_ref = from_bloch([0.0, 0.0, 0.0])
-    probes = _checked(default_probe_set, rho_ref, seed=cfg["probe_seed"])
-    estimate = _checked(lambda_q_numeric, model, rho_ref, probes, fit_t)
+        x_ref = np.zeros(3)
+    probes = _checked(default_probe_set, x_ref, seed=cfg["probe_seed"])
+    estimate = _checked(lambda_q_numeric, model, x_ref, probes, fit_t)
     report = classify_mixing(model, probes, classify_t, tol=cfg["tol"])
     return {"analytic": analytic, "numeric": dataclasses.asdict(estimate),
             "classification": dataclasses.asdict(report)}
@@ -378,19 +378,22 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict[str, Field]) -> Non
                                 choices=field.choices)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``qmix`` parser: every command's flags, or only ``command``'s when it
+    names one (``main`` parses one command line and needs no other)."""
     parser = argparse.ArgumentParser(
         prog="qmix", allow_abbrev=False,
         description="dissipative-qubit mixing diagnostics and fractal tools")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, schema in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, allow_abbrev=False), schema)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        _add_flags(sub.add_parser(name, allow_abbrev=False), _COMMANDS[name])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse usage errors map to the config exit code
         return 0 if exc.code in (0, None) else 2
     schema = _COMMANDS[args.command]

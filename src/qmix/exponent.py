@@ -14,6 +14,10 @@ pure states, ten seeded-random pure states and two seeded-random mixed
 states.  Axis states expose anisotropic decay that random probes can
 miss.
 
+States are Bloch vectors throughout, whose Euclidean distance is the
+trace distance: the probe family is a (P, 3) array, and states enter
+through :func:`qmix.states.as_bloch`, which also takes density matrices.
+
 Every qubit semigroup is affine in Bloch coordinates, d x/dt = M x + b,
 so the difference of two evolved states obeys d/dt (x - y) = M (x - y).
 Distances are therefore propagated by exp(M t) applied to the initial
@@ -22,9 +26,11 @@ rounding level of the states themselves.  On the uniform sample grid
 exp(M t_k) is the k-th power of exp(M dt): one matrix exponential and
 about log2(n) batched products (``lindblad._grid_propagator``).  Against
 an extended-precision per-time exponential those powers agree to 1.7e-12
-relative on the property test's draws wherever the distance is above the
-floor (2.6e-11 at worst over 3000 draws), and the README reports'
-exponents stay within 1e-13 of the per-time exponential route.  Mixing is
+of the largest distance from the same exp(M t_k) on the property test's
+draws (3.2e-11 at worst over 3000 draws); a distance that nearly cancels,
+one axis at 1.3e-36 beside 9.2e-25, is off by 3.1e-9 of itself.  The
+README reports' exponents stay within 1e-13 of the per-time exponential
+route.  Mixing is
 classified at the horizon on the propagated Bloch vectors, all ordered
 pairs in one closed-form call.
 """
@@ -50,22 +56,14 @@ from .lindblad import (
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .pdp import make_rng
-from .states import (
-    MAX_ENTROPY,
-    _check_in_ball,
-    bloch_entropy,
-    bloch_relative_entropy,
-    check_density_matrix,
-    from_bloch,
-    to_bloch,
-)
+from .states import MAX_ENTROPY, _check_in_ball, as_bloch, bloch_entropy, bloch_relative_entropy
 
 DEFAULT_PROBE_SEED = 7
 # Trace distances at or below the floor cannot enter a fit.  Differences are
 # propagated by powers of exp(M dt) directly, never as the difference of two
-# rounded states, so they stay relatively accurate (1.7e-12 against an
-# extended-precision exponential in the property tests) down to the
-# denormal range.
+# rounded states, so they stay accurate (1.7e-12 of the largest distance at
+# the same time against an extended-precision exponential in the property
+# tests) down to the denormal range.
 DISTANCE_FLOOR = 1e-290
 
 _AXES = np.array([
@@ -75,15 +73,16 @@ _AXES = np.array([
 ])
 
 
-def default_probe_set(rho_ref: np.ndarray, seed: int = DEFAULT_PROBE_SEED,
+def default_probe_set(rho_ref, seed: int = DEFAULT_PROBE_SEED,
                       n_pure: int = 10, n_mixed: int = 2,
-                      min_distance: float = 1e-6) -> list[np.ndarray]:
-    """Probe states: Bloch axes plus seeded random pure and mixed states.
+                      min_distance: float = 1e-6) -> np.ndarray:
+    """Probe states as Bloch vectors, shape (P, 3): the six Bloch axes, then
+    seeded random pure and mixed states.
 
-    Probes closer than ``min_distance`` (trace distance) to the reference
-    are dropped so no probe coincides with it.
+    Probes closer than ``min_distance`` (trace distance) to ``rho_ref``, a
+    Bloch vector or a density matrix, are dropped so none coincides with it.
     """
-    ref = to_bloch(check_density_matrix(rho_ref))
+    ref = _one_state(rho_ref)
     rng = make_rng(seed)
     blochs = [a for a in _AXES]
     for _ in range(n_pure):
@@ -92,7 +91,8 @@ def default_probe_set(rho_ref: np.ndarray, seed: int = DEFAULT_PROBE_SEED,
     for _ in range(n_mixed):
         v = rng.normal(size=3)
         blochs.append(v / np.linalg.norm(v) * rng.random())
-    return [from_bloch(b) for b in blochs if np.linalg.norm(b - ref) >= min_distance]
+    blochs = np.array(blochs)
+    return blochs[np.linalg.norm(blochs - ref, axis=1) >= min_distance]
 
 
 def lambda_q_analytic(preset: Preset) -> float:
@@ -149,14 +149,29 @@ def _check_horizon(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
 
 
-def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
-                     probes: list[np.ndarray], t_max: float,
+def _one_state(state) -> np.ndarray:
+    """Bloch vector (3,) of one state given as a Bloch vector or a 2x2 matrix."""
+    x = as_bloch(state)
+    if x.shape != (3,):
+        raise ValueError(f"expected one state, got Bloch array of shape {x.shape}")
+    return x
+
+
+def _probe_blochs(probes) -> np.ndarray:
+    """(P, 3) Bloch array of a nonempty probe family (Bloch vectors or 2x2 matrices)."""
+    if len(probes) == 0:
+        raise ValueError("need at least one probe")
+    return as_bloch(probes).reshape(-1, 3)
+
+
+def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
                      n_samples: int = 161) -> ExponentEstimate:
     """Estimate the exponent from trace-distance decay against ``rho_ref``.
 
-    For each probe the trace distance ||T_t rho_ref - T_t sigma||_1 (equal
-    to the Euclidean norm of the Bloch difference) is sampled on a uniform
-    grid, and the table goes to :func:`qmix.fitting.probe_exponent`: -log
+    ``rho_ref`` is one state and ``probes`` a (P, 3) Bloch array (density
+    matrices are accepted too).  For each probe the trace distance
+    ||T_t rho_ref - T_t sigma||_1 (equal to the Euclidean norm of the Bloch
+    difference) is sampled on a uniform grid, and the table goes to :func:`qmix.fitting.probe_exponent`: -log
     distance is fitted against t over [t_max/2, t_max], and the estimate
     is the minimum per-probe slope, a lower-bound protocol for the infimum
     over all states.
@@ -170,13 +185,11 @@ def lambda_q_numeric(model: LindbladModel, rho_ref: np.ndarray,
     _check_horizon(t_max)
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
-    ref_b = to_bloch(check_density_matrix(rho_ref))
-    if not probes:
-        raise ValueError("need at least one probe")
-    probe_b = np.array([to_bloch(check_density_matrix(p)) for p in probes])
-    for i, b in enumerate(probe_b):
-        if np.linalg.norm(b - ref_b) < 1e-6:
-            raise ValueError(f"probe {i} coincides with the reference state")
+    ref_b = _one_state(rho_ref)
+    probe_b = _probe_blochs(probes)
+    close = np.flatnonzero(np.linalg.norm(probe_b - ref_b, axis=1) < 1e-6)
+    if close.size:
+        raise ValueError(f"probe {close[0]} coincides with the reference state")
     times = np.linspace(0.0, t_max, n_samples)
     m, _ = bloch_generator(model)
     # (time, probe, component) differences T_t sigma - T_t rho_ref
@@ -199,16 +212,17 @@ class MixingReport:
     exact: bool
 
 
-def classify_mixing(model: LindbladModel, probes: list[np.ndarray],
-                    t_max: float, tol: float = 1e-4) -> MixingReport:
+def classify_mixing(model: LindbladModel, probes, t_max: float,
+                    tol: float = 1e-4) -> MixingReport:
     """Empirical mixing/exactness classification at horizon ``t_max``.
 
+    ``probes`` is a (P, 3) Bloch array or a stack of density matrices.
     Completely mixing: every ordered pair of evolved probes has relative
     entropy below ``tol`` at the horizon.  Exact: additionally every
     evolved probe has von Neumann entropy within ``tol`` of log 2.
     """
     _check_horizon(t_max)
-    blochs = np.array([to_bloch(check_density_matrix(p)) for p in probes])
+    blochs = _probe_blochs(probes)
     prop = _affine_propagator(*bloch_generator(model), t_max)
     x = blochs @ prop[:3, :3].T + prop[:3, 3]
     _check_in_ball(x)

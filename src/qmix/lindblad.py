@@ -24,9 +24,9 @@ exact paths of every preset (:func:`analytic_bloch_paths`) and the mixing
 classification at a horizon use the matrix exponential of the same system
 at arbitrary times.  The exponent's distance tables live on a uniform grid,
 where exp(M t_k) is the k-th power of one exp(M dt) (:func:`_grid_propagator`,
-1.7e-12 relative to an extended-precision per-time exponential in the
-property tests).  Every matrix exponential is :func:`_expm`, scaling and
-squaring in numpy.
+within 1.7e-12 of the largest distance at the same time against an
+extended-precision per-time exponential in the property tests).  Every
+matrix exponential is :func:`_expm`, scaling and squaring in numpy.
 :func:`generator_apply`, the master equation on 2x2 density matrices,
 defines (M, b) and serves as the reference the Bloch forms are checked
 against.
@@ -49,11 +49,11 @@ from .states import (
     PAULIS,
     SIGMA1,
     SIGMA3,
+    _check_in_ball,
     check_density_matrix,
     from_bloch,
     hermitian_eigenvalues,
     to_bloch,
-    trace_norm,
 )
 
 logger = logging.getLogger(__name__)
@@ -114,7 +114,8 @@ class LindbladModel:
 
     ``jump_terms`` is an ordered tuple of (operator, rate) pairs with
     rate >= 0.  Instances built from a preset remember it so its closed-form
-    exponent stays available downstream.
+    exponent stays available downstream.  The affine Bloch form (M, b) of the
+    generator is built once, here (see :func:`bloch_generator`).
     """
 
     def __init__(self, hamiltonian: np.ndarray, jump_terms, preset: Optional[Preset] = None):
@@ -143,6 +144,11 @@ class LindbladModel:
         self._terms = tuple(terms)
         self._grams = tuple(grams)  # op^+ op, reused every generator call
         self.preset = preset
+        b = to_bloch(generator_apply(self, 0.5 * IDENTITY2))
+        m = np.stack([to_bloch(generator_apply(self, 0.5 * p)) for p in PAULIS], axis=1)
+        for a in (m, b):
+            a.setflags(write=False)
+        self._affine = (m, b)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -204,13 +210,10 @@ def bloch_generator(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """Affine form of the generator in Bloch coordinates.
 
     Returns (M, b) with d x / dt = M x + b, obtained by applying the
-    generator to the identity and the Pauli basis.  Exact up to rounding.
+    generator to the identity and the Pauli basis when the model is built.
+    Exact up to rounding; both arrays are read-only.
     """
-    b = to_bloch(generator_apply(model, 0.5 * IDENTITY2))
-    m = np.empty((3, 3))
-    for j in range(3):
-        m[:, j] = to_bloch(generator_apply(model, 0.5 * PAULIS[j]))
-    return m, b
+    return model._affine
 
 
 def default_timestep(model: LindbladModel) -> float:
@@ -253,7 +256,7 @@ def _positivity_guard(x: np.ndarray, t: float) -> np.ndarray:
     -1e-6 the step aborts; smaller drift is projected back to the sphere,
     which is the pure state with the same eigenvectors.
     """
-    norm = np.linalg.norm(x)
+    norm = math.sqrt(x.dot(x))  # np.linalg.norm of a real vector, without its overhead
     if norm <= 1.0:
         return x
     lo = 0.5 * (1.0 - norm)
@@ -399,11 +402,12 @@ def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) 
 
 
 def stationary_state(model: LindbladModel) -> np.ndarray:
-    """Unique solution of L(rho) = 0 with unit trace.
+    """Bloch vector x of the unique state with L(rho) = 0.
 
     Solves the 3x3 Bloch system M x = -b; a (numerically) singular M means
     the fixed set is a whole affine subspace and NonUniqueStationaryError
-    is raised with the flat directions attached.
+    is raised with the flat directions attached.  The residual |M x + b|,
+    the trace norm of the traceless hermitian L(rho), must stay below 1e-12.
     """
     m, b = bloch_generator(model)
     u, sing, vt = np.linalg.svd(m)
@@ -414,8 +418,8 @@ def stationary_state(model: LindbladModel) -> np.ndarray:
             f"subspace with flat Bloch direction(s) {np.round(null_dirs, 12).tolist()}",
             null_dirs)
     x = np.linalg.solve(m, -b)
-    rho = from_bloch(x)
-    residual = trace_norm(generator_apply(model, rho))
+    _check_in_ball(x)
+    residual = float(np.linalg.norm(m @ x + b))
     if residual > ATOL_STRUCT:
         raise RuntimeError(f"stationary solve left residual {residual:.3e}")
-    return rho
+    return x

@@ -40,17 +40,30 @@ MAX_ENTROPY = math.log(2.0)
 
 
 def is_hermitian(a: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    """Whether every matrix of ``a`` (..., n, n) is hermitian to ``atol``."""
+    return bool(np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), initial=0.0) <= atol)
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (low, high) of a hermitian 2x2 matrix in closed form.
+def hermitian_eigenvalues(a: np.ndarray):
+    """Eigenvalues (low, high) of hermitian 2x2 matrices (..., 2, 2) in closed form.
 
     Uses the trace/discriminant formula; no iterative solver involved.
     """
-    half_tr = 0.5 * (a[0, 0].real + a[1, 1].real)
-    disc = math.hypot(0.5 * (a[0, 0].real - a[1, 1].real), abs(a[0, 1]))
-    return half_tr - disc, half_tr + disc
+    d0, d1 = a[..., 0, 0].real, a[..., 1, 1].real
+    disc = np.hypot(0.5 * (d0 - d1), np.abs(a[..., 0, 1]))
+    return 0.5 * (d0 + d1) - disc, 0.5 * (d0 + d1) + disc
+
+
+def _check_states(rho: np.ndarray, atol: float) -> None:
+    """Raise ValueError unless every matrix of ``rho`` (..., 2, 2) is hermitian
+    and unit-trace to ``atol`` with eigenvalues >= -atol."""
+    if not is_hermitian(rho, atol):
+        raise ValueError("density matrix must be hermitian")
+    if np.any(np.abs(rho[..., 0, 0].real + rho[..., 1, 1].real - 1.0) > atol):
+        raise ValueError("density matrix must have unit trace")
+    lo, _ = hermitian_eigenvalues(rho)
+    if np.any(lo < -atol):
+        raise ValueError(f"density matrix has negative eigenvalue {np.min(lo):.3e}")
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
@@ -62,25 +75,39 @@ def check_density_matrix(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarr
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, atol):
-        raise ValueError("density matrix must be hermitian")
-    if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > atol:
-        raise ValueError("density matrix must have unit trace")
-    lo, _ = hermitian_eigenvalues(rho)
-    if lo < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+    _check_states(rho, atol)
     return rho
 
 
 def to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector x_k = tr(rho sigma_k) of a statistical state."""
-    return np.array([np.trace(rho @ s).real for s in PAULIS])
+    """Bloch vectors x_k = tr(rho sigma_k) of states (..., 2, 2), shape (..., 3)."""
+    rho = np.asarray(rho)
+    up, down = rho[..., 0, 1], rho[..., 1, 0]
+    return np.stack([up.real + down.real, up.imag - down.imag,
+                     rho[..., 1, 1].real - rho[..., 0, 0].real], axis=-1)
+
+
+def as_bloch(states) -> np.ndarray:
+    """Bloch vectors (..., 3) of density matrices (..., 2, 2), checked as
+    :func:`check_density_matrix` checks one, or of Bloch vectors (..., 3),
+    checked to lie in the unit ball."""
+    a = np.asarray(states)
+    if a.shape[-1:] == (3,):
+        x = a.astype(float, copy=False)
+        _check_in_ball(x)
+        return x
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a Bloch vector of three components, "
+                         f"got shape {a.shape}")
+    rho = a.astype(complex, copy=False)
+    _check_states(rho, ATOL_STRUCT)
+    return to_bloch(rho)
 
 
 def _check_in_ball(x: np.ndarray) -> None:
     """Raise ValueError unless every Bloch vector in ``x`` (..., 3) has |x| <= 1 + 1e-9."""
     norm = float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
-    if norm > 1.0 + 1e-9:
+    if not norm <= 1.0 + 1e-9:  # nan fails too
         raise ValueError(f"Bloch vector lies outside the unit ball (|x| = {norm:.12g})")
 
 

@@ -297,6 +297,44 @@ class TestConfigHandling:
         assert rejected == []
 
 
+class TestParser:
+    """main builds only the named command's flags; help and usage errors stay."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in cli._COMMANDS:
+            assert command in out
+        assert len(cli._COMMANDS) == 7
+
+    def test_command_help_lists_its_flags(self, capsys):
+        assert run(["exponent", "--help"]) == 0
+        out = capsys.readouterr().out
+        for name in ["config", *cli.EXPONENT_SCHEMA]:
+            assert "--" + name.replace("_", "-") in out
+
+    @pytest.mark.parametrize("argv", [
+        ["nonsense", "--out", "x.json"],
+        [],
+        ["exponent", "--pres", "zeno", "--out", "x.json"],
+        ["exponent", "--preset", "zeno", "--cloud", "c.csv", "--out", "x.json"],
+    ], ids=["unknown-command", "no-command", "abbreviated-flag", "other-command-flag"])
+    def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert "usage: qmix" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_one_command_parser_reads_like_the_full_one(self):
+        full = cli.build_parser()
+        recipes = cli_recipes("out") + [
+            ["exponent", "--preset", "zeno", "--kappa-sweep", "[1,2]", "--out", "s.json"],
+            ["repro", "--criteria", "[1,5]"]]
+        assert {argv[0] for argv in recipes} == set(cli._COMMANDS)
+        for argv in recipes:
+            assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+
+
 class TestPdpAndFractal:
     def test_cloud_and_log_round_trip(self, tmp_path):
         cloud = tmp_path / "cloud.csv"

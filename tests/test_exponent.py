@@ -1,10 +1,12 @@
 """Characteristic-exponent estimation and mixing classification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from qmix import cli, lindblad
 from qmix.exponent import (
     classify_mixing,
     default_fit_horizon,
@@ -50,21 +52,18 @@ class TestAnalyticValues:
 
 class TestProbeSet:
     def test_contains_axis_states_and_is_seeded(self):
-        ref = from_bloch([0, 0, 0])
-        probes = default_probe_set(ref)
-        assert len(probes) == 18
-        blochs = np.array([to_bloch(p) for p in probes])
+        blochs = default_probe_set(np.zeros(3))
+        assert blochs.shape == (18, 3)
         for axis in np.vstack([np.eye(3), -np.eye(3)]):
             assert np.min(np.linalg.norm(blochs - axis, axis=1)) < 1e-12
-        again = default_probe_set(ref)
-        np.testing.assert_array_equal(blochs, [to_bloch(p) for p in again])
+        np.testing.assert_array_equal(blochs, default_probe_set(np.zeros(3)))
+        # a density-matrix reference names the same state
+        np.testing.assert_array_equal(blochs, default_probe_set(from_bloch([0, 0, 0])))
 
     def test_reference_coincidence_dropped(self):
-        ref = from_bloch([1, 0, 0])
-        probes = default_probe_set(ref)
-        assert len(probes) == 17
-        for p in probes:
-            assert np.linalg.norm(to_bloch(p) - [1, 0, 0]) >= 1e-6
+        blochs = default_probe_set(np.array([1.0, 0.0, 0.0]))
+        assert blochs.shape == (17, 3)
+        assert np.min(np.linalg.norm(blochs - [1, 0, 0], axis=1)) >= 1e-6
 
 
 class TestNumericEstimates:
@@ -204,3 +203,67 @@ class TestClassification:
         model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
         report = classify_mixing(model, default_probe_set(from_bloch([0, 0, 0])), t_max=40.0)
         assert report.completely_mixing and not report.exact
+
+
+def _same_estimate(a, b) -> bool:
+    """Equal field by field, floats bit for bit (repr round-trips; nan equals nan)."""
+    return repr(dataclasses.asdict(a)) == repr(dataclasses.asdict(b))
+
+
+class TestBlochBoundary:
+    """States enter the exponent once, as Bloch vectors or as matrices."""
+
+    @pytest.mark.parametrize("preset", [
+        Tetrahedron(kappa=1.0, alpha=0.8, omega=0.5), Zeno(kappa=4.0, omega=1.0),
+        Fluorescence(rabi=2.0, gamma=1.0), SigmaXConjugation()])
+    def test_matrix_and_bloch_inputs_give_identical_results(self, preset):
+        model = build_model(preset)
+        rng = np.random.default_rng(5)
+        x_ref = rng.normal(size=3) * 0.1
+        blochs = default_probe_set(x_ref, seed=3)
+        matrices = np.array([from_bloch(b) for b in blochs])
+        # a matrix built from a Bloch vector rounds its z component, so the
+        # matrices' own Bloch vectors are the inputs that must agree
+        x_ref_m, blochs_m = to_bloch(from_bloch(x_ref)), to_bloch(matrices)
+        t_max = default_horizon(model)
+        from_matrices = lambda_q_numeric(model, from_bloch(x_ref), matrices, t_max)
+        from_blochs = lambda_q_numeric(model, x_ref_m, blochs_m, t_max)
+        assert _same_estimate(from_matrices, from_blochs)
+        assert (classify_mixing(model, matrices, t_max)
+                == classify_mixing(model, blochs_m, t_max))
+
+    def test_probe_stack_and_list_of_matrices_agree(self):
+        model = build_model(Zeno(kappa=2.0, omega=1.0))
+        matrices = [from_bloch(b) for b in default_probe_set(np.zeros(3))]
+        listed = lambda_q_numeric(model, np.zeros(3), matrices, 40.0)
+        stacked = lambda_q_numeric(model, np.zeros(3), np.array(matrices), 40.0)
+        assert _same_estimate(listed, stacked)
+
+    def test_bad_states_are_rejected(self):
+        model = build_model(Zeno(kappa=1.0, omega=1.0))
+        probes = default_probe_set(np.zeros(3))
+        with pytest.raises(ValueError, match="need at least one probe"):
+            lambda_q_numeric(model, np.zeros(3), [], 20.0)
+        with pytest.raises(ValueError, match="need at least one probe"):
+            classify_mixing(model, np.empty((0, 3)), 20.0)
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            lambda_q_numeric(model, np.array([0.0, 0.0, 1.5]), probes, 20.0)
+        with pytest.raises(ValueError, match="expected one state"):
+            lambda_q_numeric(model, probes[:2], probes, 20.0)
+        with pytest.raises(ValueError, match="unit trace"):
+            classify_mixing(model, [np.diag([0.7, 0.7])], 20.0)
+
+    def test_an_exponent_report_builds_the_bloch_generator_once(self, tmp_path, monkeypatch):
+        calls = []
+        apply = lindblad.generator_apply
+
+        def counted(model, rho):
+            calls.append(rho.shape)
+            return apply(model, rho)
+
+        monkeypatch.setattr(lindblad, "generator_apply", counted)
+        out = tmp_path / "exponent.json"
+        assert cli.main(["exponent", "--preset", "fluorescence", "--rabi", "2",
+                         "--gamma", "1", "--out", str(out)]) == 0
+        # I/2 and the three Paulis / 2, once, when the model is built
+        assert calls == [(2, 2)] * 4

@@ -7,9 +7,11 @@ import pytest
 
 from qmix.states import (
     IDENTITY2,
+    PAULIS,
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    as_bloch,
     check_density_matrix,
     from_bloch,
     hermitian_eigenvalues,
@@ -175,3 +177,57 @@ class TestValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="negative"):
             check_density_matrix(np.diag([1.5, -0.5]))
+
+
+def _stack(rng, n):
+    """n states, pure and mixed, with noise of 1e-14 on every entry."""
+    states = [random_density(rng, pure=(i % 3 == 0)) for i in range(n)]
+    noise = 1e-14 * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    return np.array(states) + noise
+
+
+class TestAsBloch:
+    """The batched boundary converter against the per-matrix route."""
+
+    def test_matrix_stack_equals_the_per_matrix_route_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        stack = _stack(rng, 300).reshape(3, 100, 2, 2)
+        got = as_bloch(stack)
+        assert got.shape == (3, 100, 3)
+        per_matrix = np.array([to_bloch(check_density_matrix(r)) for r in stack.reshape(-1, 2, 2)])
+        # oracle: the trace formula x_k = Re tr(rho sigma_k), matrix by matrix
+        traces = np.array([[np.trace(r @ s).real for s in PAULIS]
+                           for r in stack.reshape(-1, 2, 2)])
+        np.testing.assert_array_equal(got.reshape(-1, 3), per_matrix)
+        np.testing.assert_array_equal(got.reshape(-1, 3), traces)
+
+    def test_bloch_vectors_pass_through(self):
+        x = np.array([[0.0, 0.6, 0.8], [0.1, -0.2, 0.3]])
+        np.testing.assert_array_equal(as_bloch(x), x)
+        np.testing.assert_array_equal(as_bloch([0, 0, 1]), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),  # not hermitian
+        np.diag([0.7, 0.7]),  # trace 1.4
+        np.diag([1.5, -0.5]),  # eigenvalue -0.5
+        np.diag([1.0 + 2e-12, -2e-12]),  # eigenvalue just below -1e-12
+        np.full((2, 2), np.nan),
+    ], ids=["non-hermitian", "trace", "negative", "barely-negative", "nan"])
+    def test_stack_is_rejected_with_the_per_matrix_message(self, bad):
+        with pytest.raises(ValueError) as single:
+            check_density_matrix(bad)
+        stack = np.array([0.5 * IDENTITY2, from_bloch([0.0, 0.0, 1.0]), bad])
+        with pytest.raises(ValueError) as batched:
+            as_bloch(stack)
+        assert str(batched.value) == str(single.value)
+
+    def test_outside_ball_rejected(self):
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            as_bloch([[0.0, 0.0, 1.0], [0.0, 0.8, 0.8]])
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            as_bloch([0.0, math.nan, 0.0])
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (3, 2), (2, 2, 4), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            as_bloch(np.zeros(shape))
