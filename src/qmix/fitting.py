@@ -8,6 +8,11 @@ returns the minimum.  The late window discards transients; the minimum
 over a finite probe family is a lower-bound protocol for the infimum it
 stands in for.  A probe with no fit window above the distance floor is
 excluded with a note.
+
+The whole table is fitted at once: each row's fit window is a 0/1 mask
+(:func:`decay_slope`), and :func:`line_fit` solves every masked row's
+line in closed form, so a table costs a few array reductions however
+many probes it holds.
 """
 
 from __future__ import annotations
@@ -39,42 +44,69 @@ class ExponentEstimate:
     notes: list[str] = field(default_factory=list)
 
 
-def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least-squares slope of ``y`` against ``x`` (with an intercept) and the
-    fit's residuals."""
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[0]), y - design @ coef
+def line_fit(x: np.ndarray, y: np.ndarray,
+             mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope of ``y`` against ``x`` (with an intercept) along
+    the last axis, and the fit's residuals.
+
+    Every row of ``y`` gets its own line; the slopes have shape
+    ``y.shape[:-1]`` (a scalar for one row).  ``mask`` (0/1, the shape of
+    ``y``) selects each row's samples: the others must be finite, are
+    ignored, and get residual 0.  The fit is the closed form on centred
+    data, slope = sum(w dx dy) / sum(w dx^2) with dx, dy measured from the
+    row's weighted means, which agrees with an SVD least-squares solve to
+    rounding on the windows the estimators fit.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = np.ones(y.shape) if mask is None else np.asarray(mask, dtype=float)
+    n = w.sum(axis=-1, keepdims=True)
+    dx = x - (w * x).sum(axis=-1, keepdims=True) / n
+    dy = y - (w * y).sum(axis=-1, keepdims=True) / n
+    slope = (w * dx * dy).sum(axis=-1) / (w * dx * dx).sum(axis=-1)
+    return slope, w * (dy - slope[..., None] * dx)
 
 
 def decay_slope(ts: np.ndarray, dists: np.ndarray, t_lo: float, t_hi: float,
-                floor: float) -> tuple[float, float, str | None]:
-    """Least-squares slope of -log(dists) vs ts restricted to [t_lo, t_hi].
+                floor: float) -> tuple[np.ndarray, np.ndarray, list[str | None] | None]:
+    """Least-squares slopes of -log(dists) vs ts, one per row of a (P, n) table.
 
-    Samples at or below ``floor`` are unusable.  If fewer than three usable
-    samples remain, the window is shrunk to [t_u/2, t_u] where t_u is the
-    last time the distance sat above the floor; a diagnostic note reports
-    the shrink.  Raises FitWindowError when no window works.
+    Each row is fitted over its samples in [t_lo, t_hi]; samples at or
+    below ``floor`` are unusable.  A row with fewer than three usable
+    samples there is fitted over [t_u/2, t_u] instead, t_u the last time
+    its distance sat above the floor, and a row with fewer than three
+    there too is excluded.  The windows are row masks, and every row is
+    fitted in one :func:`line_fit` call.
+
+    Returns (slopes, rms, notes): the slopes and the RMS residuals, shape
+    (P,) and nan for an excluded row, and ``None`` when every row was fitted
+    over the nominal window, else one entry per row: ``None`` for a
+    nominal fit, the shrunk window, or why the row was excluded.
     """
     ts = np.asarray(ts, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    note = None
     usable = dists > floor
     mask = usable & (ts >= t_lo) & (ts <= t_hi)
-    if mask.sum() < 3:
-        idx = np.nonzero(usable)[0]
-        if len(idx) == 0:
-            raise FitWindowError(f"all distances at or below the floor {floor:g}")
-        t_u = ts[idx[-1]]
-        mask = usable & (ts >= 0.5 * t_u) & (ts <= t_u)
-        note = (f"distance fell below {floor:g} before the nominal window; "
-                f"fit shrunk to [{0.5 * t_u:.6g}, {t_u:.6g}]")
-        if mask.sum() < 3:
-            raise FitWindowError(
-                "fewer than three usable samples even after shrinking the window; "
-                "increase sampling density or shorten the horizon")
-    slope, resid = line_fit(ts[mask], -np.log(dists[mask]))
-    return slope, float(np.sqrt(np.mean(resid ** 2))), note
+    short = mask.sum(axis=1) < 3
+    excluded, notes = short, None
+    if short.any():
+        # the last time each row sat above the floor (a row with no usable
+        # sample gets an empty window below, whatever t_u reads)
+        t_u = ts[len(ts) - 1 - np.argmax(usable[:, ::-1], axis=1)]
+        mask[short] = (usable & (ts >= 0.5 * t_u[:, None]) & (ts <= t_u[:, None]))[short]
+        excluded = mask.sum(axis=1) < 3
+        notes = [None if not s else
+                 f"no fit window holds three distances above the floor {floor:g}" if e else
+                 f"distance fell below {floor:g} before the nominal window; "
+                 f"fit shrunk to [{0.5 * t:.6g}, {t:.6g}]"
+                 for s, e, t in zip(short, excluded, t_u)]
+    slopes = np.full(len(dists), np.nan)
+    rms = np.full(len(dists), np.nan)
+    fit = ~excluded
+    window = mask[fit]
+    slopes[fit], resid = line_fit(ts, -np.log(np.where(window, dists[fit], 1.0)), window)
+    rms[fit] = np.sqrt((resid ** 2).sum(axis=1) / window.sum(axis=1))
+    return slopes, rms, notes
 
 
 def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,
@@ -82,31 +114,32 @@ def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,
     """Minimum decay slope of a ``(probes, times)`` distance table.
 
     Every row not marked in ``skip`` is fitted over [t_max/2, t_max], t_max
-    the last time.  Skipped rows stay unfitted (nan), and any skipped row
-    makes the exponent nan and the family not completely mixing.  A fitted
-    row with no window of three distances above ``floor`` is excluded
-    with a note; FitWindowError is raised when every fitted row is.
+    the last time, in one :func:`decay_slope` call.  Skipped rows stay
+    unfitted (nan), and any skipped row makes the exponent nan and the
+    family not completely mixing.  A fitted row with no window of three
+    distances above ``floor`` is excluded with a note; FitWindowError is
+    raised when every fitted row is.
     """
     skip = np.zeros(len(dists), dtype=bool) if skip is None else np.asarray(skip)
     t_max = float(times[-1])
-    slopes, residuals, notes = [float("nan")] * len(dists), [], []
-    for i in np.flatnonzero(~skip):
-        try:
-            slopes[i], rms, note = decay_slope(times, dists[i], 0.5 * t_max, t_max, floor)
-        except FitWindowError:
-            notes.append(f"probe {i} excluded: no fit window holds three distances "
-                         f"above the floor {floor:g}")
-            continue
-        residuals.append(rms)
-        if note:
-            notes.append(f"probe {i}: {note}")
-    if not residuals and not skip.all():
-        raise FitWindowError(f"every fitted probe was excluded at the floor {floor:g}")
+    fitted = np.flatnonzero(~skip)
+    slopes = np.full(len(dists), np.nan)
+    residuals, notes = np.empty(0), []
+    if fitted.size:
+        slopes[fitted], rms, row_notes = decay_slope(
+            times, np.asarray(dists)[fitted], 0.5 * t_max, t_max, floor)
+        for i, note in zip(fitted, row_notes or ()):
+            if note is not None:
+                notes.append(f"probe {i} excluded: {note}" if np.isnan(slopes[i])
+                             else f"probe {i}: {note}")
+        residuals = rms[~np.isnan(rms)]
+        if not residuals.size:
+            raise FitWindowError(f"every fitted probe was excluded at the floor {floor:g}")
     return ExponentEstimate(
         exponent=float("nan") if skip.any() else float(np.nanmin(slopes)),
         fit_window=(0.5 * t_max, t_max),
-        per_probe_slopes=slopes,
-        max_residual=max(residuals, default=float("nan")),
+        per_probe_slopes=slopes.tolist(),
+        max_residual=float(residuals.max()) if residuals.size else float("nan"),
         completely_mixing=not skip.any(),
         notes=notes,
     )

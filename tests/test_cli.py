@@ -62,6 +62,17 @@ class TestEvolveCommand:
         rows = read_csv_rows(out)
         assert rows[-1, 4] <= 1e-6
 
+    def test_step_past_rk4_rotation_stability_exits_3(self, tmp_path, capsys):
+        # omega dt = 2 sqrt 2 + 2e-7: every step grows the norm by about 2.4e-7,
+        # which a per-step guard would clamp step after step; over a block of
+        # step powers the growth compounds past the 1e-6 abort threshold
+        dt = math.sqrt(2.0) + 1e-7
+        out = tmp_path / "r.csv"
+        assert run(["evolve", "--preset", "zeno", "--kappa", 0, "--omega", 2,
+                    "--bloch0", "[1,0,0]", "--t-end", 100 * dt, "--dt", dt, "--out", out]) == 3
+        assert "abort threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_stationary_state_noted(self, tmp_path):
         out = tmp_path / "sx.csv"
         assert run(["evolve", "--preset", "sigma_x_conjugation", "--bloch0", "[0.5,0,0.5]",

@@ -28,7 +28,7 @@ RECIPE = [
 RECIPE_DIGESTS = {
     "cloud.csv": "eb8fa5f7c220ee05c1f4379af5a8fd2488d59af8ee59aebeaa91513b0ccf5524",
     "path.jsonl": "0c4d749ec522440eb1fa25c307cc93c7eca4350e8e2f816b9527d9be0c6954de",
-    "dimension.json": "2e28d30b549bd82c303eb81d76fcc8b042aa702c23f1319bbd77737750ad3eaa",
+    "dimension.json": "f04df95a265b3bc2a9137269d5739d60d886ee68391208573b9e8b1b1330aa10",
     "cloud.ppm": "64b52fe4992286f4dad45ca59585c2cb5058a44db0f824e3100f3512b4c7b221",
     "cloud.pgm": "5aaa5e133ceb084bd9b58ee52995d91b1db812040759b9a323c0f9bd92905990",
 }
@@ -59,9 +59,9 @@ WRITERS = [
      "--size", "128", "--out", "zoom.pgm"],
 ]
 WRITERS_DIGESTS = {
-    "traj.csv": "5f479f7c8ac94b7306e68f6baa32aa85959e7686f25746ea6ae20f919b446463",
-    "traj_sx.csv": "b33f15611aa97ceed813aec53a2ad782eea8ac47478384ddbc0d9d479933f1a2",
-    "classical.json": "b4558a1276f3280eab8aae17368976a02c936399c8163afc4639315b3afe9205",
+    "traj.csv": "85c0444ff550d1a32424bcfd8a07f51489227cd4a35b6e31c3270305474696c2",
+    "traj_sx.csv": "5586fb48dc265486e54331f51aedde93c1b37c55b7adf9051a64fc4478a78db4",
+    "classical.json": "3c9b9bfd948d695dc2fa0ea948ed2c6f7ece66670d6f932b6430160f32587564",
     "density.csv": "8b2aa90e32d2dad5406a5899e28bfc6971df5ea6eeb0cfe112fa9d4ce699a090",
     "z.pgm": "49c0cd49977bfc9bac9062613944bc4e9aaecca29ef4d43085eed7e531765db7",
     "zoom.pgm": "26bb0636382c643651423e0713ee1e42933dd1d103cda860fc5b75dd8cf68876",

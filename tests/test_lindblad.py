@@ -1,22 +1,27 @@
 """Master-equation presets, integrator, closed forms, stationary states."""
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qmix.lindblad import (
+    _BLOCK_STEPS,
     MAX_STEPS,
     TETRA_DIRECTIONS,
     Fluorescence,
     LindbladModel,
     NonUniqueStationaryError,
+    PositivityError,
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
     _affine_propagator,
     _positivity_guard,
+    _rk4_step_matrix,
     analytic_bloch_paths,
     bloch_generator,
     build_model,
@@ -206,7 +211,8 @@ class TestEvolve:
     def test_positivity_guard_clamps_small_drift(self):
         # eigenvalue -5e-10: the Bloch vector overshoots the sphere by 1e-9
         drifted = to_bloch(np.diag([1.0 + 5e-10, -5e-10]).astype(complex))
-        fixed = _positivity_guard(drifted, 0.0)
+        fixed, lo = _positivity_guard(drifted, 0.0)
+        assert lo == pytest.approx(-5e-10, rel=1e-6)
         lo = np.linalg.eigvalsh(from_bloch(fixed))[0]
         assert lo >= -1e-15
         np.testing.assert_allclose(fixed, [0.0, 0.0, -1.0], atol=1e-15)
@@ -218,7 +224,7 @@ class TestEvolve:
 
     def test_positivity_guard_leaves_the_ball_untouched(self):
         for inside in (np.array([0.6, 0.0, 0.8]), np.array([0.1, -0.2, 0.3])):
-            assert _positivity_guard(inside, 0.0) is inside
+            assert _positivity_guard(inside, 0.0)[0] is inside
 
     def test_step_count_is_capped_before_allocating(self):
         model = build_model(Zeno(kappa=1.0, omega=1.0))
@@ -229,6 +235,39 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve(model, from_bloch([0, 0, 1]), math.inf)
 
+    def test_positivity_guard_works_row_by_row(self):
+        rows = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 1.0 + 1e-9], [0.6, 0.0, 0.8]])
+        fixed, lo = _positivity_guard(rows, np.array([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(fixed[[0, 2]], rows[[0, 2]])
+        np.testing.assert_allclose(fixed[1], [0.0, 0.0, 1.0], atol=1e-15)
+        assert np.flatnonzero(lo < 0).tolist() == [1]
+        rows[2, 2] = 1.01
+        rows = np.vstack([rows, [[0.0, 0.0, 1.1]]])
+        with pytest.raises(PositivityError, match=r"at t=2 "):
+            _positivity_guard(rows, np.array([0.0, 1.0, 2.0, 3.0]))
+
+    def test_clamps_are_reported_once_per_call(self, caplog, monkeypatch):
+        seen = []
+
+        def spy(x, t):
+            fixed, lo = _positivity_guard(x, t)
+            seen.extend(zip(np.broadcast_to(t, lo.shape), lo))
+            return fixed, lo
+
+        monkeypatch.setattr("qmix.lindblad._positivity_guard", spy)
+        # a pure rotation: RK4 shrinks the norm by 1e-19 a step, far below the
+        # rounding of the step powers, so many rows cross the sphere
+        with caplog.at_level(logging.WARNING, logger="qmix.lindblad"):
+            evolve(build_model(Zeno(kappa=0.0, omega=2.0)), from_bloch([1, 0, 0]), 20.0)
+        [record] = caplog.records
+        found = re.fullmatch(r"clamped (\d+) of 20000 steps back to the Bloch sphere: "
+                             r"worst positivity drift (\S+), first at t=(\S+)",
+                             record.getMessage())
+        clamps = [(t, lo) for t, lo in seen if lo < 0]
+        assert int(found[1]) == len(clamps) > 0
+        assert float(found[2]) == pytest.approx(min(lo for _, lo in clamps), rel=1e-3)
+        assert float(found[3]) == pytest.approx(clamps[0][0], rel=1e-6)
+
     def test_states_are_a_view_of_the_bloch_path(self):
         model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
         traj = evolve(model, from_bloch([0.3, -0.2, 0.5]), 0.5)
@@ -237,6 +276,42 @@ class TestEvolve:
         for x, rho in zip(traj.blochs[::100], traj.states[::100]):
             np.testing.assert_allclose(to_bloch(rho), x, atol=1e-15)
         np.testing.assert_allclose(traj.final(), traj.states[-1], atol=1e-15)
+
+
+def sequential_evolve(model, x0, t_end, dt):
+    """Oracle: the RK4 step matrix applied once per step, each state guarded
+    before the next step."""
+    n_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    step_t = _rk4_step_matrix(*bloch_generator(model), t_end / n_steps).T
+    state = np.append(x0, 1.0)
+    out = [state[:3].copy()]
+    for _ in range(n_steps):
+        state = state @ step_t
+        state[:3] = _positivity_guard(state[:3], 0.0)[0]
+        out.append(state[:3].copy())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n_steps", [1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1,
+                                     2 * _BLOCK_STEPS + 1])
+@pytest.mark.parametrize("preset", ALL_PRESETS, ids=lambda p: type(p).__name__)
+def test_blocked_powers_match_the_sequential_loop(preset, n_steps):
+    model = build_model(preset)
+    dt = default_timestep(model)
+    x0 = np.array([0.6, 0.0, 0.8])  # pure: rounding can push rows past the sphere
+    traj = evolve(model, from_bloch(x0), n_steps * dt, dt=dt)
+    assert len(traj.times) == n_steps + 1
+    np.testing.assert_allclose(traj.blochs, sequential_evolve(model, x0, n_steps * dt, dt),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_long_rotation_stays_in_the_ball():
+    preset = Zeno(kappa=0.0, omega=2.0)
+    traj = evolve(build_model(preset), from_bloch([1, 0, 0]), 200.0, dt=1e-3)
+    assert len(traj.times) == 200_001
+    assert np.sqrt(np.einsum("ij,ij->i", traj.blochs, traj.blochs)).max() <= 1.0 + 1e-15
+    exact = analytic_bloch_paths(preset, [1.0, 0.0, 0.0], traj.times[::1000])[0]
+    assert np.abs(traj.blochs[::1000] - exact).max() <= 1e-8
 
 
 def tetrahedron_paths(preset, blochs, times):
