@@ -240,7 +240,9 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    """Transfer operator: exact 1/(2 r^n) decay, log r exponent, Fourier rule."""
+    """Transfer operator: exact 1/(2 r^n) decay, log r exponent, and the
+    Fourier rule (P^n f)^(k) = f^(k r^n) on random piecewise-affine probes,
+    each side an exact coefficient of a piece table."""
 
     def run():
         details = []
@@ -261,15 +263,24 @@ def criterion_9() -> CriterionResult:
             rel = abs(est.exponent - math.log(r)) / math.log(r)
             ok &= rel <= 0.02
             details.append(f"r={r}: {est.exponent:.5f}/{math.log(r):.5f} ({100 * rel:.2f}%)")
-        # Fourier push-forward identity on trig-polynomial probes
+        # Fourier rule (P^n f)^(k) = f^(k r^n) on piecewise-affine probes,
+        # both sides in closed form, the left through the push-forward itself
         rng = pdp.make_rng(9)
         worst_f = 0.0
         for _ in range(5):
-            coeffs = 0.1 * rng.normal(size=4)
-            probe = circle.trig_density(coeffs.tolist())
-            for k, n in ((1, 1), (1, 2), (2, 2), (1, 3)):
-                lhs, rhs = circle.fourier_check(probe, 2, k, n)
-                worst_f = max(worst_f, abs(lhs - rhs))
+            n_pieces = int(rng.integers(2, 12))
+            widths = rng.uniform(0.5, 1.5, n_pieces)
+            edges = np.concatenate([[0.0], np.cumsum(widths) * (circle.TWO_PI / widths.sum())])
+            edges[-1] = circle.TWO_PI
+            lo, hi = rng.uniform(0.1, 2.0, (2, n_pieces))  # end values of each piece
+            s = (hi - lo) / np.diff(edges)
+            mass = float(np.sum(0.5 * (lo + hi) * np.diff(edges))) / circle.TWO_PI
+            probe = circle.CircleDensity.from_pieces(np.column_stack(
+                [edges[:-1], edges[1:], (lo - s * edges[:-1]) / mass, s / mass]))
+            for r in (2, 3):
+                for k, n in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
+                    lhs, rhs = circle.fourier_check(probe, r, k, n)
+                    worst_f = max(worst_f, abs(lhs - rhs))
         ok &= worst_f <= 1e-10
         details.append(f"fourier err {worst_f:.1e}")
         return ok, "; ".join(details)

@@ -50,7 +50,7 @@ from .lindblad import (
     evolve,
     stationary_state,
 )
-from .states import from_bloch
+from .states import bloch_distance, from_bloch
 
 PRESETS = {"tetrahedron": Tetrahedron, "zeno": Zeno, "fluorescence": Fluorescence,
            "sigma_x_conjugation": SigmaXConjugation}
@@ -227,8 +227,7 @@ def cmd_evolve(cfg: dict) -> None:
     except NonUniqueStationaryError as exc:
         x_stat = np.full(3, math.nan)
         notes = [f"stationary: {exc}"]
-    # trace distance between qubit states is the Euclidean Bloch distance
-    dists = np.linalg.norm(traj.blochs - x_stat, axis=1)
+    dists = bloch_distance(traj.blochs - x_stat)
     write_csv(cfg["out"], cfg, ("t", "x1", "x2", "x3", "dist_to_stationary"),
               traj.times, *traj.blochs.T, dists, notes=notes)
 

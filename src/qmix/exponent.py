@@ -56,7 +56,14 @@ from .lindblad import (
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .pdp import make_rng
-from .states import MAX_ENTROPY, _check_in_ball, as_bloch, bloch_entropy, bloch_relative_entropy
+from .states import (
+    MAX_ENTROPY,
+    _check_in_ball,
+    as_bloch,
+    bloch_distance,
+    bloch_entropy,
+    bloch_relative_entropy,
+)
 
 DEFAULT_PROBE_SEED = 7
 # Trace distances at or below the floor cannot enter a fit.  Differences are
@@ -194,9 +201,7 @@ def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
     m, _ = bloch_generator(model)
     # (time, probe, component) differences T_t sigma - T_t rho_ref
     diffs = (probe_b - ref_b) @ np.swapaxes(_grid_propagator(m, t_max, n_samples), 1, 2)
-    # hypot, not norm: the squares of distances below 1e-154 underflow
-    # (two calls, not hypot.reduce over the length-3 axis, which is 3x slower)
-    dists = np.hypot(np.hypot(diffs[..., 0], diffs[..., 1]), diffs[..., 2]).T
+    dists = bloch_distance(diffs).T
     stalled = dists[:, -1] > 1e-2
     estimate = probe_exponent(times, dists, DISTANCE_FLOOR, skip=stalled)
     if stalled.any():

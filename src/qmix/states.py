@@ -138,6 +138,16 @@ def trace_norm(a: np.ndarray) -> float:
     return abs(lo) + abs(hi)
 
 
+def bloch_distance(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms of Bloch differences d (..., 3): the trace distance
+    ||rho - sigma||_1 of the two states they separate.
+
+    hypot, not norm: the squares of distances below 1e-154 underflow (two
+    calls, not hypot.reduce over the length-3 axis, which is 3x slower).
+    """
+    return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+
+
 def bloch_entropy(x) -> np.ndarray:
     """Entropy H2((1 + |x|)/2) in nats of Bloch vectors (..., 3); H2 is the
     binary entropy, 0 log 0 = 0, and |x| is capped at 1 (see :func:`from_bloch`)."""

@@ -4,7 +4,11 @@ Each test drives one criterion from qmix.acceptance and prints its
 pass/fail line; the same list backs the ``qmix repro`` subcommand.
 """
 
-from qmix import acceptance
+import re
+
+import numpy as np
+
+from qmix import acceptance, circle
 
 
 def _check(result):
@@ -47,6 +51,30 @@ def test_criterion_08_attractor_dimensions():
 
 def test_criterion_09_transfer_operator():
     _check(acceptance.criterion_9())
+
+
+def test_criterion_09_fails_on_the_pull_back(monkeypatch):
+    # f -> f(r x mod 2pi) keeps unit mass and sign, so the tables it makes
+    # pass the constructor, but it is not the preimage average.  The ramp and
+    # exponent parts see one-piece tables only; the mutant spares those, so
+    # the Fourier part must catch it on its own
+    push_forward = circle.pf_apply
+
+    def pull_back(f, r):
+        if len(f.coefs) == 1:
+            return push_forward(f, r)
+        j = np.repeat(np.arange(r), len(f.coefs))
+        u, v = np.tile(f.breaks[:-1], r), np.tile(f.breaks[1:], r)
+        c, s = np.tile(f.coefs, (r, 1)).T
+        return circle.CircleDensity.from_pieces(np.column_stack(
+            [(u + circle.TWO_PI * j) / r, (v + circle.TWO_PI * j) / r,
+             c - s * circle.TWO_PI * j, r * s]))
+
+    monkeypatch.setattr(circle, "pf_apply", pull_back)
+    result = acceptance.criterion_9()
+    assert not result.passed
+    errors = dict(re.findall(r"(ramp decay|fourier) err ([-+.e0-9]+)", result.detail))
+    assert float(errors["ramp decay"]) <= 1e-12 < 1e-10 < float(errors["fourier"])
 
 
 def test_criterion_10_cli_determinism():

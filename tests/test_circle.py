@@ -8,7 +8,6 @@ import pytest
 from qmix.circle import (
     TWO_PI,
     CircleDensity,
-    density_from_csv,
     entropy,
     fourier_check,
     fourier_coefficient,
@@ -19,7 +18,6 @@ from qmix.circle import (
     pf_apply,
     relative_entropy,
     sawtooth_density,
-    trig_density,
 )
 from qmix import circle
 from qmix.cli import main
@@ -39,6 +37,22 @@ def random_affine_density(rng, pieces=6):
         mass += (c * (v - u) + 0.5 * s * (v * v - u * u)) / TWO_PI
     rescaled = [(u, v, c / mass, s / mass) for (u, v, c, s) in spec]
     return CircleDensity.from_pieces(rescaled)
+
+
+def interpolant(values):
+    """The continuous piece table through samples of a periodic function at
+    the m points of ``grid_points(m)``."""
+    m = len(values)
+    xs = np.arange(m + 1) * (TWO_PI / m)
+    vals = np.append(values, values[0])
+    s = np.diff(vals) / np.diff(xs)
+    return CircleDensity.from_pieces(np.column_stack([xs[:-1], xs[1:], vals[:-1] - s * xs[:-1], s]))
+
+
+def sinc2(t):
+    """(sin t / t)^2: the factor by which linear interpolation on a grid of
+    spacing h scales the Fourier coefficient at k, with t = k h / 2."""
+    return (math.sin(t) / t) ** 2
 
 
 class TestRepresentation:
@@ -64,11 +78,11 @@ class TestRepresentation:
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            CircleDensity.from_grid(np.full(64, -1.0))
+            CircleDensity.from_pieces([(0.0, TWO_PI, -1.0, 0.0)])
 
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ValueError, match="mass"):
-            CircleDensity.from_grid(np.full(64, 2.0))
+            CircleDensity.from_pieces([(0.0, TWO_PI, 2.0, 0.0)])
 
     def test_negative_piece_between_samples_rejected(self):
         # -0.5 on a piece lying between the samples x_1 and x_2 of a
@@ -90,18 +104,9 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="finite"):
             CircleDensity.from_pieces(pieces)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_non_finite_samples_rejected(self, value):
-        with pytest.raises(ValueError, match="finite"):
-            CircleDensity.from_grid(np.full(64, value))
-        samples = np.ones(64)
-        samples[5] = value
-        with pytest.raises(ValueError, match="finite"):
-            CircleDensity.from_grid(samples)
-
     def test_affine_densities_hold_no_grid(self, monkeypatch):
-        # the exact route keeps only piece tables: every iterate of
-        # lambda_classical and every affine push-forward has no samples
+        # densities are piece tables only: no iterate of lambda_classical
+        # and no push-forward carries samples
         outputs = []
 
         def recording_pf_apply(f, r):
@@ -116,7 +121,7 @@ class TestRepresentation:
         rng = np.random.default_rng(37)
         for r in (2, 3, 5):
             outputs.append(pf_apply(random_affine_density(rng), r))
-        assert all(g.grid is None and g.has_pieces for g in outputs)
+        assert not any(hasattr(g, "grid") for g in outputs)
 
     def test_evaluate_matches_grid_sampling(self):
         f = sawtooth_density(2)
@@ -129,8 +134,12 @@ class TestTransferOperator:
         one = CircleDensity.uniform()
         out = pf_apply(one, 2)
         np.testing.assert_allclose(out.evaluate(grid_points(1024)), 1.0, atol=1e-12)
-        grid_one = CircleDensity.from_grid(np.ones(512))
-        np.testing.assert_allclose(pf_apply(grid_one, 2).grid, 1.0, atol=1e-12)
+        # a uniform table split into unequal pieces stays uniform, at every radix
+        split = CircleDensity.from_pieces([(0.0, 1.0, 1.0, 0.0), (1.0, 4.5, 1.0, 0.0),
+                                           (4.5, TWO_PI, 1.0, 0.0)])
+        for r in (2, 3, 1024):
+            np.testing.assert_allclose(pf_apply(split, r).evaluate(grid_points(1024)), 1.0,
+                                       atol=1e-12)
 
     def test_ramp_iterates_have_the_known_closed_form(self):
         # P^n ramp = x / (pi r^n) + (r^n - 1) / r^n, exactly
@@ -161,13 +170,7 @@ class TestTransferOperator:
             f = random_affine_density(rng)
             assert pf_apply(f, 2).mass() == pytest.approx(1.0, abs=1e-12)
             assert pf_apply(f, 3).mass() == pytest.approx(1.0, abs=1e-12)
-        g = trig_density([0.3, -0.2], [0.1])
-        assert pf_apply(g, 2).mass() == pytest.approx(1.0, abs=1e-12)
-
-    def test_grid_mode_requires_divisible_size(self):
-        g = CircleDensity.from_grid(np.ones(1000))
-        with pytest.raises(ValueError, match="divisible"):
-            pf_apply(g, 3)
+            assert pf_apply(f, 1024).mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
@@ -298,7 +301,8 @@ class TestClassicalExponent:
 
 class TestDensityInterchange:
     def test_csv_round_trip(self, tmp_path):
-        # the file `qmix classical --density-out` writes: the ramp after n_max steps
+        # the file `qmix classical --density-out` writes: the ramp after n_max
+        # steps, sampled on the grid at 17 significant digits
         out = tmp_path / "density.csv"
         assert main(["classical", "--r", "3", "--grid-size", "96", "--n-max", "6",
                      "--out", str(tmp_path / "classical.json"),
@@ -306,71 +310,73 @@ class TestDensityInterchange:
         g = linear_ramp_density()
         for _ in range(6):
             g = pf_apply(g, 3)
-        samples = g.evaluate(grid_points(96))
-        again = density_from_csv(out.read_text())
-        # the samples miss O(1/M) of the mass at the jumps; the import renormalizes
-        np.testing.assert_array_equal(again.grid, samples / np.mean(samples))
-
-    def test_csv_rejects_nonuniform_grid(self):
-        with pytest.raises(ValueError, match="uniform grid"):
-            density_from_csv("0.0,1.0\n0.5,1.0\n0.7,1.0\n" + "1.0,1.0\n" * 5)
+        xs, fs = np.loadtxt(out, delimiter=",", unpack=True)
+        np.testing.assert_array_equal(xs, grid_points(96))
+        np.testing.assert_array_equal(fs, g.evaluate(grid_points(96)))
 
 
 class TestFourier:
     def test_uniform_coefficients_vanish(self):
-        one = CircleDensity.from_grid(np.ones(1024))
-        for k in (1, 2, 5):
+        one = CircleDensity.uniform()
+        assert fourier_coefficient(one, 0) == 1.0
+        for k in (1, 2, 5, -3):
             assert abs(fourier_coefficient(one, k)) <= 1e-14
         lhs, rhs = fourier_check(one, 2, 1, 2)
         assert abs(lhs) <= 1e-13 and abs(rhs) <= 1e-13
 
+    def test_ramp_coefficients_have_the_closed_form(self):
+        # (x / pi)^(k) = i / (pi k), and the real density's coefficients conjugate
+        f = linear_ramp_density()
+        for k in (1, 2, 7, 300):
+            assert fourier_coefficient(f, k) == pytest.approx(1j / (math.pi * k), abs=1e-15)
+            assert fourier_coefficient(f, -k) == pytest.approx(-1j / (math.pi * k), abs=1e-15)
+
     def test_plain_cosine_checks_out(self):
-        f = trig_density([1.0])  # 1 + cos x
+        # the interpolant of 1 + cos x on m points has f^(1) = sinc^2(pi/m) / 2
+        # and f^(2) = 0, so its push-forward under doubling has no first mode
+        m = 64
+        f = interpolant(1.0 + np.cos(grid_points(m)))
+        assert fourier_coefficient(f, 1) == pytest.approx(0.5 * sinc2(math.pi / m), abs=1e-15)
         lhs, rhs = fourier_check(f, 2, 1, 1)
-        assert lhs == pytest.approx(rhs, abs=1e-13)
-        assert abs(rhs - fourier_coefficient(f, 2)) == 0.0
+        assert abs(rhs) <= 1e-15 and abs(lhs) <= 1e-15
 
     def test_second_harmonic_payload(self):
-        f = trig_density([0.0, 0.5])  # 1 + 0.5 cos 2x, so f^(2) = 0.25
+        # interpolating 1 + 0.5 cos 2x scales f^(2) = 0.25 by sinc^2(2 pi/m);
+        # doubling moves that payload to the first mode
+        m = 64
+        f = interpolant(1.0 + 0.5 * np.cos(2.0 * grid_points(m)))
+        payload = 0.25 * sinc2(TWO_PI / m)
         lhs, rhs = fourier_check(f, 2, 1, 1)
-        assert rhs == pytest.approx(0.25, abs=1e-13)
-        assert lhs == pytest.approx(0.25, abs=1e-12)
+        assert rhs == pytest.approx(payload, abs=1e-15)
+        assert lhs == pytest.approx(payload, abs=1e-15)
 
     def test_random_trig_probes_to_ten_decimals(self):
+        # piece-table interpolants of random trigonometric polynomials
         rng = np.random.default_rng(31)
+        xs = grid_points(96)
         for _ in range(5):
-            probe = trig_density((0.08 * rng.normal(size=5)).tolist(),
-                                 (0.08 * rng.normal(size=3)).tolist())
-            for (k, n) in ((1, 1), (1, 2), (2, 2), (3, 1)):
-                lhs, rhs = fourier_check(probe, 2, k, n)
-                assert abs(lhs - rhs) <= 1e-10
-
-    def test_affine_densities_are_sampled_first(self):
-        f = sawtooth_density(2)
-        with pytest.raises(ValueError, match="grid density"):
-            fourier_coefficient(f, 1)
-        with pytest.raises(ValueError, match="grid density"):
-            fourier_check(f, 2, 1, 1)
-
-    def test_alias_limit_enforced(self):
-        f = trig_density([0.5], grid_size=64)
-        with pytest.raises(ValueError, match="alias"):
-            fourier_check(f, 2, 1, 6)
-        with pytest.raises(ValueError, match="alias"):
-            fourier_coefficient(f, 40)
+            a, b = 0.08 * rng.normal(size=5), 0.08 * rng.normal(size=3)
+            vals = (1.0 + sum(a[j] * np.cos((j + 1) * xs) for j in range(5))
+                    + sum(b[j] * np.sin((j + 1) * xs) for j in range(3)))
+            probe = interpolant(vals)
+            for r in (2, 3):
+                for (k, n) in ((1, 1), (1, 2), (2, 2), (3, 1)):
+                    lhs, rhs = fourier_check(probe, r, k, n)
+                    assert abs(lhs - rhs) <= 1e-10
 
     def test_l2_bound_on_the_l1_decay(self):
-        # || P^n f - 1 ||_1 <= sqrt(2 sum_k |f^(k r^n)|^2) for smooth probes
+        # || P^n f - 1 ||_1 <= || P^n f - 1 ||_2 = sqrt(2 sum_k>0 |f^(k r^n)|^2)
+        # for a real density; the truncated sum only makes the bound stricter
         one = CircleDensity.uniform()
-        probe = trig_density([0.4, 0.2, 0.1], [0.15, 0.05], grid_size=4096)
-        r = 2
-        f = probe
-        for n in (1, 2, 3):
-            f = pf_apply(f, r)
-            lhs = l1_distance(f, one)
-            tail = 0.0
-            k = 1
-            while k * r ** n < 2048:
-                tail += abs(fourier_coefficient(probe, k * r ** n)) ** 2
-                k += 1
-            assert lhs <= math.sqrt(2.0 * tail) + 1e-12
+        peak = 2.0  # an asymmetric tent from 0.4 at 0 and 2pi up to 1.6 at x = 2
+        probe = CircleDensity.from_pieces([(0.0, peak, 0.4, 1.2 / peak),
+                                           (peak, TWO_PI, 1.6 + 1.2 * peak / (TWO_PI - peak),
+                                            -1.2 / (TWO_PI - peak))])
+        for r in (2, 3):
+            f = probe
+            for n in (1, 2, 3):
+                f = pf_apply(f, r)
+                lhs = l1_distance(f, one)
+                tail = sum(abs(fourier_coefficient(probe, k * r ** n)) ** 2
+                           for k in range(1, 2048 // r ** n))
+                assert 0.0 < lhs <= math.sqrt(2.0 * tail)

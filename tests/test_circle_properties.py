@@ -12,10 +12,10 @@ from qmix.circle import (
     TWO_PI,
     CircleDensity,
     _dedupe_breaks,
+    fourier_check,
     l1_distance,
     pf_apply,
     relative_entropy as circle_relative_entropy,
-    trig_density,
 )
 from qmix.states import from_bloch, relative_entropy, trace_norm
 
@@ -129,35 +129,12 @@ def test_dedupe_breaks_matches_the_sequential_rule(points):
     np.testing.assert_array_equal(out, expected)
 
 
-@st.composite
-def trig_coefficients(draw, degree=6):
-    """Cosine and sine coefficients whose absolute sum stays below 0.9."""
-    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * degree,
-                                 max_size=2 * degree)))
-    scale = draw(st.floats(0.0, 0.9)) / max(1.0, float(np.abs(raw).sum()))
-    return raw[:degree] * scale, raw[degree:] * scale
-
-
 @PROPERTY_SETTINGS
-@given(coefs=trig_coefficients(), r=_radices)
-def test_affine_and_spectral_routes_agree_on_a_smooth_density(coefs, r):
-    cos_c, sin_c = coefs
-    m = 960  # divisible by 2, 3 and 5; degree 6 r stays below the alias limit
-    smooth = trig_density(cos_c.tolist(), sin_c.tolist(), grid_size=m)
-    xs = np.arange(m + 1) * (TWO_PI / m)
-    vals = np.append(smooth.grid, smooth.grid[0])
-    s = np.diff(vals) / np.diff(xs)
-    c = vals[:-1] - s * xs[:-1]
-    interpolant = CircleDensity.from_pieces(
-        list(zip(xs[:-1].tolist(), xs[1:].tolist(), c.tolist(), s.tolist())))
-    spectral = pf_apply(smooth, r)
-    affine = pf_apply(interpolant, r)
-    # |P(I f) - P f| <= |I f - f| <= h^2 / 8 max |f''|; the spectral route
-    # is exact on trigonometric polynomials below the alias limit
-    j = np.arange(1, len(cos_c) + 1)
-    curvature = float(np.sum(j * j * (np.abs(cos_c) + np.abs(sin_c))))
-    tol = (TWO_PI / m) ** 2 / 8.0 * curvature + 1e-12
-    np.testing.assert_allclose(affine.evaluate(xs[:-1]), spectral.grid, rtol=0, atol=tol)
+@given(f=affine_densities(), r=_radices, k=st.integers(1, 3), n=st.integers(1, 3))
+def test_push_forward_obeys_the_fourier_rule(f, r, k, n):
+    # (P^n f)^(k) = f^(k r^n), each side an exact coefficient of a piece table
+    lhs, rhs = fourier_check(f, r, k, n)
+    assert abs(lhs - rhs) <= 1e-12
 
 
 @PROPERTY_SETTINGS

@@ -47,6 +47,15 @@ class TestEvolveCommand:
         header = open(out).read().splitlines()[0]
         assert header.startswith("# config_hash: ")
 
+    def test_distance_does_not_underflow(self, tmp_path):
+        # by t = 280, x3 is about 7e-163, whose square underflows to 0
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--preset", "tetrahedron", "--kappa", 1, "--alpha", 1,
+                    "--omega", 0, "--bloch0", "[0,0,1]", "--t-end", 300, "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",")
+        t, x1, x2, x3, dist = rows[np.flatnonzero(rows[:, 0] == 280.0)[0]]
+        assert 0.0 < dist == np.hypot(np.hypot(x1, x2), x3)
+
     def test_zero_horizon_emits_single_row(self, tmp_path):
         out = tmp_path / "traj.csv"
         assert run(["evolve", "--preset", "zeno", "--kappa", 1, "--omega", 1,
@@ -401,9 +410,9 @@ class TestPdpAndFractal:
         assert payload["exponent"] == pytest.approx(math.log(2.0), rel=0.02)
         decay = payload["ramp_l1_decay"]
         assert decay[3] == pytest.approx(1.0 / 16.0, rel=1e-12)
-        from qmix.circle import density_from_csv
-        final = density_from_csv(open(density_out).read())
-        np.testing.assert_allclose(final.grid, 1.0, atol=1e-3)
+        xs, fs = np.loadtxt(density_out, delimiter=",", unpack=True)
+        assert len(xs) == 1024 and xs[1] == pytest.approx(2.0 * math.pi / 1024, rel=1e-15)
+        np.testing.assert_allclose(fs, 1.0, atol=1e-3)
 
     def test_classical_report_does_not_depend_on_grid_size(self, tmp_path):
         # --grid-size sets only the number of --density-out samples
