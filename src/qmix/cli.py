@@ -171,7 +171,6 @@ PDP_SCHEMA = {
     "n_points": Field(int, 100000),
     "burn_in": Field(int, pdp.DEFAULT_BURN_IN),
     "seed": Field(int, 0),
-    "rate_convention": Field(str, "literal", choices=pdp.RATE_CONVENTIONS),
     "r0": _BLOCH,
     "out": Field(str, required=True),
     "log": Field(str),
@@ -268,7 +267,7 @@ def cmd_pdp(cfg: dict) -> None:
     path = _checked(
         pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
         r0=np.array(cfg["r0"], dtype=float), n_jumps=cfg["n_points"], seed=cfg["seed"],
-        rate_convention=cfg["rate_convention"], burn_in=cfg["burn_in"])
+        burn_in=cfg["burn_in"])
     write_cloud_csv(cfg["out"], path.states, cfg)
     if cfg["log"]:
         write_jsonl(cfg["log"], path.times, path.detectors, cfg)

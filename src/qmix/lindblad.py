@@ -62,9 +62,11 @@ from .states import (
 logger = logging.getLogger(__name__)
 
 # Unit vectors to the vertices of a regular tetrahedron, first one along +x.
+# n_2's z is one ulp below the rounded 2 sqrt(2) / 3, so that every n_i . n_i
+# computes to exactly 1 and every antipode weight at alpha = 1 to exactly 0.
 TETRA_DIRECTIONS = np.array([
     [1.0, 0.0, 0.0],
-    [-1.0 / 3.0, 0.0, 2.0 * math.sqrt(2.0) / 3.0],
+    [-1.0 / 3.0, 0.0, float.fromhex("0x1.e2b7dddfefa66p-1")],
     [-1.0 / 3.0, math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
     [-1.0 / 3.0, -math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
 ])

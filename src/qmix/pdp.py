@@ -2,7 +2,9 @@
 
 A pure state is a unit vector r on S^2.  Between detection events it
 precesses about the z axis at angular speed omega; events arrive as a
-homogeneous Poisson stream, and an event at detector i (one of the four
+homogeneous Poisson stream of rate kappa (1 + a^2), the trace of the summed
+squared coupling operators, so the path ensemble reproduces the master
+equation of :mod:`qmix.lindblad`.  An event at detector i (one of the four
 tetrahedron directions n_i) moves the state to
 
     r_i = [ (1 - a^2) r + 2 a (1 + a r.n_i) n_i ] / (1 + a^2 + 2 a r.n_i)
@@ -13,14 +15,6 @@ with probability
 
 where a is the detector sharpness in [0, 1].  At a = 1 every jump lands
 exactly on a vertex; at a = 0 the maps degenerate to the identity.
-
-Rate convention.  The Poisson rate is kappa by default ("literal").  The
-alternative "eeqt" convention scales it by (1 + a^2), the trace of the
-summed squared coupling operators, which is what reproduces the ensemble
-master equation of :mod:`qmix.lindblad` exactly; the ensemble-consistency
-test in the suite records that resolution.  Both conventions drive the
-same jump chain, so all attractor geometry is identical; only the clock
-differs.
 
 Randomness comes from the counter-based Philox4x64-10 generator keyed as
 (seed, stream), so every path is reproducible bit for bit from its
@@ -58,7 +52,6 @@ import numpy as np
 
 from .lindblad import TETRA_DIRECTIONS
 
-RATE_CONVENTIONS = ("literal", "eeqt")
 DEFAULT_START = (0.0, 0.0, 1.0)
 DEFAULT_BURN_IN = 100  # attractor convergence is geometric; 100 jumps suffice
 ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
@@ -83,16 +76,12 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def total_rate(kappa: float, alpha: float, rate_convention: str = "literal") -> float:
-    if rate_convention == "literal":
-        return kappa
-    if rate_convention == "eeqt":
-        return kappa * (1.0 + alpha * alpha)
-    raise ValueError(f"rate_convention must be one of {RATE_CONVENTIONS}")
+def total_rate(kappa: float, alpha: float) -> float:
+    """Poisson rate of detection events: kappa tr(sum_i A_i^+ A_i) = kappa (1 + a^2)."""
+    return kappa * (1.0 + alpha * alpha)
 
 
-def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="literal",
-                burn_in=0, **counts) -> None:
+def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, burn_in=0, **counts) -> None:
     """Raise ValueError for a parameter outside the process's domain."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -100,7 +89,7 @@ def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, rate_convention="litera
         raise ValueError("kappa must be positive")
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    expected = total_rate(kappa, alpha, rate_convention) * t_end
+    expected = total_rate(kappa, alpha) * t_end
     if expected > MAX_EXPECTED_JUMPS:
         raise ValueError(f"rate * t_end = {expected:.6g} exceeds the MAX_EXPECTED_JUMPS "
                          f"cap of {MAX_EXPECTED_JUMPS} jumps per path")
@@ -287,8 +276,7 @@ _DIRECTIONS = tuple(tuple(row) for row in TETRA_DIRECTIONS.tolist())
 
 
 def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
-                n_jumps: int = 1000, seed: int = 0, rate_convention: str = "literal",
-                burn_in: int = 0) -> SamplePath:
+                n_jumps: int = 1000, seed: int = 0, burn_in: int = 0) -> SamplePath:
     """Simulate ``burn_in + n_jumps`` jumps of the process from t = 0 and
     keep the last ``n_jumps`` events; their times stay absolute.
 
@@ -299,7 +287,7 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
     become the path's columns without a copy.
     """
     _check_args(alpha, kappa, burn_in=burn_in, n_jumps=n_jumps)
-    rate = total_rate(kappa, alpha, rate_convention)
+    rate = total_rate(kappa, alpha)
     n = burn_in + n_jumps
     rng = make_rng(seed)
     waits = rng.standard_exponential(n) / rate
@@ -427,8 +415,12 @@ def qmix_threads() -> int:
 
 def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
                         n_paths: int, t_end: float, seed: int = 0,
-                        rate_convention: str = "literal") -> np.ndarray:
+                        rate_convention: str = "eeqt") -> np.ndarray:
     """Mean Bloch vector over independent paths at time ``t_end``.
+
+    ``rate_convention`` accepts only ``"eeqt"``, the one clock
+    (``total_rate``).  Kept only because the benchmark's pushforward
+    workload (bench/workloads.py) passes it.
 
     Paths are simulated in vectorized chunks of ``ENSEMBLE_CHUNK``; chunk c
     draws from the Philox stream (seed, c), and partial sums are combined
@@ -437,8 +429,10 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     w + T, ... in one ``_Workspace`` it allocates once, so no round
     allocates batch-sized arrays (each would fault in fresh pages).
     """
-    _check_args(alpha, kappa, t_end, rate_convention=rate_convention, n_paths=n_paths)
-    rate = total_rate(kappa, alpha, rate_convention)
+    if rate_convention != "eeqt":
+        raise ValueError(f"rate_convention must be 'eeqt', got {rate_convention!r}")
+    _check_args(alpha, kappa, t_end, n_paths=n_paths)
+    rate = total_rate(kappa, alpha)
     r0u = _unit(r0)
     jobs = [(omega, alpha, r0u, min(ENSEMBLE_CHUNK, n_paths - start), t_end, seed, stream, rate)
             for stream, start in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]

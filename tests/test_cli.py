@@ -99,6 +99,18 @@ class TestConfigHandling:
         assert run(["evolve", "--config", cfg]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_retired_rate_convention_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "cloud.csv"
+        assert run(["pdp", "--alpha", 0.5, "--n-points", 10, "--rate-convention", "eeqt",
+                    "--out", out]) == 2
+        assert "unrecognized arguments: --rate-convention" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 0.5, "n_points": 10, "rate_convention": "eeqt",
+                                   "out": str(out)}))
+        assert run(["pdp", "--config", cfg]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_rejected(self, capsys):
         assert run(["evolve", "--preset", "zeno"]) == 2
         assert "missing required" in capsys.readouterr().err
@@ -555,11 +567,12 @@ class TestDeterminism:
 
     def test_repro_subcommand_runs_selected_criteria(self, tmp_path, capsys):
         report = tmp_path / "report.json"
-        assert run(["repro", "--criteria", "[6]", "--out", report]) == 0
+        # criterion 4's verdict comes from numpy comparisons
+        assert run(["repro", "--criteria", "[4,6]", "--out", report]) == 0
         text = capsys.readouterr().out
-        assert "C6" in text and "PASS" in text
+        assert "C4" in text and "C6" in text and "FAIL" not in text
         payload = json.load(open(report))
-        assert payload["criteria"][0]["passed"] is True
+        assert [c["passed"] for c in payload["criteria"]] == [True, True]
 
 
 def test_startup_imports_no_scipy():

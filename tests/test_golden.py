@@ -26,21 +26,20 @@ RECIPE = [
      "--out", "cloud.pgm"],
 ]
 RECIPE_DIGESTS = {
-    "cloud.csv": "eb8fa5f7c220ee05c1f4379af5a8fd2488d59af8ee59aebeaa91513b0ccf5524",
-    "path.jsonl": "0c4d749ec522440eb1fa25c307cc93c7eca4350e8e2f816b9527d9be0c6954de",
+    "cloud.csv": "2dd7d81998df20fe4fceaffbbbde78485487c80d387dc8cd45d8b2bb58059a92",
+    "path.jsonl": "74a6b049bbb31bdc90bfaec824095815b13bacbb8646a083db8e0ceb4f47fc37",
     "dimension.json": "f04df95a265b3bc2a9137269d5739d60d886ee68391208573b9e8b1b1330aa10",
     "cloud.ppm": "64b52fe4992286f4dad45ca59585c2cb5058a44db0f824e3100f3512b4c7b221",
     "cloud.pgm": "5aaa5e133ceb084bd9b58ee52995d91b1db812040759b9a323c0f9bd92905990",
 }
 
-# precession, the eeqt clock, a tilted start and no burn-in
+# precession, kappa != 1, a tilted start and no burn-in
 PRECESSING = ["pdp", "--alpha", "0.6", "--omega", "0.7", "--kappa", "2",
-              "--rate-convention", "eeqt", "--r0", "[0.6,0,0.8]", "--burn-in", "0",
-              "--n-points", "500", "--seed", "11", "--out", "cloud.csv",
-              "--log", "path.jsonl"]
+              "--r0", "[0.6,0,0.8]", "--burn-in", "0", "--n-points", "500",
+              "--seed", "11", "--out", "cloud.csv", "--log", "path.jsonl"]
 PRECESSING_DIGESTS = {
-    "cloud.csv": "e07bcfa9d7545ba4f11dc50bf7c3403d68351d72bacb7d993bdf436fac9a17f5",
-    "path.jsonl": "a3447a0be73f9b40ae050537de8701e9c6beafe9a647927d71c7b4a152331060",
+    "cloud.csv": "794cd3d757e3635e1a26817836d3bab15cc74731f78c0fbd17ccea2382c9dd9d",
+    "path.jsonl": "3393e963508999272733f7bbf0cb648b180c6baf9abfa15f1c59f8d19b729ba7",
 }
 
 
@@ -59,7 +58,7 @@ WRITERS = [
      "--size", "128", "--out", "zoom.pgm"],
 ]
 WRITERS_DIGESTS = {
-    "traj.csv": "85c0444ff550d1a32424bcfd8a07f51489227cd4a35b6e31c3270305474696c2",
+    "traj.csv": "27c2390c20f7eacdc85f6f2eb807dcbb09f738c17e86b4c32f1c251f435a36a8",
     "traj_sx.csv": "5586fb48dc265486e54331f51aedde93c1b37c55b7adf9051a64fc4478a78db4",
     "classical.json": "3c9b9bfd948d695dc2fa0ea948ed2c6f7ece66670d6f932b6430160f32587564",
     "density.csv": "8b2aa90e32d2dad5406a5899e28bfc6971df5ea6eeb0cfe112fa9d4ce699a090",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from qmix.exponent import lambda_q_analytic
 from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
 from qmix import pdp
 from qmix.pdp import (
@@ -104,13 +105,20 @@ class TestJumpProbabilities:
         p = jump_probs(TETRA_DIRECTIONS[0], 1.0)
         np.testing.assert_allclose(p, [0.5, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
 
+    def test_directions_have_exact_unit_norm_and_antipodes_no_negative_weight(self):
+        for i, n in enumerate(TETRA_DIRECTIONS):
+            assert n @ n == 1.0
+            p = jump_probs(-n, 1.0)
+            assert p.min() >= 0.0 and p[i] == 0.0
+
 
 class TestPickRule:
     def test_a_rounded_negative_weight_does_not_end_the_pick_early(self):
-        """At alpha = 1 on detector 2's antipode its weight rounds to -4e-16,
-        so the running sums dip; a threshold between the dip and the first
-        sum still picks detector 1, as the sampler's loop does."""
-        r = -TETRA_DIRECTIONS[1:2]
+        """At alpha = 1 on a unit state 2e-9 off detector 2's antipode its
+        weight rounds to -4e-16, so the running sums dip; a threshold between
+        the dip and the first sum still picks detector 1, as the sampler's
+        loop does."""
+        r = np.array([pdp._unit(-TETRA_DIRECTIONS[1] + [2e-9, 0.0, 0.0])])
         for dots in (None, r @ TETRA_DIRECTIONS.T):
             w, _, _ = _jump_kernel(r, 1.0, dots=dots)
             assert w[0, 1] < 0.0
@@ -145,7 +153,7 @@ class TestSamplePath:
     def test_mean_waiting_time(self):
         path = sample_path(omega=0.0, kappa=1.0, alpha=0.5, n_jumps=10_000, seed=1)
         gaps = np.diff(np.concatenate([[0.0], path.times]))
-        assert gaps.mean() == pytest.approx(1.0, abs=0.03)
+        assert gaps.mean() == pytest.approx(1.0 / 1.25, abs=0.03)
         assert np.all(np.diff(path.times) > 0)
 
     def test_frozen_state_at_zero_sharpness_and_precession(self):
@@ -168,19 +176,9 @@ class TestSamplePath:
         c = sample_path(omega=0.4, kappa=2.0, alpha=0.7, n_jumps=200, seed=10)
         assert a.records != c.records
 
-    def test_rate_convention_rescales_the_clock_only(self):
-        lit = sample_path(omega=0.0, kappa=1.0, alpha=1.0, n_jumps=100, seed=4,
-                          rate_convention="literal")
-        eeqt = sample_path(omega=0.0, kappa=1.0, alpha=1.0, n_jumps=100, seed=4,
-                          rate_convention="eeqt")
-        np.testing.assert_array_equal(lit.detectors, eeqt.detectors)
-        np.testing.assert_allclose(lit.times / eeqt.times, 2.0, atol=1e-12)
-
     def test_total_rate_values(self):
-        assert total_rate(2.0, 0.5, "literal") == 2.0
-        assert total_rate(2.0, 0.5, "eeqt") == 2.5
-        with pytest.raises(ValueError):
-            total_rate(1.0, 0.5, "bogus")
+        assert total_rate(2.0, 0.5) == 2.5
+        assert total_rate(1.0, 1.0) == 2.0
 
     @pytest.mark.parametrize("omega", [0.0, 0.7])
     def test_draw_blocks_do_not_change_the_path(self, monkeypatch, omega):
@@ -227,13 +225,13 @@ class TestChaosGame:
 
     @pytest.mark.parametrize("alpha, seed, r0, burn_in, digest", [
         (0.75, 0, (0, 0, 1), 100,
-         "8c736635138565b91e6a9c4414ac69001b434addf2782d1532fe392b8e2380c0"),
+         "ef36736a5e30b520d499541d6b8094110cc9cb2b68fc8deff7efa3d316c5de76"),
         (0.5, 7, (0.6, 0, 0.8), 0,
-         "b17f81cda197f2a614d4d8611d7ac05d4fdd862ab602e8286697b96383ab3edd"),
+         "4618fa16ae04133da435219082ca5bd9e2ba0099465bcf206f1a9fd1b9e388f7"),
         (0.95, 123, (1, 1, 1), 37,
-         "0b92d2e3e05f0ecc0c0f98591f3a16848f0cbdde3a2aeabc171098a7c9bf0ddf"),
+         "8384a901aa3954d502646f0791a5c512003e998c3317fdc4246cff97547be346"),
         (1.0, 5, (0, 0, 1), 10,
-         "c806f6912686d05338ca7bd48debeff2ae2bab8875512bbc86a0da0bc93e8af0"),
+         "d1c6b2f3297fac44991c370cfed7214525f84be697668ccd8d8e89d852b9133c"),
         (0.0, 2, (0, 0.6, 0.8), 5,
          "0f4f06e10d58d31e6a4ecc06c3e84100f21f051b6cef1247639610defcdd67ee"),
     ])
@@ -274,26 +272,38 @@ class TestEnsembleConsistency:
         target = analytic_bloch_paths(Tetrahedron(kappa=1.0, alpha=0.8, omega=1.0),
                                       r0[None, :], np.array([1.0]))[0, 0]
         mean = ensemble_bloch_mean(omega=1.0, kappa=1.0, alpha=0.8, r0=r0,
-                                   n_paths=100_000, t_end=1.0, seed=42,
-                                   rate_convention="eeqt")
+                                   n_paths=100_000, t_end=1.0, seed=42)
         tol = 3.0 / math.sqrt(100_000)
         assert np.max(np.abs(mean - target)) <= tol
 
-    def test_literal_rate_does_not(self):
-        r0 = np.array([0.6, 0.0, 0.8])
-        target = analytic_bloch_paths(Tetrahedron(kappa=1.0, alpha=0.8, omega=1.0),
-                                      r0[None, :], np.array([1.0]))[0, 0]
-        mean = ensemble_bloch_mean(omega=1.0, kappa=1.0, alpha=0.8, r0=r0,
-                                   n_paths=20_000, t_end=1.0, seed=42,
-                                   rate_convention="literal")
-        assert np.max(np.abs(mean - target)) > 0.05
+    def test_one_step_mean_decays_at_the_master_equation_exponent(self):
+        """Sum_i p_i(r) r_i = c r with c = (1 - a^2/3) / (1 + a^2), with no
+        sampling.  The chain's mean therefore decays at rate (1 - c) per jump,
+        and at kappa (1 + a^2) (1 - c) per unit time on the one clock: the
+        master equation's exponent (4/3) kappa a^2.  At a rate of kappa
+        alone it would decay (1 + a^2) times slower."""
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            r, alpha = random_unit(rng), 0.99 * rng.random()
+            step = sum(p * jump_map(r, i + 1, alpha)
+                       for i, p in enumerate(jump_probs(r, alpha)))
+            c = (1.0 - alpha ** 2 / 3.0) / (1.0 + alpha ** 2)
+            np.testing.assert_allclose(step, c * r, rtol=0.0, atol=1e-14)
+        for kappa, alpha in [(1.0, 0.1), (1.0, 0.5), (2.5, 0.8), (0.3, 1.0),
+                             *zip(4 * rng.random(5), 0.1 + 0.9 * rng.random(5))]:
+            c = (1.0 - alpha ** 2 / 3.0) / (1.0 + alpha ** 2)
+            exponent = lambda_q_analytic(Tetrahedron(kappa=kappa, alpha=alpha))
+            assert total_rate(kappa, alpha) * (1.0 - c) == pytest.approx(exponent, rel=1e-12)
+
+    def test_only_the_eeqt_clock_is_accepted(self):
+        with pytest.raises(ValueError, match="rate_convention"):
+            ensemble_bloch_mean(0.0, 1.0, 0.5, [0, 0, 1], 10, 1.0, rate_convention="literal")
 
     def test_thread_count_does_not_change_the_result(self, monkeypatch):
         # five chunks, the last one partial: with 2 or 3 workers they own
         # unequal numbers of chunks, and each reuses one workspace
         kwargs = dict(omega=0.5, kappa=1.0, alpha=0.6, r0=[0.0, 0.0, 1.0],
-                      n_paths=4 * ENSEMBLE_CHUNK + 12_345, t_end=0.8, seed=11,
-                      rate_convention="eeqt")
+                      n_paths=4 * ENSEMBLE_CHUNK + 12_345, t_end=0.8, seed=11)
         means = {}
         for threads in (1, 2, 3, 7):
             monkeypatch.setenv("QMIX_THREADS", str(threads))
@@ -328,25 +338,23 @@ class TestEnsembleConsistency:
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
             ensemble_bloch_mean(0.0, 1.0, 0.5, [0, 0, 1], 10, 1e9)
-        # the eeqt clock runs (1 + alpha^2) times faster than the literal one
+        # the clock runs at kappa (1 + alpha^2), twice kappa at alpha = 1
         t_end = 0.75 * MAX_EXPECTED_JUMPS
         with pytest.raises(ValueError, match="MAX_EXPECTED_JUMPS"):
-            ensemble_bloch_mean(0.0, 1.0, 1.0, [0, 0, 1], 10, t_end, rate_convention="eeqt")
+            ensemble_bloch_mean(0.0, 1.0, 1.0, [0, 0, 1], 10, t_end)
         assert time.perf_counter() - start < 1.0
 
+    # every case runs the one clock; the "literal-" ids name the rate of
+    # kappa alone that those two cases ran on before it was retired
     @pytest.mark.parametrize("kwargs, expected", [
-        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=7,
-              rate_convention="eeqt"),
+        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=7),
          ("0x1.1f8ce02ce1d29p-3", "0x1.b7f77930cb236p-3", "0x1.5d0856ebd9fd7p-2")),
-        (dict(omega=0.5, alpha=0.6, r0=(0.0, 0.0, 1.0), n_paths=50_000, t_end=0.8, seed=11,
-              rate_convention="eeqt"),
-         ("0x1.4b1a98d484859p-9", "0x1.48e0c1395e661p-13", "0x1.5d4b332778e7cp-1")),
-        (dict(omega=0.0, alpha=1.0, r0=(0.6, 0.0, 0.8), n_paths=30_001, t_end=1.5, seed=3,
-              rate_convention="literal"),
-         ("0x1.c1b8a460481afp-3", "-0x1.07f9357edd06ep-9", "0x1.27e39e4362a3ep-2")),
-        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=42,
-              rate_convention="literal"),
-         ("0x1.88ae8b95c2addp-3", "0x1.324337d1a7af6p-2", "0x1.e55b02ac63beep-2")),
+        (dict(omega=0.5, alpha=0.6, r0=(0.0, 0.0, 1.0), n_paths=50_000, t_end=0.8, seed=11),
+         ("0x1.4b1a98d484855p-9", "0x1.48e0c1395e657p-13", "0x1.5d4b332778e7cp-1")),
+        (dict(omega=0.0, alpha=1.0, r0=(0.6, 0.0, 0.8), n_paths=30_001, t_end=1.5, seed=3),
+         ("0x1.294272fa00f61p-4", "0x1.e523f39d0bd60p-10", "0x1.cf81fcb3bfd9ap-4")),
+        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=42),
+         ("0x1.18be8688e0c67p-3", "0x1.b95d5f2854368p-3", "0x1.5f09ce54ab177p-2")),
     ], ids=["eeqt-omega-1", "eeqt-omega-0.5", "literal-frozen-partial-chunk",
             "literal-omega-1"])
     def test_means_are_pinned_bit_for_bit(self, kwargs, expected):

@@ -1,7 +1,7 @@
 """Property tests for the detector maps and the jump sampler."""
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmix.lindblad import TETRA_DIRECTIONS
 from qmix.pdp import _jump_kernel, _Workspace, jump_map, jump_probs, make_rng, sample_path
@@ -33,6 +33,10 @@ def test_jump_map_stays_on_the_sphere(r, detector, alpha):
 
 @PROPERTY_SETTINGS
 @given(r=unit_vectors(), alpha=_alphas)
+@example(r=-TETRA_DIRECTIONS[0], alpha=1.0)
+@example(r=-TETRA_DIRECTIONS[1], alpha=1.0)
+@example(r=-TETRA_DIRECTIONS[2], alpha=1.0)
+@example(r=-TETRA_DIRECTIONS[3], alpha=1.0)
 def test_jump_probs_are_a_distribution(r, alpha):
     p = jump_probs(r, alpha)
     assert p.min() >= 0.0
