@@ -66,20 +66,31 @@ def header_comments(config: dict) -> list[str]:
     ]
 
 
-_BLOCK_ROWS = 65536
+# rows per format pass; its Python objects are a text write's largest
+# transient.  With the README chain run in one process, ru_maxrss after
+# pdp --log reads 45 MB at 5e4 points and 150 MB at 1e6 (51 and 157 MB at
+# 65536 rows, which wrote no faster); after the ppm render that follows it
+# reads 60 MB (--size 512, 5e4 points) and 157-162 MB (--size 1024, 1e6).
+_BLOCK_ROWS = 8192
 
 
 def _encode_rows(head: str, row_fmt: str, *columns: np.ndarray) -> bytearray:
     """``head`` and then one ``row_fmt`` line per row of the columns, encoded.
 
-    Rows are formatted and encoded a block at a time and appended to one
-    buffer, so the per-row Python objects never outnumber one block and
-    the file is held in memory once.
+    Each block of rows is one ``%`` call: the block's columns are
+    interleaved into one flat list, and ``row_fmt`` repeated once per row
+    formats all of it.  Blocks are encoded and appended to one buffer, so
+    the per-value Python objects never outnumber one block and the file is
+    held in memory once.
     """
     data = bytearray(head.encode())
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = zip(*(c[start:start + _BLOCK_ROWS].tolist() for c in columns))
-        data += "".join([row_fmt % row for row in block]).encode()
+    n, k = len(columns[0]), len(columns)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        flat = [None] * (k * rows)
+        for j, column in enumerate(columns):
+            flat[j::k] = column[start:start + rows].tolist()
+        data += ((row_fmt * rows) % tuple(flat)).encode()
     return data
 
 
@@ -135,10 +146,14 @@ def read_cloud_csv(path: str) -> np.ndarray:
 # one jump event; keys in sorted order and the time as repr, as canonical_json
 # writes them
 _EVENT_FMT = '{"detector":%d,"time":%r}\n'
-_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"  # JSON's grammar
-# an event line as _EVENT_FMT writes it, the label as group 1; every line it
-# matches is a JSON object with an integer detector in 1..4
-EVENT_LINE = re.compile(r'^\{"detector":([1-4]),"time":%s\}$' % _NUMBER, re.MULTILINE)
+# JSON's number grammar; an optional part is written "(?:...|)", which the
+# regex engine matches about a third faster than "(?:...)?"
+_NUMBER = r"-?(?:[1-9][0-9]*|0)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)"
+# a run of event lines as _EVENT_FMT writes them; every line it matches is a
+# JSON object with an integer detector in 1..4, whose label is the line's
+# byte LABEL_OFFSET (after '{"detector":')
+EVENT_LINES = re.compile(r'(?:\{"detector":[1-4],"time":%s\}\n)*' % _NUMBER)
+LABEL_OFFSET = len('{"detector":')
 LOG_BLOCK_LINES = 4096  # jump log lines read per block
 
 
@@ -157,19 +172,26 @@ def write_jsonl(path: str, times: np.ndarray, detectors: np.ndarray, config: dic
 def read_jsonl_detectors(path: str) -> np.ndarray:
     """Detector labels of a JSONL jump log in event order, read a block of lines at a time.
 
-    A block of event lines as ``write_jsonl`` writes them yields its labels
-    from one regex pass; any other block (the metadata record, or events in
-    another layout such as older logs that also held x, y, z) is decoded with
-    ``json.loads``, and its records with a detector key are events.
-    Undecodable lines, lines that are not JSON objects and labels that are
-    not integers in 1..4 raise ``ValueError`` naming the file.
+    The first line (the metadata record) is a block of its own.  A block of
+    event lines as ``write_jsonl`` writes them passes one anchored
+    ``EVENT_LINES`` match, and its labels are the bytes ``LABEL_OFFSET``
+    after each line start, gathered by one numpy index.  Any other block (a
+    last line without its newline, or events in another layout such as
+    older logs that also held x, y, z) is decoded with ``json.loads``, and
+    its records with a detector key are events.  Undecodable lines, lines
+    that are not JSON objects and labels that are not integers in 1..4
+    raise ``ValueError`` naming the file.
     """
-    parts, decoded, first_line = [np.empty(0, dtype=int)], [], 1
-    with open(path) as handle:
-        while block := list(itertools.islice(handle, LOG_BLOCK_LINES)):
-            labels = EVENT_LINE.findall("".join(block))
-            if len(labels) == len(block):  # a match never spans two lines
-                parts.append(np.frombuffer("".join(labels).encode(), dtype=np.uint8) - ord("0"))
+    parts, decoded, first_line = [np.empty(0, dtype=np.uint8)], [], 1
+    with open(path) as handle:  # text mode reads a CRLF line as one ending in LF
+        block = list(itertools.islice(handle, 1))  # the metadata record
+        while block:
+            text = "".join(block)
+            if EVENT_LINES.fullmatch(text):
+                # every line, the first too, starts after a newline byte
+                data = np.frombuffer(("\n" + text).encode(), dtype=np.uint8)
+                starts = np.flatnonzero(data[:-1] == ord("\n")) + 1
+                parts.append(data[starts + LABEL_OFFSET] - ord("0"))
             else:
                 try:
                     records = json.loads("[" + ",".join(block) + "]")
@@ -182,11 +204,13 @@ def read_jsonl_detectors(path: str) -> np.ndarray:
                 decoded.extend(labels)
                 parts.append(labels)
             first_line += len(block)
+            block = list(itertools.islice(handle, LOG_BLOCK_LINES))
     if not {type(label) for label in decoded} <= {int}:
         raise ValueError(f"jump log {path} holds a detector that is not an integer")
     if decoded and not 1 <= min(decoded) <= max(decoded) <= 4:
         raise ValueError(f"jump log {path} holds a detector label outside 1..4")
-    return np.concatenate([np.asarray(part, dtype=int) for part in parts])
+    # every label is now an integer in 1..4
+    return np.concatenate([np.asarray(part, dtype=np.uint8) for part in parts]).astype(int)
 
 
 def write_json(path: str, payload: dict, config: dict) -> None:

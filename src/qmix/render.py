@@ -3,7 +3,7 @@
 Deliberately dependency-free: both formats are written byte-exactly, so a
 cloud plus a render spec always reproduces the identical file.  Intensity
 is log-scaled hit count per pixel; PPM mode colors each pixel by the
-detector that last produced its dominant hits.
+detector with the most hits there, the lowest of a tie.
 """
 
 from __future__ import annotations
@@ -118,7 +118,10 @@ def _intensity(hits: np.ndarray) -> np.ndarray:
 def render(points: np.ndarray, spec: RenderSpec,
            detectors: Optional[np.ndarray] = None,
            comments: tuple[str, ...] = ()) -> bytes:
-    """Rasterize a cloud to PGM (grayscale) or PPM (detector-colored) bytes."""
+    """Rasterize a cloud to PGM (grayscale) or PPM (detector-colored) bytes.
+
+    PPM mode needs one detector label in 1..4 per point, else ValueError.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
         raise ValueError("expected a nonempty (n, 3) point cloud")
@@ -129,14 +132,17 @@ def render(points: np.ndarray, spec: RenderSpec,
         return _encode_pnm(b"P5", _intensity(hits), width, height, comments)
     if detectors is None:
         raise ValueError("ppm mode needs a detector label per point")
-    det = np.asarray(detectors, dtype=int)[mask] - 1
-    if det.size != flat.size:
+    det = np.asarray(detectors, dtype=int)
+    if det.shape != (len(points),):
         raise ValueError("detector labels must match the cloud length")
-    per = np.stack([
-        np.bincount(flat[det == d], minlength=width * height) for d in range(4)
-    ])
-    total = per.sum(axis=0)
-    winner = per.argmax(axis=0)
+    if not 1 <= det.min() <= det.max() <= 4:
+        raise ValueError("detector labels must lie in 1..4")
+    det = det[mask] - 1
+    # hits of pixel p at detector d land in bin 4 p + d; argmax takes the
+    # lowest detector of a tie
+    per = np.bincount(flat * 4 + det, minlength=4 * width * height).reshape(-1, 4)
+    total = per[:, 0] + per[:, 1] + per[:, 2] + per[:, 3]  # sum(axis=1) is 4x slower
+    winner = per.argmax(axis=1)
     img = (DETECTOR_COLORS[winner].astype(np.uint16)
            * _intensity(total)[:, None].astype(np.uint16) // 255).astype(np.uint8)
     return _encode_pnm(b"P6", img.reshape(height, width, 3), width, height, comments)

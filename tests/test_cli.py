@@ -513,9 +513,16 @@ class TestRenderCommand:
         five_keys = lines[:1] + [canonical_json(dict(json.loads(line), x=x, y=y, z=z))
                                  for line, (x, y, z) in zip(lines[1:],
                                                             read_cloud_csv(cloud).tolist())]
-        monkeypatch.setattr(io, "LOG_BLOCK_LINES", 64)
-        for variant in (respaced, five_keys):
-            log.write_text("\n".join(variant) + "\n")
+        written = "\n".join(lines) + "\n"
+        for text, block_lines in [
+            ("\n".join(respaced) + "\n", 64),
+            ("\n".join(five_keys) + "\n", 64),
+            (written.replace("\n", "\r\n"), 64),  # CRLF line endings
+            (written[:-1], 64),  # no newline after the last event
+            (written, 1),  # the metadata line is a block of its own
+        ]:
+            monkeypatch.setattr(io, "LOG_BLOCK_LINES", block_lines)
+            log.write_bytes(text.encode())
             np.testing.assert_array_equal(io.read_jsonl_detectors(str(log)), expected)
 
     def test_ppm_needs_log(self, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmix import io
-from qmix.io import (EVENT_LINE, atomic_write_bytes, canonical_json, config_hash,
+from qmix.io import (EVENT_LINES, LABEL_OFFSET, atomic_write_bytes, canonical_json, config_hash,
                      header_comments, read_cloud_csv, write_cloud_csv, write_csv, write_jsonl)
 
 
@@ -49,8 +49,10 @@ def test_jump_log_events_are_canonical_json(tmp_path):
     expected = [canonical_json({"time": t, "detector": d})
                 for t, d in zip(times.tolist(), detectors.tolist())]
     assert lines[1:] == expected
-    assert EVENT_LINE.match(lines[0]) is None
-    assert [EVENT_LINE.fullmatch(line).group(1) for line in lines[1:]] == ["1", "2", "3", "4", "1"]
+    assert EVENT_LINES.fullmatch(lines[0] + "\n") is None
+    events = "".join(line + "\n" for line in lines[1:])
+    assert EVENT_LINES.fullmatch(events) is not None
+    assert [line[LABEL_OFFSET] for line in lines[1:]] == ["1", "2", "3", "4", "1"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -60,16 +62,16 @@ def test_jump_log_events_are_canonical_json(tmp_path):
                         st.text("0123456789+-.eE", min_size=1, max_size=6)))
 def test_event_line_matches_exactly_the_json_events(label, number):
     """A line of the writer's layout matches iff it is a JSON object whose
-    detector is an integer in 1..4; the match's group is that label."""
+    detector is an integer in 1..4; its byte at LABEL_OFFSET is that label."""
     line = '{"detector":%s,"time":%s}' % (label, number)
     try:
         detector = json.loads(line)["detector"]
     except ValueError:
         detector = None
-    match = EVENT_LINE.fullmatch(line)
+    match = EVENT_LINES.fullmatch(line + "\n")
     assert (match is not None) == (type(detector) is int and 1 <= detector <= 4)
     if match:
-        assert int(match.group(1)) == detector
+        assert int(line[LABEL_OFFSET]) == detector
 
 
 def test_cloud_csv_skips_blank_and_comment_lines(tmp_path):

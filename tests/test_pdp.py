@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from qmix.exponent import lambda_q_analytic
 from qmix.lindblad import TETRA_DIRECTIONS, Tetrahedron, analytic_bloch_paths, build_model
@@ -234,7 +233,7 @@ class TestChaosGame:
          "d1c6b2f3297fac44991c370cfed7214525f84be697668ccd8d8e89d852b9133c"),
         (0.0, 2, (0, 0.6, 0.8), 5,
          "0f4f06e10d58d31e6a4ecc06c3e84100f21f051b6cef1247639610defcdd67ee"),
-    ])
+    ], ids=["a0.75-s0", "a0.5-s7", "a0.95-s123", "a1.0-s5", "a0.0-s2"])
     def test_points_and_labels_are_pinned_bit_for_bit(self, alpha, seed, r0, burn_in,
                                                       digest):
         path = sample_path(0.0, 1.0, alpha, r0, 300, seed, burn_in=burn_in)
@@ -249,7 +248,24 @@ class TestChaosGame:
         np.testing.assert_allclose(pts, path.states, atol=1e-15)
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function for even ``df``, in closed form:
+    e^(-x/2) sum_{k < df/2} (x/2)^k / k!."""
+    assert df > 0 and df % 2 == 0
+    term = total = 1.0
+    for k in range(1, df // 2):
+        term *= (x / 2.0) / k
+        total += term
+    return math.exp(-x / 2.0) * total
+
+
 class TestDetectorStatistics:
+    def test_chi2_survival_function_meets_the_table(self):
+        # 26.21696731 is the 99% quantile of chi-square with 12 degrees of freedom
+        assert chi2_sf(26.21696731, 12) == pytest.approx(0.01, abs=1e-8)
+        assert chi2_sf(0.0, 12) == 1.0
+        assert chi2_sf(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
     def test_transition_counts_match_the_four_state_chain(self):
         """At full sharpness the jump chain is a 4-state Markov chain with
         transition probabilities p_j(n_i); chi-square at the 1% level."""
@@ -263,7 +279,7 @@ class TestDetectorStatistics:
         for i in range(4):
             expected = counts[i].sum() * expected_rows[i]
             stat += float(np.sum((counts[i] - expected) ** 2 / expected))
-        assert stat < chi2.ppf(0.99, df=12)
+        assert chi2_sf(stat, 12) > 0.01
 
 
 class TestEnsembleConsistency:

@@ -1,10 +1,13 @@
 """Property tests for the detector maps and the jump sampler."""
 
+import math
+
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qmix.lindblad import TETRA_DIRECTIONS
-from qmix.pdp import _jump_kernel, _Workspace, jump_map, jump_probs, make_rng, sample_path
+from qmix.pdp import (_jump_kernel, _Workspace, jump_map, jump_probs, make_rng, sample_path,
+                      total_rate)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                              database=None)
@@ -71,6 +74,29 @@ def test_each_frozen_step_is_the_kernel_draw(r0, alpha, seed, n_jumps):
         assert pick[0] + 1 == detector
         np.testing.assert_array_equal(out[0], state)
         previous = state
+
+
+@PROPERTY_SETTINGS
+@given(r0=unit_vectors(), alpha=_alphas, omega=st.floats(-20.0, 20.0).filter(bool),
+       kappa=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1),
+       n_jumps=st.integers(1, 40))
+def test_each_precessing_step_is_the_rotated_kernel_draw(r0, alpha, omega, kappa, seed,
+                                                         n_jumps):
+    """Off the frozen case, each step rotates the previous state about z by
+    omega times its wait, then takes the batch kernel's draw, bit for bit."""
+    path = sample_path(omega=omega, kappa=kappa, alpha=alpha, r0=r0, n_jumps=n_jumps, seed=seed)
+    rng = make_rng(seed)
+    waits = rng.standard_exponential(n_jumps) / total_rate(kappa, alpha)
+    us = rng.random(n_jumps)
+    x, y, z = path.r0
+    for angle, u, detector, state in zip((omega * waits).tolist(), us, path.detectors,
+                                         path.states):
+        c, s = math.cos(angle), math.sin(angle)
+        x, y = c * x - s * y, s * x + c * y
+        _, pick, out = _jump_kernel(np.array([[x, y, z]]), alpha, u=np.array([u]))
+        assert pick[0] + 1 == detector
+        np.testing.assert_array_equal(out[0], state)
+        x, y, z = state.tolist()
 
 
 def first_running_sum_above(weights, threshold):
