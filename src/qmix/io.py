@@ -68,9 +68,9 @@ def header_comments(config: dict) -> list[str]:
 
 # rows per format pass; its Python objects are a text write's largest
 # transient.  With the README chain run in one process, ru_maxrss after
-# pdp --log reads 45 MB at 5e4 points and 150 MB at 1e6 (51 and 157 MB at
-# 65536 rows, which wrote no faster); after the ppm render that follows it
-# reads 60 MB (--size 512, 5e4 points) and 157-162 MB (--size 1024, 1e6).
+# pdp --log reads 46 MB at 5e4 points and 152 MB at 1e6 (51 and 157 MB at
+# 65536 rows, which wrote no faster); the fractal and the ppm and net
+# renders that follow (--size 512 at 5e4 points, 1024 at 1e6) leave it there.
 _BLOCK_ROWS = 8192
 
 

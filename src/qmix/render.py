@@ -4,6 +4,12 @@ Deliberately dependency-free: both formats are written byte-exactly, so a
 cloud plus a render spec always reproduces the identical file.  Intensity
 is log-scaled hit count per pixel; PPM mode colors each pixel by the
 detector with the most hits there, the lowest of a tie.
+
+Hits are counted from one sort of the visible points' keys, the pixel p
+(PGM) or 4 p + d for detector d (PPM).  Each run of equal keys is one
+occupied pixel (or pixel and detector), so only occupied pixels get an
+intensity and a color, and they are scattered into a zeroed image.  Work
+and memory beyond the image are O(points) at any raster size.
 """
 
 from __future__ import annotations
@@ -109,10 +115,14 @@ def _pixel_coords(points: np.ndarray, spec: RenderSpec):
 
 
 def _intensity(hits: np.ndarray) -> np.ndarray:
-    top = hits.max()
-    if top <= 0:
-        return np.zeros(hits.shape, dtype=np.uint8)
-    return np.rint(255.0 * np.log1p(hits) / math.log1p(top)).astype(np.uint8)
+    """Gray level of each occupied pixel's hit count, log-scaled to 255."""
+    return np.rint(255.0 * np.log1p(hits) / math.log1p(hits.max())).astype(np.uint8)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct value of the sorted nonempty ``keys`` and its run length."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.diff(np.r_[starts, len(keys)])
 
 
 def render(points: np.ndarray, spec: RenderSpec,
@@ -128,8 +138,11 @@ def render(points: np.ndarray, spec: RenderSpec,
     px, py, mask, width, height = _pixel_coords(points, spec)
     flat = py * width + px
     if spec.mode == "pgm":
-        hits = np.bincount(flat, minlength=width * height).reshape(height, width)
-        return _encode_pnm(b"P5", _intensity(hits), width, height, comments)
+        img = np.zeros(width * height, dtype=np.uint8)
+        if len(flat):
+            pixels, hits = _runs(np.sort(flat))
+            img[pixels] = _intensity(hits)
+        return _encode_pnm(b"P5", img, width, height, comments)
     if detectors is None:
         raise ValueError("ppm mode needs a detector label per point")
     det = np.asarray(detectors, dtype=int)
@@ -137,21 +150,25 @@ def render(points: np.ndarray, spec: RenderSpec,
         raise ValueError("detector labels must match the cloud length")
     if not 1 <= det.min() <= det.max() <= 4:
         raise ValueError("detector labels must lie in 1..4")
-    det = det[mask] - 1
-    # hits of pixel p at detector d land in bin 4 p + d; argmax takes the
-    # lowest detector of a tie
-    per = np.bincount(flat * 4 + det, minlength=4 * width * height).reshape(-1, 4)
-    total = per[:, 0] + per[:, 1] + per[:, 2] + per[:, 3]  # sum(axis=1) is 4x slower
-    winner = per.argmax(axis=1)
-    img = (DETECTOR_COLORS[winner].astype(np.uint16)
-           * _intensity(total)[:, None].astype(np.uint16) // 255).astype(np.uint8)
-    return _encode_pnm(b"P6", img.reshape(height, width, 3), width, height, comments)
+    img = np.zeros((width * height, 3), dtype=np.uint8)
+    if len(flat):
+        # hits of pixel p at detector d form the run of key 4 p + d
+        cells, hits = _runs(np.sort(flat * 4 + (det[mask] - 1)))
+        starts = np.flatnonzero(np.r_[True, (cells[1:] >> 2) != (cells[:-1] >> 2)])
+        # a pixel's largest 4 h + 3 - d names its most-hit detector, the
+        # lowest of a tie
+        best = np.maximum.reduceat(hits * 4 + (3 - (cells & 3)), starts)
+        shade = _intensity(np.add.reduceat(hits, starts)).astype(np.uint16)
+        img[cells[starts] >> 2] = (DETECTOR_COLORS[3 - (best & 3)].astype(np.uint16)
+                                   * shade[:, None] // 255)
+    return _encode_pnm(b"P6", img, width, height, comments)
 
 
 def _encode_pnm(magic: bytes, img: np.ndarray, width: int, height: int,
                 comments: tuple[str, ...]) -> bytes:
+    """Header lines, then the image bytes, copied once into the result."""
     head = [magic]
     head.extend(b"# " + c.encode() for c in comments)
     head.append(f"{width} {height}".encode())
-    head.append(b"255")
-    return b"\n".join(head) + b"\n" + img.tobytes()
+    head.append(b"255\n")
+    return b"".join((b"\n".join(head), img))

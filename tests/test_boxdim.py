@@ -52,6 +52,10 @@ class TestCounting:
         with pytest.raises(ValueError, match="off the unit sphere"):
             box_count(np.array([[0.0, 0.0, 1.1]]))
 
+    def test_nan_cloud_rejected(self):
+        with pytest.raises(ValueError, match="off the unit sphere"):
+            box_count(np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]))
+
     def test_too_few_levels_rejected(self):
         with pytest.raises(ValueError, match="4 scale levels"):
             box_count(np.array([[0.0, 0.0, 1.0]]), levels=3)

@@ -1,8 +1,14 @@
-"""Detector-colored PPM rendering."""
+"""Detector-colored PPM rendering, and render memory at the size cap."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qmix
+from qmix.cli import main
 from qmix.render import DETECTOR_COLORS, RenderSpec, _intensity, _pixel_coords, render
 
 
@@ -44,3 +50,34 @@ def test_ppm_rejects_a_label_outside_one_to_four(label):
 def test_ppm_needs_one_label_per_point(labels):
     with pytest.raises(ValueError, match="cloud length"):
         render(np.eye(3), RenderSpec(size=64, mode="ppm"), detectors=np.array(labels))
+
+
+def _render_peak_rss(tmp_path, size, *args):
+    """Peak RSS in bytes of ``qmix render --size size`` run as a fresh
+    process on the small cloud in ``tmp_path``, and its output size."""
+    out = tmp_path / f"out-{size}.pnm"
+    src = os.path.dirname(os.path.dirname(qmix.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmix.cli", "render", "--cloud", "cloud.csv",
+         "--size", str(size), "--out", str(out), *args], cwd=tmp_path, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss * 1024, out.stat().st_size
+
+
+@pytest.mark.parametrize("mode", ["pgm", "ppm"])
+def test_render_at_the_size_cap_holds_little_beyond_its_output(tmp_path, mode):
+    # rendering needs memory per point beyond the image; any per-pixel int64
+    # count table (8 bytes a pixel, 32 for ppm's four detectors) breaks the
+    # bound, whose output is 1 (pgm) or 3 (ppm) bytes a pixel
+    assert main(["pdp", "--alpha", "0.75", "--n-points", "2000", "--seed", "1",
+                 "--out", str(tmp_path / "cloud.csv"),
+                 "--log", str(tmp_path / "path.jsonl")]) == 0
+    args = ["--mode", mode, "--log", "path.jsonl"] if mode == "ppm" else []
+    baseline, _ = _render_peak_rss(tmp_path, 64, *args)
+    peak, output = _render_peak_rss(tmp_path, 8192, *args)
+    assert output >= 8192 * 8192 * (3 if mode == "ppm" else 1)
+    assert peak - baseline <= 3 * output
