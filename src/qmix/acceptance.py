@@ -261,7 +261,8 @@ def criterion_9() -> CriterionResult:
             ok &= rel <= 0.02
             details.append(f"r={r}: {est.exponent:.5f}/{math.log(r):.5f} ({100 * rel:.2f}%)")
         # Fourier rule (P^n f)^(k) = f^(k r^n) on piecewise-affine probes,
-        # both sides in closed form, the left through the push-forward itself
+        # both sides in closed form, the left through pf_power's jump and
+        # kink decomposition: an independent check of that closed form
         rng = pdp.make_rng(9)
         worst_f = 0.0
         for _ in range(5):

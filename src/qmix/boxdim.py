@@ -36,7 +36,6 @@ import numpy as np
 
 from .fitting import line_fit
 
-_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 # Scale levels, k = 0..levels-1: max_cell_diameter rounds to 0.0 from level
 # 28 (level 27 is 2.1e-8).  At the cap the finest Morton key has 3 + 2 * 27
 # = 57 bits.  On a 2-vCPU host, box_count of a 1e6-point cloud takes 0.2 s
@@ -63,16 +62,19 @@ def max_cell_diameter(level: int) -> float:
 def _face_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(face id 0..5, u, v) of the cube-face central projection.
 
-    Shared with :mod:`qmix.render`, whose net view lays the faces out flat,
-    as is :func:`_cell_index`.
+    The face is that of the first axis of largest |coordinate|, picked by
+    comparisons: a tie goes to x over y and z, and to y over z.  Shared
+    with :mod:`qmix.render`, whose net view lays the faces out flat, as is
+    :func:`_cell_index`.
     """
-    idx = np.arange(len(points))
-    axis = np.argmax(np.abs(points), axis=1)
-    dom = points[idx, axis]
-    face = 2 * axis + (dom < 0)
-    u = points[idx, _OTHER_AXES[axis, 0]] / np.abs(dom)
-    v = points[idx, _OTHER_AXES[axis, 1]] / np.abs(dom)
-    return face, u, v
+    x, y, z = points.T
+    ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+    on_x = (ax >= ay) & (ax >= az)
+    on_y = ~on_x & (ay >= az)
+    dom = np.where(on_x, x, np.where(on_y, y, z))
+    face = np.where(on_x, 0, np.where(on_y, 2, 4)) + (dom < 0)
+    scale = np.abs(dom)
+    return face, np.where(on_x, y, x) / scale, np.where(on_x | on_y, z, y) / scale
 
 
 def _cell_index(u: np.ndarray, m: int) -> np.ndarray:

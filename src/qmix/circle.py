@@ -11,12 +11,19 @@ and every operation below is an array operation on it: integrals,
 distances, entropies and Fourier coefficients are closed forms (relative
 entropy uses Gauss quadrature inside each piece).  No samples are kept;
 ``evaluate(grid_points(m))`` samples the table where a grid is needed.
+
+P^n itself is a closed form.  A table minus its mean is a sum of jumps and
+kinks at its breaks, P scales each jump by 1/r and each kink by 1/r^2 and
+moves its break b to r b (Raabe's multiplication theorem), so
+:func:`pf_power` and the classical distance table follow the breaks and
+rescale the amplitudes; no step sums over the r branches.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,19 +31,24 @@ from .fitting import ExponentEstimate, probe_exponent
 
 TWO_PI = 2.0 * math.pi
 _BREAK_TOL = 1e-12
+# distances at or below this are rounding to the exponent fit
+_FLOOR = 1e-13
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # Samples per grid, 8 MB at the cap.  `qmix classical` samples only for
-# --density-out: 121 MB peak RSS and 2.9 s at this cap with 100 probe ks (2 CPUs).
+# --density-out: 106 MB peak RSS and 1.6 s at this cap with 100 probe ks (2 CPUs).
 MAX_GRID_SIZE = 2 ** 20
-# Radix of the r-adic map: the push-forward gathers an (r, pieces) array, so
-# its cost is linear in r (`qmix classical` takes about 0.4 s at the cap with
-# its other defaults).
+# Radix of the r-adic map.  No cost grows with r; the cap bounds rounding:
+# the image r b of a break is off by at most r 2pi 2^-53 = 7.1e-13 at the
+# cap, below _BREAK_TOL, so images that coincide still merge.
 MAX_R = 1024
-# Iterates per probe in lambda_classical: its run time is linear in n_max
-# (`qmix classical` takes about 3 s at the cap with its other defaults).
-# The sawtooth probes reach the 1e-13 floor within about 45 iterates at r = 2.
-# With every cap at once (r = 1024, 1000 iterates, 100 probe ks and 2^20
-# --density-out samples) `qmix classical` takes 39 s and peaks at 96 MB RSS.
+# Iterates: pf_power(f, r, n) takes n steps of the breaks, and `qmix
+# classical` pushes its ramp density forward once per iterate for the
+# report's ramp_l1_decay (about 0.3 ms an iterate).  The distance table
+# stops every probe at the 1e-13 floor (the sawtooths within about 45
+# iterates at r = 2, 5 at r = 1024), so only its (probes, n_max) array
+# grows with n_max.  `qmix classical` takes about 0.5 s at this cap with
+# its other defaults, and 1.8-2.0 s at 97 MB peak RSS with every cap at once
+# (r = 1024, 1000 iterates, 100 probe ks and 2^20 --density-out samples).
 MAX_ITERATES = 1000
 
 
@@ -160,27 +172,127 @@ def linear_ramp_density() -> CircleDensity:
 
 
 # -- transfer operator ----------------------------------------------------
+#
+# A zero-mean piece table is sum_b J_b S_b + sum_b K_b C_b over its breaks b:
+# J_b is its jump and K_b its change of slope at b, S_b(x) = 1/2 - {(x-b)/2pi}
+# the unit-jump sawtooth and C_b(x) = -pi B2({(x-b)/2pi}) the unit-kink
+# second Bernoulli function (B2(t) = t^2 - t + 1/6).  Raabe's multiplication
+# theorem gives P S_b = S_{rb} / r and P C_b = C_{rb} / r^2, so P^n scales
+# every jump by r^-n and every kink by r^-2n and moves every break to r^n b.
+# The images are taken one multiplication at a time: r^n b formed at once
+# would round away the digits of b that the map brings up.
 
-def _pf_affine(f: CircleDensity, r: int) -> CircleDensity:
-    # the image pieces sit between the images r b of the breaks; on each,
-    # branch j pulls back the piece of f holding its midpoint's preimage.
-    # The (r, pieces) gather never outgrows r times f's pieces: the image
-    # has no more pieces than f.
-    breaks = _dedupe_breaks(np.concatenate([np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
-    xm = 0.5 * (breaks[:-1] + breaks[1:])
-    j = np.arange(r)[:, None]
-    c, s = np.moveaxis(f.coefs[_piece_of(f.breaks, (xm + TWO_PI * j) / r)], -1, 0)
-    c_new = np.sum((c + s * TWO_PI * j / r) / r, axis=0)
-    s_new = np.sum(s / (r * r), axis=0)
-    return CircleDensity.from_pieces(
-        np.column_stack([breaks[:-1], breaks[1:], c_new, s_new]))
+def _radix(r) -> int:
+    if not 2 <= r <= MAX_R or int(r) != r:
+        raise ValueError(f"r must be an integer from 2 to the MAX_R cap of {MAX_R} (got {r})")
+    return int(r)
+
+
+def _amplitudes(breaks: np.ndarray, c: np.ndarray, s: np.ndarray):
+    """(points, jumps, kinks) of the table c + s x on ``breaks``: the
+    breaks b_0 = 0 < ... < b_{n-1}, and the jump and the change of slope
+    at each, across 2pi at b_0.
+
+    A jump is taken as (c_i - c_{i-1}) + (s_i - s_{i-1}) b_i, not as a
+    difference of end values: near-equal c are subtracted exactly, so a
+    nearly uniform table keeps the digits of its small jumps.
+    """
+    kinks = s - np.roll(s, 1)
+    jumps = c - np.roll(c, 1) + kinks * breaks[:-1]
+    jumps[0] -= s[-1] * TWO_PI
+    return breaks[:-1], jumps, kinks
+
+
+def _merge(p: np.ndarray, jumps: np.ndarray, kinks: np.ndarray):
+    """Sort the points of every row, snap each run of points closer than
+    ``_BREAK_TOL`` (and points that close to 0 or 2pi, onto 0) to the run's
+    first point, and move the run's summed amplitudes onto that point.
+
+    Returns the sorted rows and the mask of run starts.  Runs are split
+    where a gap exceeds the tolerance, the rule of :func:`_dedupe_breaks`
+    on every sequence of breaks that lacks sub-tolerance chains.
+    """
+    rows, width = p.shape
+    p = np.where((p > _BREAK_TOL) & (p < TWO_PI - _BREAK_TOL), p, 0.0)
+    order = np.argsort(p, axis=1, kind="stable") + width * np.arange(rows)[:, None]
+    p = p.ravel()[order]
+    first = np.ones(p.shape, dtype=bool)
+    first[:, 1:] = p[:, 1:] - p[:, :-1] > _BREAK_TOL
+    p = np.maximum.accumulate(np.where(first, p, 0.0), axis=1)
+    starts = np.flatnonzero(first)  # every row opens with a start
+    merged = []
+    for amp in (jumps, kinks):
+        out = np.zeros(p.shape)
+        out.flat[starts] = np.add.reduceat(amp.ravel()[order.ravel()], starts)
+        merged.append(out)
+    return p, merged[0], merged[1], first
+
+
+def _suffix(a: np.ndarray) -> np.ndarray:
+    """sum_{b > i} a_b for every i of every row."""
+    out = np.zeros(a.shape)
+    out[:, :-1] = np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+    return out
+
+
+def _pieces(q: np.ndarray, right: np.ndarray, jumps: np.ndarray, kinks: np.ndarray):
+    """(c, s) of sum J_b S_b + sum K_b C_b on each piece [q_i, right_i) of
+    the sorted rows ``q`` (q_0 = 0, right_i = q_i+1, the last one 2pi).
+
+    The terms with q_b > x on piece i are the suffix b > i, so the slope is
+    (sum K_b q_b - sum J_b) / 2pi minus the suffix sum of K, and c is a row
+    constant minus the suffix sum of J plus that of K q.  The constant is
+    set by the zero mean of the sum: its closed form sums terms of the size
+    of the amplitudes, which cancel to far below it.
+    """
+    tilt = (np.sum(kinks * q, axis=1) - np.sum(jumps, axis=1)) / TWO_PI
+    slope = tilt[:, None] - _suffix(kinks)
+    const = _suffix(kinks * q) - _suffix(jumps)
+    mean = np.sum((right - q) * (const + 0.5 * slope * (q + right)), axis=1) / TWO_PI
+    return const - mean[:, None], slope
+
+
+def _combination_l1(q, jumps, kinks) -> np.ndarray:
+    """Integral of |sum J_b S_b + sum K_b C_b| d mu for every row, exact.
+
+    Each piece is affine with end values a and b: its integral of |.| is
+    (|a + b| / 2) width, or (a^2 + b^2) / (2 |a - b|) width when it
+    changes sign.
+    """
+    right = np.concatenate([q[:, 1:], np.full((len(q), 1), TWO_PI)], axis=1)
+    const, slope = _pieces(q, right, jumps, kinks)
+    a, b = const + slope * q, const + slope * right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = np.where(a * b >= 0.0, np.abs(a + b), (a * a + b * b) / np.abs(a - b))
+    return 0.5 * np.sum((right - q) * area, axis=1) / TWO_PI
+
+
+def pf_power(f: CircleDensity, r: int, n: int) -> CircleDensity:
+    """P^n f for the map x -> r x (mod 2pi), from f's jump and kink
+    decomposition in closed form; pieces map to pieces exactly.
+
+    The images r^n b of the breaks are taken one multiplication at a time,
+    with the snapping of :func:`_merge` at every step, so the cost is
+    linear in n.
+    """
+    r = _radix(r)
+    if not 0 <= n <= MAX_ITERATES or int(n) != n:
+        raise ValueError(f"n must be an integer from 0 to the MAX_ITERATES cap of "
+                         f"{MAX_ITERATES} (got {n})")
+    p, jumps, kinks = (a[None, :] for a in _amplitudes(f.breaks, *f.coefs.T))
+    first = np.ones(p.shape, dtype=bool)
+    for _ in range(int(n)):
+        p, jumps, kinks, first = _merge(np.mod(r * p, TWO_PI), jumps, kinks)
+    breaks = np.append(p[first], TWO_PI)
+    scale = float(r) ** -n
+    const, slope = _pieces(breaks[None, :-1], breaks[None, 1:], jumps[first][None, :] * scale,
+                           kinks[first][None, :] * scale * scale)
+    return CircleDensity(breaks, np.column_stack([f.mass() + const[0], slope[0]]))
 
 
 def pf_apply(f: CircleDensity, r: int) -> CircleDensity:
-    """Push a density forward under x -> r x (mod 2pi); pieces map to pieces exactly."""
-    if not 2 <= r <= MAX_R or int(r) != r:
-        raise ValueError(f"r must be an integer from 2 to the MAX_R cap of {MAX_R} (got {r})")
-    return _pf_affine(f, int(r))
+    """Push a density forward under x -> r x (mod 2pi): ``pf_power(f, r, 1)``."""
+    return pf_power(f, r, 1)
 
 
 # -- integrals ------------------------------------------------------------
@@ -250,36 +362,90 @@ def relative_entropy(f: CircleDensity, g: CircleDensity,
 
 # -- exponent and Fourier diagnostics --------------------------------------
 
+@dataclass
+class ClassicalEstimate(ExponentEstimate):
+    """A fitted classical exponent plus each probe's exact decay rate.
+
+    ``exact_rates[i]`` is log r if a jump of P^n (probe - f0) survives, 2
+    log r if only kinks do, and inf once every term has cancelled;
+    ``uniform_at[i]`` is then the first n at which P^n probe = P^n f0.  An
+    amplitude below 1e-12 (sum|J| + 2pi sum|K|) of the probe counts as
+    cancelled, and the rate is read at the probe's last tabulated iterate.
+    """
+    exact_rates: list[float] = field(default_factory=list)
+    uniform_at: list[Optional[int]] = field(default_factory=list)
+
+
+def _distance_table(f0: CircleDensity, probes: Sequence[CircleDensity], r: int, n_max: int):
+    """(dists, exact_rates, uniform_at): the (probes, n_max + 1) table of
+    ||P^n probe - P^n f0||_1 and the rates of :class:`ClassicalEstimate`.
+
+    Each probe - f0 is decomposed once, and every iterate is one batched
+    :func:`_merge` and :func:`_combination_l1` over the rows still live.  A
+    row stops at the first n where the bound (sum|J| / 4) r^-n + (pi / 6)
+    (sum|K|) r^-2n on its distance falls below ``_FLOOR``; its later
+    entries hold that bound, which no fit window can use.
+    """
+    parts = []
+    for probe in probes:
+        breaks, (cf, sf), (cg, sg) = _merged_table(probe, f0)
+        parts.append(_amplitudes(breaks, cf - cg, sf - sg))
+    width = max(len(part[0]) for part in parts)
+    p, jumps, kinks = (np.array([np.pad(part[i], (0, width - len(part[i]))) for part in parts])
+                       for i in range(3))
+    tol = _BREAK_TOL * (np.abs(jumps).sum(axis=1) + TWO_PI * np.abs(kinks).sum(axis=1))
+    dists = np.empty((len(parts), n_max + 1))
+    jump_left = np.ones(len(parts), dtype=bool)
+    uniform_at = np.full(len(parts), -1)
+    live = np.arange(len(parts))
+    for n in range(n_max + 1):
+        p, jumps, kinks, _ = _merge(p, jumps, kinks)
+        jump_left[live] = np.abs(jumps).max(axis=1) > tol[live]
+        kink_left = np.abs(kinks).max(axis=1) > tol[live] / TWO_PI
+        uniform_at[live[~(jump_left[live] | kink_left) & (uniform_at[live] < 0)]] = n
+        # the bound is terms @ (r^-n, r^-2n)
+        terms = np.column_stack([0.25 * np.abs(jumps).sum(axis=1),
+                                 math.pi / 6.0 * np.abs(kinks).sum(axis=1)])
+        scale = float(r) ** -np.arange(n, n_max + 1)
+        done = terms @ [scale[0], scale[0] ** 2] < _FLOOR
+        if done.any():
+            dists[live[done], n:] = terms[done] @ np.array([scale, scale * scale])
+            live, p, jumps, kinks = (a[~done] for a in (live, p, jumps, kinks))
+            if not live.size:
+                break
+        dists[live, n] = _combination_l1(p, jumps * scale[0], kinks * scale[0] ** 2)
+        p = np.mod(r * p, TWO_PI)
+    log_r = math.log(r)
+    rates = np.where(uniform_at >= 0, math.inf, np.where(jump_left, log_r, 2.0 * log_r))
+    return dists, rates.tolist(), [int(n) if n >= 0 else None for n in uniform_at]
+
+
 def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
-                     n_max: int = 12) -> ExponentEstimate:
+                     n_max: int = 12) -> ClassicalEstimate:
     """Decay exponent of ||P^n f - P^n f0||_1, minimum over probes.
 
-    The (probes, n) distance table goes to
+    The (probes, n) distance table of :func:`_distance_table` goes to
     :func:`qmix.fitting.probe_exponent`, the protocol of the quantum
     estimator: slopes are fitted over iteration counts n in [n_max/2,
     n_max] (n_max >= 4 puts three iterates there).  A probe whose distance
     falls to the 1e-13 floor too early for a fit window (affine iterates
     can reach the uniform density in finitely many steps) is excluded
-    with a note rather than fitted.
+    with a note rather than fitted.  The exact rate of every probe comes
+    with the fit.
     """
+    r = _radix(r)
     if not probes:
         raise ValueError("need at least one probe density")
     if n_max < 4:
         raise ValueError(f"n_max must be at least 4 (got {n_max}) for three fitted iterates")
     if n_max > MAX_ITERATES:
         raise ValueError(f"n_max = {n_max} exceeds the MAX_ITERATES cap of {MAX_ITERATES}")
-    for i, p in enumerate(probes):
-        if l1_distance(p, f0) < 1e-12:
-            raise ValueError(f"probe {i} equals the reference density")
-    steps = np.arange(n_max + 1, dtype=float)
-    current = [f0] + list(probes)
-    dists = np.empty((len(probes), n_max + 1))
-    for n in range(n_max + 1):
-        for j in range(len(probes)):
-            dists[j, n] = l1_distance(current[j + 1], current[0])
-        if n < n_max:
-            current = [pf_apply(h, r) for h in current]
-    return probe_exponent(steps, dists, 1e-13)
+    dists, rates, uniform_at = _distance_table(f0, probes, r, n_max)
+    same = np.flatnonzero(dists[:, 0] < 1e-12)
+    if same.size:
+        raise ValueError(f"probe {same[0]} equals the reference density")
+    estimate = probe_exponent(np.arange(n_max + 1, dtype=float), dists, _FLOOR)
+    return ClassicalEstimate(**vars(estimate), exact_rates=rates, uniform_at=uniform_at)
 
 
 def fourier_coefficient(f: CircleDensity, k: int) -> complex:
@@ -301,7 +467,4 @@ def fourier_coefficient(f: CircleDensity, k: int) -> complex:
 def fourier_check(f: CircleDensity, r: int, k: int, n: int) -> tuple[complex, complex]:
     """Return ((P^n f)^(k), f^(k r^n)); the two agree for the r-adic map."""
     target = fourier_coefficient(f, k * r ** n)
-    g = f
-    for _ in range(n):
-        g = pf_apply(g, r)
-    return fourier_coefficient(g, k), target
+    return fourier_coefficient(pf_power(f, r, n), k), target

@@ -132,8 +132,8 @@ def _preset(cfg: dict):
 # 0.55 s).
 MAX_SWEEP_POINTS = 100
 # Entries of `classical --probe-ks`: run time and memory are linear in the
-# probe count (`qmix classical` takes about 0.5 s at the cap with its other
-# defaults).
+# probe count, but small (`qmix classical` takes about 0.25 s at the cap with
+# its other defaults, about what the defaults take).
 MAX_PROBE_KS = 100
 
 _BLOCH = Field(list, [0.0, 0.0, 1.0], item=Field(float), length=3)
@@ -305,6 +305,8 @@ def cmd_classical(cfg: dict) -> None:
         "exponent": estimate.exponent,
         "log_r": math.log(r),
         "per_probe_slopes": estimate.per_probe_slopes,
+        "exact_rates": estimate.exact_rates,
+        "uniform_at": estimate.uniform_at,
         "fit_window": list(estimate.fit_window),
         "max_residual": estimate.max_residual,
         "notes": estimate.notes,

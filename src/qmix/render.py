@@ -8,8 +8,9 @@ detector with the most hits there, the lowest of a tie.
 Hits are counted from one sort of the visible points' keys, the pixel p
 (PGM) or 4 p + d for detector d (PPM).  Each run of equal keys is one
 occupied pixel (or pixel and detector), so only occupied pixels get an
-intensity and a color, and they are scattered into a zeroed image.  Work
-and memory beyond the image are O(points) at any raster size.
+intensity and a color, and they are scattered into the zeroed pixels of
+the output file's own buffer.  Work and memory beyond that one buffer are
+O(points) at any raster size.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def render(points: np.ndarray, spec: RenderSpec,
            detectors: Optional[np.ndarray] = None,
-           comments: tuple[str, ...] = ()) -> bytes:
+           comments: tuple[str, ...] = ()) -> bytearray:
     """Rasterize a cloud to PGM (grayscale) or PPM (detector-colored) bytes.
 
     PPM mode needs one detector label in 1..4 per point, else ValueError.
@@ -138,11 +139,11 @@ def render(points: np.ndarray, spec: RenderSpec,
     px, py, mask, width, height = _pixel_coords(points, spec)
     flat = py * width + px
     if spec.mode == "pgm":
-        img = np.zeros(width * height, dtype=np.uint8)
+        data, img = _pnm_buffer(b"P5", width, height, 1, comments)
         if len(flat):
             pixels, hits = _runs(np.sort(flat))
-            img[pixels] = _intensity(hits)
-        return _encode_pnm(b"P5", img, width, height, comments)
+            img[pixels, 0] = _intensity(hits)
+        return data
     if detectors is None:
         raise ValueError("ppm mode needs a detector label per point")
     det = np.asarray(detectors, dtype=int)
@@ -150,7 +151,7 @@ def render(points: np.ndarray, spec: RenderSpec,
         raise ValueError("detector labels must match the cloud length")
     if not 1 <= det.min() <= det.max() <= 4:
         raise ValueError("detector labels must lie in 1..4")
-    img = np.zeros((width * height, 3), dtype=np.uint8)
+    data, img = _pnm_buffer(b"P6", width, height, 3, comments)
     if len(flat):
         # hits of pixel p at detector d form the run of key 4 p + d
         cells, hits = _runs(np.sort(flat * 4 + (det[mask] - 1)))
@@ -161,14 +162,20 @@ def render(points: np.ndarray, spec: RenderSpec,
         shade = _intensity(np.add.reduceat(hits, starts)).astype(np.uint16)
         img[cells[starts] >> 2] = (DETECTOR_COLORS[3 - (best & 3)].astype(np.uint16)
                                    * shade[:, None] // 255)
-    return _encode_pnm(b"P6", img, width, height, comments)
+    return data
 
 
-def _encode_pnm(magic: bytes, img: np.ndarray, width: int, height: int,
-                comments: tuple[str, ...]) -> bytes:
-    """Header lines, then the image bytes, copied once into the result."""
+def _pnm_buffer(magic: bytes, width: int, height: int, channels: int,
+                comments: tuple[str, ...]) -> tuple[bytearray, np.ndarray]:
+    """The whole file, header lines then zeroed pixels, and a writable
+    (pixels, channels) view of its pixels: the image is scattered into
+    the file's own buffer, never copied."""
     head = [magic]
     head.extend(b"# " + c.encode() for c in comments)
     head.append(f"{width} {height}".encode())
     head.append(b"255\n")
-    return b"".join((b"\n".join(head), img))
+    header = b"\n".join(head)
+    data = bytearray(len(header) + width * height * channels)
+    data[:len(header)] = header
+    img = np.frombuffer(data, dtype=np.uint8, offset=len(header))
+    return data, img.reshape(width * height, channels)

@@ -1,9 +1,13 @@
-"""Shared by the sparse-counting property tests: the per-grid-cell routes
-that ``render`` and ``box_count`` replaced, kept as oracles.
+"""Routes that the library replaced with faster ones, kept as test oracles.
 
 ``dense_render`` counts every pixel of the raster with ``bincount`` and
 ``unique_box_counts`` runs ``np.unique`` over the cell keys of each level.
 Both allocate work per grid cell, so they suit small grids only.
+``argmax_face_coords`` is the face projection by ``argmax`` and 2-D fancy
+indexing.  ``pf_affine`` pushes a piece table forward one step by gathering
+the r preimage pieces of every image piece, and ``iterated_distance_table``
+fills the classical distance table with it, one push-forward and one exact
+L1 distance per probe and iterate.
 """
 
 import math
@@ -11,7 +15,10 @@ import math
 import numpy as np
 
 from qmix.boxdim import _cell_index, _face_coords
+from qmix.circle import TWO_PI, CircleDensity, _dedupe_breaks, _piece_of, l1_distance
 from qmix.render import DETECTOR_COLORS, _pixel_coords
+
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def _intensity(hits):
@@ -54,3 +61,45 @@ def unique_box_counts(points, levels):
         cells = (face * m + _cell_index(u, m)) * m + _cell_index(v, m)
         counts[k] = len(np.unique(cells))
     return counts
+
+
+def argmax_face_coords(points):
+    """(face id 0..5, u, v) of the cube-face central projection; the first
+    axis of largest |coordinate| wins a tie."""
+    idx = np.arange(len(points))
+    axis = np.argmax(np.abs(points), axis=1)
+    dom = points[idx, axis]
+    face = 2 * axis + (dom < 0)
+    u = points[idx, _OTHER_AXES[axis, 0]] / np.abs(dom)
+    v = points[idx, _OTHER_AXES[axis, 1]] / np.abs(dom)
+    return face, u, v
+
+
+def pf_affine(f, r):
+    """One push-forward under x -> r x (mod 2pi).
+
+    The image pieces sit between the images r b of the breaks; on each,
+    branch j pulls back the piece of f holding its midpoint's preimage.
+    The r branches are summed with ``math.fsum``: a running sum of 1024
+    terms of size 1/r is off by up to 1e-14 (the library's route did so).
+    """
+    breaks = _dedupe_breaks(np.concatenate([np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
+    xm = 0.5 * (breaks[:-1] + breaks[1:])
+    j = np.arange(r)[:, None]
+    c, s = np.moveaxis(f.coefs[_piece_of(f.breaks, (xm + TWO_PI * j) / r)], -1, 0)
+    c_new = np.array([math.fsum(col) for col in ((c + s * TWO_PI * j / r) / r).T])
+    s_new = np.array([math.fsum(col) for col in (s / (r * r)).T])
+    return CircleDensity.from_pieces(
+        np.column_stack([breaks[:-1], breaks[1:], c_new, s_new]))
+
+
+def iterated_distance_table(f0, probes, r, n_max):
+    """||P^n probe - P^n f0||_1 for n = 0..n_max, iterating ``pf_affine``."""
+    current = [f0] + list(probes)
+    dists = np.empty((len(probes), n_max + 1))
+    for n in range(n_max + 1):
+        for j in range(len(probes)):
+            dists[j, n] = l1_distance(current[j + 1], current[0])
+        if n < n_max:
+            current = [pf_affine(h, r) for h in current]
+    return dists

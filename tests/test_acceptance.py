@@ -56,21 +56,24 @@ def test_criterion_09_transfer_operator():
 def test_criterion_09_fails_on_the_pull_back(monkeypatch):
     # f -> f(r x mod 2pi) keeps unit mass and sign, so the tables it makes
     # pass the constructor, but it is not the preimage average.  The ramp and
-    # exponent parts see one-piece tables only; the mutant spares those, so
+    # exponent parts see one-piece tables only (the exponent's table is
+    # closed form and calls no push-forward); the mutant spares those, so
     # the Fourier part must catch it on its own
-    push_forward = circle.pf_apply
+    push_forward = circle.pf_power
 
-    def pull_back(f, r):
+    def pull_back(f, r, n):
         if len(f.coefs) == 1:
-            return push_forward(f, r)
-        j = np.repeat(np.arange(r), len(f.coefs))
-        u, v = np.tile(f.breaks[:-1], r), np.tile(f.breaks[1:], r)
-        c, s = np.tile(f.coefs, (r, 1)).T
-        return circle.CircleDensity.from_pieces(np.column_stack(
-            [(u + circle.TWO_PI * j) / r, (v + circle.TWO_PI * j) / r,
-             c - s * circle.TWO_PI * j, r * s]))
+            return push_forward(f, r, n)
+        for _ in range(n):
+            j = np.repeat(np.arange(r), len(f.coefs))
+            u, v = np.tile(f.breaks[:-1], r), np.tile(f.breaks[1:], r)
+            c, s = np.tile(f.coefs, (r, 1)).T
+            f = circle.CircleDensity.from_pieces(np.column_stack(
+                [(u + circle.TWO_PI * j) / r, (v + circle.TWO_PI * j) / r,
+                 c - s * circle.TWO_PI * j, r * s]))
+        return f
 
-    monkeypatch.setattr(circle, "pf_apply", pull_back)
+    monkeypatch.setattr(circle, "pf_power", pull_back)
     result = acceptance.criterion_9()
     assert not result.passed
     errors = dict(re.findall(r"(ramp decay|fourier) err ([-+.e0-9]+)", result.detail))

@@ -16,9 +16,11 @@ from qmix.circle import (
     lambda_classical,
     linear_ramp_density,
     pf_apply,
+    pf_power,
     relative_entropy,
     sawtooth_density,
 )
+from dense_oracle import iterated_distance_table, pf_affine
 from qmix import circle
 from qmix.cli import main
 
@@ -105,23 +107,25 @@ class TestRepresentation:
             CircleDensity.from_pieces(pieces)
 
     def test_affine_densities_hold_no_grid(self, monkeypatch):
-        # densities are piece tables only: no iterate of lambda_classical
-        # and no push-forward carries samples
-        outputs = []
+        # densities are piece tables only: lambda_classical builds no
+        # density at all (its table is closed form), and no push-forward
+        # carries samples
+        built = []
 
-        def recording_pf_apply(f, r):
-            g = pf_apply(f, r)
-            outputs.append(g)
-            return g
+        def recording_init(self, breaks, coefs):
+            built.append(self)
+            init(self, breaks, coefs)
 
-        monkeypatch.setattr(circle, "pf_apply", recording_pf_apply)
+        init = CircleDensity.__init__
         probes = [sawtooth_density(k) for k in (1, 2, 3)]
+        monkeypatch.setattr(CircleDensity, "__init__", recording_init)
         lambda_classical(CircleDensity.uniform(), probes, 2, n_max=6)
-        assert len(outputs) == 4 * 6
+        assert len(built) == 1  # the reference density only
         rng = np.random.default_rng(37)
         for r in (2, 3, 5):
-            outputs.append(pf_apply(random_affine_density(rng), r))
-        assert not any(hasattr(g, "grid") for g in outputs)
+            pf_apply(random_affine_density(rng), r)
+            pf_power(random_affine_density(rng), r, 4)
+        assert len(built) == 13 and not any(hasattr(g, "grid") for g in built)
 
     def test_evaluate_matches_grid_sampling(self):
         f = sawtooth_density(2)
@@ -297,6 +301,142 @@ class TestClassicalExponent:
         assert math.isnan(est.per_probe_slopes[0])
         assert any("excluded" in n for n in est.notes)
         assert est.exponent == pytest.approx(math.log(2.0), rel=0.02)
+
+
+def density_from_ends(edges, lo, hi):
+    """Unit-mass piece table running from ``lo[i]`` to ``hi[i]`` on piece i."""
+    edges, lo, hi = (np.asarray(a, dtype=float) for a in (edges, lo, hi))
+    u, v = edges[:-1], edges[1:]
+    s = (hi - lo) / (v - u)
+    mass = float(np.sum(0.5 * (lo + hi) * (v - u))) / TWO_PI
+    return CircleDensity.from_pieces(np.column_stack([u, v, (lo - s * u) / mass, s / mass]))
+
+
+def step_density(rng, n_pieces):
+    """A random step density, built as the benchmark builds its 1000-piece ones."""
+    cuts = np.sort(rng.uniform(0.0, TWO_PI, n_pieces - 1))
+    breaks = np.concatenate([[0.0], cuts, [TWO_PI]])
+    heights = rng.uniform(0.2, 1.8, n_pieces)
+    return density_from_ends(breaks, heights, heights)
+
+
+def random_probe(rng, kind, pieces=9):
+    """A jump-only (steps), kink-only (continuous) or mixed random density."""
+    widths = rng.uniform(0.5, 1.5, pieces)
+    edges = np.concatenate([[0.0], np.cumsum(widths) * (TWO_PI / widths.sum())])
+    edges[-1] = TWO_PI
+    values = rng.uniform(0.2, 2.0, pieces)
+    lo, hi = {"jump": (values, values), "kink": (values, np.roll(values, -1)),
+              "mixed": (values, rng.uniform(0.2, 2.0, pieces))}[kind]
+    return density_from_ends(edges, lo, hi)
+
+
+def merged_difference(f, g):
+    """(breaks, c, s) of the piece table of f - g."""
+    breaks, (cf, sf), (cg, sg) = circle._merged_table(f, g)
+    return breaks, cf - cg, sf - sg
+
+
+# continuous, with kinks at 0, 1 and 4 only
+KINK_PROBE = density_from_ends([0.0, 1.0, 4.0, TWO_PI], [0.4, 1.6, 0.7], [1.6, 0.7, 0.4])
+HALF = CircleDensity.from_pieces([(0.0, math.pi, 2.0, 0.0), (math.pi, TWO_PI, 0.0, 0.0)])
+TENT = density_from_ends([0.0, math.pi, TWO_PI], [0.0, 2.0], [2.0, 0.0])
+
+
+class TestClosedForm:
+    """pf_power and the distance table against the iterated push-forward."""
+
+    @pytest.mark.parametrize("r, n_max", [(2, 12), (3, 12), (5, 12), (1024, 6)])
+    def test_table_matches_the_iterated_oracle(self, r, n_max):
+        rng = np.random.default_rng(r)
+        # the oracle gathers r x 1000 pieces a step: one step density at r = 1024
+        probes = ([step_density(rng, 1000) for _ in range(4 if r < 1024 else 1)]
+                  + [sawtooth_density(k) for k in range(1, 6)]
+                  + [random_probe(rng, kind) for kind in ("jump", "kink", "mixed") * 2])
+        one = CircleDensity.uniform()
+        dists, _, _ = circle._distance_table(one, probes, r, n_max)
+        expected = iterated_distance_table(one, probes, r, n_max)
+        for row, probe in enumerate(probes):
+            # entries up to the certified floor are exact; past it both
+            # read at most the floor
+            _, jumps, kinks = circle._amplitudes(*merged_difference(probe, one))
+            n = np.arange(n_max + 1)
+            bound = (np.abs(jumps).sum() / 4 * float(r) ** -n
+                     + math.pi / 6 * np.abs(kinks).sum() * float(r) ** (-2 * n))
+            exact = bound >= 1e-13
+            np.testing.assert_allclose(dists[row, exact], expected[row, exact],
+                                       rtol=0, atol=1e-14)
+            assert np.all(dists[row, ~exact] <= 1e-13)
+            assert np.all(expected[row, ~exact] <= 1e-13 + 1e-14)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 1024])
+    def test_pf_power_matches_the_iterated_oracle(self, r):
+        rng = np.random.default_rng(100 + r)
+        for probe in [step_density(rng, 50)] + [random_probe(rng, k) for k in ("jump", "kink", "mixed")]:
+            g = probe
+            for n in range(1, 7):
+                g = pf_affine(g, r)
+                h = pf_power(probe, r, n)
+                np.testing.assert_array_equal(h.breaks, g.breaks)
+                np.testing.assert_allclose(h.coefs, g.coefs, rtol=0, atol=1e-14)
+
+    def test_pf_power_of_zero_steps_is_the_density(self):
+        f = random_probe(np.random.default_rng(8), "mixed")
+        g = pf_power(f, 3, 0)
+        np.testing.assert_array_equal(g.breaks, f.breaks)
+        np.testing.assert_allclose(g.coefs, f.coefs, rtol=0, atol=1e-14)
+
+    def test_pf_power_validation(self):
+        one = CircleDensity.uniform()
+        for n in (-1, 1.5, circle.MAX_ITERATES + 1):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                pf_power(one, 2, n)
+        with pytest.raises(ValueError, match="r must be an integer"):
+            lambda_classical(one, [sawtooth_density(1)], 1)
+
+    @pytest.mark.parametrize("r", [2, 3, 1024])
+    def test_sawtooths_decay_at_log_r(self, r):
+        est = lambda_classical(CircleDensity.uniform(), [sawtooth_density(k) for k in (1, 3)], r)
+        assert est.exact_rates == [math.log(r)] * 2
+        assert est.uniform_at == [None, None]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_kinks_alone_decay_at_two_log_r(self, r):
+        est = lambda_classical(CircleDensity.uniform(), [KINK_PROBE], r)
+        assert est.exact_rates == [2.0 * math.log(r)]
+        assert est.uniform_at == [None]
+        # the fitted slope wanders with the kinks (1.68 at r = 2, 1.87 at
+        # r = 3): the rate is not read off it
+        assert abs(est.per_probe_slopes[0] - 2.0 * math.log(r)) > 0.1
+
+    def test_cancelled_jumps_leave_the_kink_rate(self):
+        # half the half indicator (jumps at 0 and pi, which meet under
+        # doubling) plus half the kink probe
+        edges = [0.0, 1.0, math.pi, 4.0, TWO_PI]
+        mid = KINK_PROBE.evaluate([math.pi])[0]
+        probe = density_from_ends(edges, np.array([0.4, 1.6, mid, 0.7]) / 2 + [1, 1, 0, 0],
+                                  np.array([1.6, mid, 0.7, 0.4]) / 2 + [1, 1, 0, 0])
+        est = lambda_classical(CircleDensity.uniform(), [probe, sawtooth_density(1)], 2)
+        assert est.exact_rates == [2.0 * math.log(2.0), math.log(2.0)]
+        assert est.uniform_at == [None, None]
+
+    @pytest.mark.parametrize("probe", [HALF, TENT], ids=["half-indicator", "tent"])
+    def test_symmetric_probes_reach_uniform_in_one_doubling(self, probe):
+        one = CircleDensity.uniform()
+        est = lambda_classical(one, [probe, sawtooth_density(1)], 2)
+        assert est.exact_rates == [math.inf, math.log(2.0)]
+        assert est.uniform_at == [1, None]
+        assert l1_distance(pf_power(probe, 2, 1), one) <= 1e-15
+        assert "probe 0 excluded" in est.notes[0]
+
+    def test_rows_stop_at_the_floor(self):
+        # r = 1024: the sawtooth of k = 1 is 4.5e-13 at n = 4, and its bound
+        # 0.5 r^-n falls below 1e-13 at n = 5; later entries hold the bound
+        dists, _, _ = circle._distance_table(CircleDensity.uniform(), [sawtooth_density(1)],
+                                             1024, 1000)
+        n = np.arange(1001)
+        np.testing.assert_allclose(dists[0, :5], 0.5 / 1024.0 ** n[:5], rtol=1e-13)
+        np.testing.assert_array_equal(dists[0, 5:], 0.5 * 1024.0 ** -n[5:])
 
 
 class TestDensityInterchange:

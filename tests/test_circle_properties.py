@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qmix import circle
 from qmix.circle import (
     _BREAK_TOL,
     TWO_PI,
@@ -15,9 +16,11 @@ from qmix.circle import (
     fourier_check,
     l1_distance,
     pf_apply,
+    pf_power,
     relative_entropy as circle_relative_entropy,
 )
 from qmix.states import from_bloch, relative_entropy, trace_norm
+from test_circle import merged_difference, random_probe
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                              database=None)
@@ -72,6 +75,56 @@ def test_push_forward_keeps_unit_mass_and_sign(f, r):
     assert abs(g.mass() - 1.0) <= 1e-12
     c, s = g.coefs[:, 0], g.coefs[:, 1]
     assert min((c + s * g.breaks[:-1]).min(), (c + s * g.breaks[1:]).min()) >= -1e-12
+
+
+@st.composite
+def probe_densities(draw, max_pieces=60):
+    """Unit-mass piece tables with jumps only (steps), kinks only
+    (continuous) or both (see ``random_probe``)."""
+    kind = draw(st.sampled_from(["jump", "kink", "mixed"]))
+    pieces = draw(st.integers(1, max_pieces))
+    return random_probe(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), kind, pieces)
+
+
+_all_radices = st.sampled_from([2, 3, 5, 1024])
+
+
+@PROPERTY_SETTINGS
+@given(f=probe_densities(), r=_all_radices, n=st.integers(0, 8))
+def test_pf_power_keeps_unit_mass_and_sign(f, r, n):
+    g = pf_power(f, r, n)
+    assert abs(g.mass() - 1.0) <= 1e-12
+    c, s = g.coefs[:, 0], g.coefs[:, 1]
+    assert min((c + s * g.breaks[:-1]).min(), (c + s * g.breaks[1:]).min()) >= -1e-12
+
+
+@PROPERTY_SETTINGS
+@given(f=probe_densities(), r=_all_radices, m=st.integers(0, 4), n=st.integers(0, 4))
+def test_pf_power_is_a_semigroup(f, r, m, n):
+    once = pf_power(f, r, m + n)
+    twice = pf_power(pf_power(f, r, m), r, n)
+    np.testing.assert_array_equal(once.breaks, twice.breaks)
+    # within 1e-14 of the table's scale: its largest |c| bounds the rounding
+    # of every c + s x it holds (c reaches 100 on steep kink-only tables)
+    scale = max(1.0, float(np.abs(f.coefs[:, 0]).max()))
+    np.testing.assert_allclose(once.coefs, twice.coefs, rtol=0, atol=1e-14 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(probes=st.lists(probe_densities(max_pieces=20), min_size=1, max_size=4),
+       r=_all_radices)
+def test_table_entries_past_the_floor_are_at_most_the_floor(probes, r):
+    n_max = 60
+    one = CircleDensity.uniform()
+    assume(all(l1_distance(p, one) > 1e-12 for p in probes))
+    dists, _, _ = circle._distance_table(one, probes, r, n_max)
+    n = np.arange(n_max + 1)
+    for row, probe in zip(dists, probes):
+        _, jumps, kinks = circle._amplitudes(*merged_difference(probe, one))
+        bound = (np.abs(jumps).sum() / 4 * float(r) ** -n
+                 + math.pi / 6 * np.abs(kinks).sum() * float(r) ** (-2 * n))
+        assert np.all(row <= bound * (1 + 1e-12))
+        assert np.all(row[bound < 1e-13] <= 1e-13)
 
 
 @PROPERTY_SETTINGS

@@ -420,6 +420,9 @@ class TestPdpAndFractal:
                     "--density-out", density_out]) == 0
         payload = json.load(open(out))
         assert payload["exponent"] == pytest.approx(math.log(2.0), rel=0.02)
+        # every sawtooth keeps its jump: the exact rate sits next to the fit
+        assert payload["exact_rates"] == [math.log(2.0)] * 5
+        assert payload["uniform_at"] == [None] * 5
         decay = payload["ramp_l1_decay"]
         assert decay[3] == pytest.approx(1.0 / 16.0, rel=1e-12)
         xs, fs = np.loadtxt(density_out, delimiter=",", unpack=True)

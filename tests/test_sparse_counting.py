@@ -2,7 +2,8 @@
 
 ``render`` and ``box_count`` count occupied cells from one sort of the
 points' cell keys.  Here they must match, byte for byte and count for
-count, the dense routes in ``dense_oracle``: random clouds, points on
+count, the dense routes in ``dense_oracle``, and the face projection by
+comparisons must match the ``argmax`` one: random clouds, points on
 cube edges and vertices, at u = +-1 and on dyadic cell edges, tight
 clusters that only fine levels split, forced detector ties and clouds no
 pixel of the view sees.
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import dense_render, unique_box_counts
-from qmix.boxdim import MAX_LEVELS, box_count
+from dense_oracle import argmax_face_coords, dense_render, unique_box_counts
+from qmix.boxdim import MAX_LEVELS, _face_coords, box_count
 from qmix.render import PROJECTIONS, RenderSpec, render
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -120,6 +121,15 @@ def test_ppm_render_matches_the_dense_oracle(cloud, spec):
     points, detectors = cloud
     assert (render(points, spec, detectors=detectors)
             == dense_render(points, spec, detectors=detectors))
+
+
+@PROPERTY_SETTINGS
+@given(points=clouds())
+def test_face_coords_match_the_argmax_projection(points):
+    # cube edges and vertices tie two or three axes: the first one wins
+    for got, expected in zip(_face_coords(points), argmax_face_coords(points)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 @PROPERTY_SETTINGS
