@@ -8,6 +8,11 @@ embedded in every output file, and rerunning any recipe with the same
 seed reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+
+Importing this module loads only :mod:`qmix.io`, through which every command
+writes, and :mod:`qmix.pdp` (with :mod:`qmix.states`), the home of the
+burn-in default.  Each ``cmd_*`` imports the compute modules it runs, so
+``qmix render`` never loads the master-equation or circle-map code.
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from . import boxdim, circle, pdp, render
-from .exponent import (
-    classify_mixing,
-    default_fit_horizon,
-    default_horizon,
-    default_probe_set,
-    lambda_q_analytic,
-    lambda_q_numeric,
-)
+from . import pdp
 from .io import (
     atomic_write_bytes,
     header_comments,
@@ -40,20 +37,10 @@ from .io import (
     write_json,
     write_jsonl,
 )
-from .lindblad import (
-    Fluorescence,
-    NonUniqueStationaryError,
-    SigmaXConjugation,
-    Tetrahedron,
-    Zeno,
-    build_model,
-    evolve,
-    stationary_state,
-)
-from .states import bloch_distance, from_bloch
 
-PRESETS = {"tetrahedron": Tetrahedron, "zeno": Zeno, "fluorescence": Fluorescence,
-           "sigma_x_conjugation": SigmaXConjugation}
+# CLI name -> preset class of qmix.lindblad
+PRESETS = {"tetrahedron": "Tetrahedron", "zeno": "Zeno", "fluorescence": "Fluorescence",
+           "sigma_x_conjugation": "SigmaXConjugation"}
 
 
 class ConfigError(ValueError):
@@ -123,7 +110,8 @@ def resolve_config(schema: dict[str, Field], config_path: Optional[str],
 
 
 def _preset(cfg: dict):
-    cls = PRESETS[cfg["preset"]]
+    from . import lindblad
+    cls = getattr(lindblad, PRESETS[cfg["preset"]])
     return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
 
 
@@ -194,7 +182,7 @@ CLASSICAL_SCHEMA = {
 RENDER_SCHEMA = {
     "cloud": Field(str, required=True),
     "log": Field(str),
-    "projection": Field(str, "+z", choices=render.PROJECTIONS),
+    "projection": Field(str, "+z"),  # checked by render.RenderSpec
     "size": Field(int, 800),
     "mode": Field(str, "pgm", choices=("pgm", "ppm")),
     "zoom_center": Field(list, item=Field(float), length=3),
@@ -217,6 +205,9 @@ def _checked(fn, *args, **kwargs):
 
 
 def cmd_evolve(cfg: dict) -> None:
+    from .lindblad import NonUniqueStationaryError, build_model, evolve, stationary_state
+    from .states import bloch_distance, from_bloch
+
     model = _checked(build_model, _preset(cfg))
     rho0 = _checked(from_bloch, np.array(cfg["bloch0"], dtype=float))
     traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
@@ -232,6 +223,10 @@ def cmd_evolve(cfg: dict) -> None:
 
 
 def _exponent_payload(cfg: dict, preset) -> dict:
+    from .exponent import (classify_mixing, default_fit_horizon, default_horizon,
+                           default_probe_set, lambda_q_analytic, lambda_q_numeric)
+    from .lindblad import NonUniqueStationaryError, build_model, stationary_state
+
     model = _checked(build_model, preset)
     try:
         analytic = lambda_q_analytic(preset)
@@ -274,6 +269,8 @@ def cmd_pdp(cfg: dict) -> None:
 
 
 def cmd_fractal(cfg: dict) -> None:
+    from . import boxdim
+
     points = _checked(read_cloud_csv, cfg["cloud"])
     result = _checked(boxdim.box_count, points, levels=cfg["levels"])
     dimension = boxdim.estimate_dimension(result)
@@ -290,6 +287,8 @@ def cmd_fractal(cfg: dict) -> None:
 
 
 def cmd_classical(cfg: dict) -> None:
+    from . import circle
+
     r = cfg["r"]
     xs = _checked(circle.grid_points, cfg["grid_size"])  # the --density-out samples
     f0 = circle.CircleDensity.uniform()
@@ -318,19 +317,22 @@ def cmd_classical(cfg: dict) -> None:
 
 
 def cmd_render(cfg: dict) -> None:
-    points = _checked(read_cloud_csv, cfg["cloud"])
-    detectors = None
-    if cfg["mode"] == "ppm":
-        if not cfg["log"]:
-            raise ConfigError("ppm mode needs the jump log ('log') for detector labels")
-        detectors = _checked(read_jsonl_detectors, cfg["log"])
-        if len(detectors) != len(points):
-            raise ConfigError(f"jump log {cfg['log']} holds {len(detectors)} events but the "
-                              f"cloud has {len(points)} points")
+    from . import render
+
+    # every check that needs no input file runs before the cloud is read
     zoom_center = tuple(cfg["zoom_center"]) if cfg["zoom_center"] else None
     spec = _checked(render.RenderSpec, projection=cfg["projection"], size=cfg["size"],
                     mode=cfg["mode"], zoom_center=zoom_center,
                     zoom_radius=cfg["zoom_radius"])
+    if cfg["mode"] == "ppm" and not cfg["log"]:
+        raise ConfigError("ppm mode needs the jump log ('log') for detector labels")
+    points = _checked(read_cloud_csv, cfg["cloud"])
+    detectors = None
+    if cfg["mode"] == "ppm":
+        detectors = _checked(read_jsonl_detectors, cfg["log"])
+        if len(detectors) != len(points):
+            raise ConfigError(f"jump log {cfg['log']} holds {len(detectors)} events but the "
+                              f"cloud has {len(points)} points")
     data = render.render(points, spec, detectors=detectors,
                          comments=tuple(header_comments(cfg)))
     atomic_write_bytes(cfg["out"], data)

@@ -52,6 +52,7 @@ from .states import (
     PAULIS,
     SIGMA1,
     SIGMA3,
+    TETRA_DIRECTIONS,
     _check_in_ball,
     check_density_matrix,
     from_bloch,
@@ -60,16 +61,6 @@ from .states import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Unit vectors to the vertices of a regular tetrahedron, first one along +x.
-# n_2's z is one ulp below the rounded 2 sqrt(2) / 3, so that every n_i . n_i
-# computes to exactly 1 and every antipode weight at alpha = 1 to exactly 0.
-TETRA_DIRECTIONS = np.array([
-    [1.0, 0.0, 0.0],
-    [-1.0 / 3.0, 0.0, float.fromhex("0x1.e2b7dddfefa66p-1")],
-    [-1.0 / 3.0, math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
-    [-1.0 / 3.0, -math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
-])
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ worker w runs chunks w, w + T, w + 2T, ... in one workspace of its own:
 every round writes its intermediates into that workspace instead of fresh
 arrays, because freshly allocated arrays come back from the allocator as
 fresh zeroed pages, and faulting those in cost more than the arithmetic.
+
+Every ``qmix`` command loads this module (``cli`` reads ``DEFAULT_BURN_IN``),
+so it imports only numpy and :mod:`qmix.states`, where the tetrahedron
+directions live; ``concurrent.futures`` is imported inside
+``ensemble_bloch_mean``, the one user of threads.
 """
 
 from __future__ import annotations
@@ -43,14 +48,13 @@ from __future__ import annotations
 import array
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .lindblad import TETRA_DIRECTIONS
+from .states import TETRA_DIRECTIONS
 
 DEFAULT_START = (0.0, 0.0, 1.0)
 DEFAULT_BURN_IN = 100  # attractor convergence is geometric; 100 jumps suffice
@@ -442,6 +446,8 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     w + T, ... in one ``_Workspace`` it allocates once, so no round
     allocates batch-sized arrays (each would fault in fresh pages).
     """
+    from concurrent.futures import ThreadPoolExecutor  # only ensembles use threads
+
     if rate_convention != "eeqt":
         raise ValueError(f"rate_convention must be 'eeqt', got {rate_convention!r}")
     _check_args(alpha, kappa, t_end, n_paths=n_paths)

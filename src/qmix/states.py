@@ -38,6 +38,16 @@ IDENTITY2 = np.eye(2, dtype=complex)
 
 MAX_ENTROPY = math.log(2.0)
 
+# Unit vectors to the vertices of a regular tetrahedron, first one along +x.
+# n_2's z is one ulp below the rounded 2 sqrt(2) / 3, so that every n_i . n_i
+# computes to exactly 1 and every antipode weight at alpha = 1 to exactly 0.
+TETRA_DIRECTIONS = np.array([
+    [1.0, 0.0, 0.0],
+    [-1.0 / 3.0, 0.0, float.fromhex("0x1.e2b7dddfefa66p-1")],
+    [-1.0 / 3.0, math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
+    [-1.0 / 3.0, -math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
+])
+
 
 def is_hermitian(a: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     """Whether every matrix of ``a`` (..., n, n) is hermitian to ``atol``."""

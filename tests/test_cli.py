@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qmix
-from qmix import cli, io
+from qmix import cli, io, pdp
 from qmix.acceptance import cli_recipes
 from qmix.cli import main
 from qmix.io import canonical_json, read_cloud_csv
@@ -533,6 +533,24 @@ class TestRenderCommand:
         assert run(["render", "--cloud", cloud, "--mode", "ppm",
                     "--out", tmp_path / "x.ppm"]) == 2
 
+    @pytest.mark.parametrize("args, field", [
+        (["--size", 10], "size"),
+        (["--projection", "+w"], "projection"),
+        (["--zoom-center", "[1,0,0]", "--zoom-radius", 2], "zoom radius"),
+        (["--mode", "ppm"], "'log'"),
+    ], ids=["size", "projection", "zoom-radius", "ppm-without-log"])
+    def test_bad_render_settings_fail_before_the_cloud_is_read(self, tmp_path, capsys,
+                                                               monkeypatch, args, field):
+        def unread(path):
+            raise AssertionError(f"read {path} before the render settings were checked")
+
+        monkeypatch.setattr(cli, "read_cloud_csv", unread)
+        out = tmp_path / "x.pnm"
+        assert run(["render", "--cloud", tmp_path / "cloud.csv", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_pdp_recipe_is_byte_stable(self, tmp_path):
@@ -585,14 +603,42 @@ class TestDeterminism:
         assert [c["passed"] for c in payload["criteria"]] == [True, True]
 
 
-def test_startup_imports_no_scipy():
-    # scipy is a test dependency only; importing it would add about 0.3 s and
-    # 20 MB to every qmix process
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports qmix from this tree."""
     env = dict(os.environ)
     src = str(Path(qmix.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, qmix, qmix.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return json.loads(out.stdout)
+
+
+def test_startup_imports_no_scipy():
+    # scipy is a test dependency only; importing it would add about 0.3 s and
+    # 20 MB to every qmix process.  The package loads no module of its own,
+    # and qmix.cli only what every command needs; logging and
+    # concurrent.futures come only with lindblad and with the ensemble
+    loaded = _fresh_python(
+        "import json, sys; before = set(sys.modules); import qmix; "
+        "package = sorted(set(sys.modules) - before); import qmix.cli; "
+        "print(json.dumps([package, sorted(set(sys.modules) - before)]))")
+    package, cli_modules = loaded
+    assert [m for m in package if m.startswith("qmix")] == ["qmix"]
+    assert [m for m in cli_modules if m.startswith("qmix")] == [
+        "qmix", "qmix.cli", "qmix.io", "qmix.pdp", "qmix.states"]
+    assert not {"logging", "concurrent.futures"} & set(cli_modules)
+    assert [m for m in cli_modules if m.split(".")[0] == "scipy"] == []
+
+
+def test_fractal_command_loads_no_dynamics(tmp_path):
+    cloud = tmp_path / "cloud.csv"
+    io.write_cloud_csv(str(cloud), pdp.chaos_game(0.7, 5000, seed=3), {"alpha": 0.7})
+    loaded = _fresh_python(
+        "import json, sys; from qmix import cli; "
+        f"code = cli.main(['fractal', '--cloud', {str(cloud)!r}, "
+        f"'--out', {str(tmp_path / 'dim.json')!r}]); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('qmix'))]))")
+    code, modules = loaded
+    assert code == 0
+    assert "qmix.boxdim" in modules
+    assert not {"qmix.lindblad", "qmix.exponent", "qmix.circle"} & set(modules)
