@@ -3,8 +3,9 @@
 Modules:
 
 * :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates, closed-form entropies
-* :mod:`qmix.lindblad` -- master-equation presets, Bloch-affine RK4, the exponential of
-  (M, b) by scaling and squaring, grid powers of exp(M dt)
+* :mod:`qmix.lindblad` -- master-equation presets, the Bloch-affine form (M, b), its
+  exponential by scaling and squaring (every propagator, evolve's step included),
+  grid powers of exp(M dt)
 * :mod:`qmix.exponent` -- characteristic-exponent estimation on grid-power distance
   tables, and mixing tests
 * :mod:`qmix.pdp` -- measurement jump process and chaos-game sampling

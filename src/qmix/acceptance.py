@@ -88,7 +88,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """RK4 trace distance to I/2 matches exp(-(4/3)t) within 1e-6 on [0, 5]."""
+    """evolve's trace distance to I/2 matches exp(-(4/3)t) within 1e-6 on [0, 5]."""
 
     def run():
         worst = 0.0

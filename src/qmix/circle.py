@@ -41,14 +41,14 @@ MAX_GRID_SIZE = 2 ** 20
 # the image r b of a break is off by at most r 2pi 2^-53 = 7.1e-13 at the
 # cap, below _BREAK_TOL, so images that coincide still merge.
 MAX_R = 1024
-# Iterates: pf_power(f, r, n) takes n steps of the breaks, and `qmix
-# classical` pushes its ramp density forward once per iterate for the
-# report's ramp_l1_decay (about 0.3 ms an iterate).  The distance table
-# stops every probe at the 1e-13 floor (the sawtooths within about 45
-# iterates at r = 2, 5 at r = 1024), so only its (probes, n_max) array
-# grows with n_max.  `qmix classical` takes about 0.5 s at this cap with
-# its other defaults, and 1.8-2.0 s at 97 MB peak RSS with every cap at once
-# (r = 1024, 1000 iterates, 100 probe ks and 2^20 --density-out samples).
+# Iterates: pf_power(f, r, n) takes n steps of the breaks; `qmix classical`
+# takes them once, for --density-out.  The distance table stops every row at
+# the 1e-13 floor (the sawtooths within about 45 iterates at r = 2, 5 at
+# r = 1024), so only its (probes, n_max) array grows with n_max.  `qmix
+# classical` takes about 0.15 s at this cap with its other defaults, about
+# what the defaults take, and 0.8 s at 89 MB peak RSS with every cap at once
+# (r = 1024, 1000 iterates, 100 probe ks and 2^20 --density-out samples; one
+# 2-CPU host).
 MAX_ITERATES = 1000
 
 
@@ -306,16 +306,11 @@ def _merged_table(f: CircleDensity, g: CircleDensity):
 
 
 def l1_distance(f: CircleDensity, g: CircleDensity) -> float:
-    """Integral of |f - g| d mu, exact."""
+    """Integral of |f - g| d mu, exact: :func:`_combination_l1` of the jumps
+    and kinks of f - g on the merged breaks."""
     breaks, (cf, sf), (cg, sg) = _merged_table(f, g)
-    u, v = breaks[:-1], breaks[1:]
-    dc, ds = cf - cg, sf - sg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = -dc / ds  # inf or nan where ds = 0, never inside (u, v)
-    root = np.where((u < root) & (root < v), root, v)
-    total = (np.abs(_segment_integral(dc, ds, u, root))
-             + np.abs(_segment_integral(dc, ds, root, v)))
-    return float(np.sum(total)) / TWO_PI
+    p, jumps, kinks = (a[None, :] for a in _amplitudes(breaks, cf - cg, sf - sg))
+    return float(_combination_l1(p, jumps, kinks)[0])
 
 
 def _eta_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,7 +371,7 @@ class ClassicalEstimate(ExponentEstimate):
     uniform_at: list[Optional[int]] = field(default_factory=list)
 
 
-def _distance_table(f0: CircleDensity, probes: Sequence[CircleDensity], r: int, n_max: int):
+def distance_table(f0: CircleDensity, probes: Sequence[CircleDensity], r: int, n_max: int):
     """(dists, exact_rates, uniform_at): the (probes, n_max + 1) table of
     ||P^n probe - P^n f0||_1 and the rates of :class:`ClassicalEstimate`.
 
@@ -384,7 +379,10 @@ def _distance_table(f0: CircleDensity, probes: Sequence[CircleDensity], r: int, 
     :func:`_merge` and :func:`_combination_l1` over the rows still live.  A
     row stops at the first n where the bound (sum|J| / 4) r^-n + (pi / 6)
     (sum|K|) r^-2n on its distance falls below ``_FLOOR``; its later
-    entries hold that bound, which no fit window can use.
+    entries hold that bound, which no fit window can use.  When probe - f0
+    is one jump and no kink (the ramp against the uniform density), the
+    bound is the exact distance.  ``r`` and ``n_max`` are used as given;
+    :func:`lambda_classical` checks them.
     """
     parts = []
     for probe in probes:
@@ -424,7 +422,7 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
                      n_max: int = 12) -> ClassicalEstimate:
     """Decay exponent of ||P^n f - P^n f0||_1, minimum over probes.
 
-    The (probes, n) distance table of :func:`_distance_table` goes to
+    The (probes, n) distance table of :func:`distance_table` goes to
     :func:`qmix.fitting.probe_exponent`, the protocol of the quantum
     estimator: slopes are fitted over iteration counts n in [n_max/2,
     n_max] (n_max >= 4 puts three iterates there).  A probe whose distance
@@ -440,7 +438,7 @@ def lambda_classical(f0: CircleDensity, probes: Sequence[CircleDensity], r: int,
         raise ValueError(f"n_max must be at least 4 (got {n_max}) for three fitted iterates")
     if n_max > MAX_ITERATES:
         raise ValueError(f"n_max = {n_max} exceeds the MAX_ITERATES cap of {MAX_ITERATES}")
-    dists, rates, uniform_at = _distance_table(f0, probes, r, n_max)
+    dists, rates, uniform_at = distance_table(f0, probes, r, n_max)
     same = np.flatnonzero(dists[:, 0] < 1e-12)
     if same.size:
         raise ValueError(f"probe {same[0]} equals the reference density")

@@ -294,12 +294,8 @@ def cmd_classical(cfg: dict) -> None:
     f0 = circle.CircleDensity.uniform()
     probes = [_checked(circle.sawtooth_density, int(k)) for k in cfg["probe_ks"]]
     estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
-    decay = []
-    g = circle.linear_ramp_density()
-    for n in range(cfg["n_max"] + 1):
-        decay.append(circle.l1_distance(g, f0))
-        if n < cfg["n_max"]:
-            g = circle.pf_apply(g, r)
+    ramp = circle.linear_ramp_density()
+    ramp_dists, _, _ = circle.distance_table(f0, [ramp], r, cfg["n_max"])
     payload = {
         "exponent": estimate.exponent,
         "log_r": math.log(r),
@@ -309,10 +305,11 @@ def cmd_classical(cfg: dict) -> None:
         "fit_window": list(estimate.fit_window),
         "max_residual": estimate.max_residual,
         "notes": estimate.notes,
-        "ramp_l1_decay": decay,
+        "ramp_l1_decay": ramp_dists[0].tolist(),
     }
     write_json(cfg["out"], payload, cfg)
     if cfg["density_out"]:
+        g = circle.pf_power(ramp, r, cfg["n_max"])
         write_csv(cfg["density_out"], cfg, ("x", "f"), xs, g.evaluate(xs))
 
 

@@ -18,13 +18,14 @@ the package:
   example of a dissipative semigroup that is not completely mixing.
 
 Propagation has one route.  In Bloch coordinates every generator is the
-affine map d x/dt = M x + b (:func:`bloch_generator`); :func:`evolve` runs
-fixed-step RK4 on it as one 4x4 step matrix P acting on (x, 1), each block
-of trajectory rows one product of a state with the powers P^1 .. P^B, and
-the exact paths of every preset (:func:`analytic_bloch_paths`) and the
-mixing classification at a horizon use the matrix exponential of the same
-system at arbitrary times.  The exponent's distance tables live on a
-uniform grid, where exp(M t_k) is the k-th power of one exp(M dt)
+affine map d x/dt = M x + b (:func:`bloch_generator`), and every propagator
+is the matrix exponential of that system acting on (x, 1)
+(:func:`_affine_propagator`): :func:`evolve` takes one exponential of the
+output step, P = exp(dt A), and fills each block of trajectory rows as one
+product of a state with the powers P^1 .. P^B, while the exact paths of
+every preset (:func:`analytic_bloch_paths`) and the mixing classification
+at a horizon take it at arbitrary times.  The exponent's distance tables
+live on a uniform grid, where exp(M t_k) is the k-th power of one exp(M dt)
 (:func:`_grid_propagator`, within 1.7e-12 of the largest distance at the
 same time against an extended-precision per-time exponential in the
 property tests).  Both stacks of powers are filled by doubling in
@@ -213,7 +214,7 @@ def bloch_generator(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_timestep(model: LindbladModel) -> float:
-    """Fixed RK4 step: min(1e-3, 0.01 / fastest rate or frequency)."""
+    """Output step of :func:`evolve`: min(1e-3, 0.01 / fastest rate or frequency)."""
     scale = max(model.rates(), default=0.0)
     lo, hi = hermitian_eigenvalues(model.hamiltonian)
     scale = max(scale, abs(lo), abs(hi))
@@ -280,17 +281,6 @@ def _augmented(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rk4_step_matrix(m: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step on (x, 1): the degree-4 Taylor polynomial of dt A."""
-    h = dt * _augmented(m, b)
-    step = np.eye(4)
-    term = np.eye(4)
-    for k in range(1, 5):
-        term = term @ h / k
-        step = step + term
-    return step
-
-
 def _step_powers(step: np.ndarray, n: int) -> np.ndarray:
     """step^0 .. step^(n-1) of a square matrix, shape (n, k, k), for n >= 2.
 
@@ -308,31 +298,29 @@ def _step_powers(step: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-# Rows of an RK4 trajectory per block: one product of the current state with
-# the stacked step powers P^1 .. P^B gives the next B rows.
+# Rows of a trajectory per block: one product of the current state with the
+# stacked step powers P^1 .. P^B gives the next B rows.
 _BLOCK_STEPS = 1024
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
            dt: Optional[float] = None) -> StateTrajectory:
-    """Integrate the master equation with classical fixed-step RK4.
+    """The solution of the master equation on a uniform grid of output steps.
 
-    RK4 is linear in the state, so it is run on the affine Bloch system
-    d x/dt = M x + b of :func:`bloch_generator`, as one 4x4 step matrix P
-    acting on (x, 1); this is the same scheme as RK4 on the density
-    matrix, up to rounding.  The powers P^1 .. P^B (B = ``_BLOCK_STEPS``)
-    are filled once by doubling, and each block of B rows is the block's
-    first state times that stack, so the block's last row, the state
-    times P^B, starts the next block and the work memory stays at B
-    powers for any grid.  The step is shrunk so the grid lands on
-    ``t_end`` exactly, and grids longer than ``MAX_STEPS`` are rejected
-    before anything is allocated.  Trace and hermiticity hold by
-    construction.  Positivity is guarded row by row on each block: drift
-    (|x| > 1) beyond 1e-6 in the smaller eigenvalue aborts with
-    PositivityError at the first such time, smaller drift is clamped, and
-    one warning per call reports the clamped rows.  A step beyond RK4's
-    stability limit (omega dt > 2 sqrt 2 for a rotation) grows the norm
-    geometrically within a block, so it aborts rather than being clamped.
+    The step propagator is exact: P = exp(dt A) (:func:`_affine_propagator`)
+    for the affine Bloch system d x/dt = M x + b of :func:`bloch_generator`
+    acting on (x, 1), so dt sets only the spacing of the rows, at any size.
+    The powers P^1 .. P^B (B = ``_BLOCK_STEPS``) are filled once by
+    doubling, and each block of B rows is the block's first state times
+    that stack, so the block's last row, the state times P^B, starts the
+    next block and the work memory stays at B powers for any grid.  The
+    step is shrunk so the grid lands on ``t_end`` exactly, and grids longer
+    than ``MAX_STEPS`` are rejected before anything is allocated.  Trace
+    and hermiticity hold by construction.  Positivity is guarded row by
+    row on each block: drift (|x| > 1) beyond 1e-6 in the smaller
+    eigenvalue aborts with PositivityError at the first such time, smaller
+    drift (the rounding of the step powers) is clamped, and one warning
+    per call reports the clamped rows.
     """
     x = to_bloch(check_density_matrix(rho0))
     if not 0.0 <= t_end < math.inf:
@@ -350,7 +338,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     n_steps = max(1, math.ceil(ratio))
     dt = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    step_t = _rk4_step_matrix(*bloch_generator(model), dt).T
+    step_t = _affine_propagator(*bloch_generator(model), dt).T
     # powers[:, 4 (k-1) + j] = column j of step_t^k, so state @ powers is
     # the next rows of (x, 1) side by side
     powers = _step_powers(step_t, min(n_steps, _BLOCK_STEPS) + 1)[1:]

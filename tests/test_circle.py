@@ -207,7 +207,7 @@ class TestDistancesAndEntropy:
         distances = [l1_distance(sawtooth_density(k), one) for k in range(1, 6)]
         assert all(a > b for a, b in zip(distances, distances[1:]))
         # exact value ||f_k - 1||_1 = 1 / (2 k)
-        np.testing.assert_allclose(distances, [0.5 / k for k in range(1, 6)], rtol=1e-13)
+        assert distances == [0.5 / k for k in range(1, 6)]
 
     def test_entropy_values(self):
         assert entropy(CircleDensity.uniform()) == pytest.approx(0.0, abs=1e-15)
@@ -354,7 +354,7 @@ class TestClosedForm:
                   + [sawtooth_density(k) for k in range(1, 6)]
                   + [random_probe(rng, kind) for kind in ("jump", "kink", "mixed") * 2])
         one = CircleDensity.uniform()
-        dists, _, _ = circle._distance_table(one, probes, r, n_max)
+        dists, _, _ = circle.distance_table(one, probes, r, n_max)
         expected = iterated_distance_table(one, probes, r, n_max)
         for row, probe in enumerate(probes):
             # entries up to the certified floor are exact; past it both
@@ -432,7 +432,7 @@ class TestClosedForm:
     def test_rows_stop_at_the_floor(self):
         # r = 1024: the sawtooth of k = 1 is 4.5e-13 at n = 4, and its bound
         # 0.5 r^-n falls below 1e-13 at n = 5; later entries hold the bound
-        dists, _, _ = circle._distance_table(CircleDensity.uniform(), [sawtooth_density(1)],
+        dists, _, _ = circle.distance_table(CircleDensity.uniform(), [sawtooth_density(1)],
                                              1024, 1000)
         n = np.arange(1001)
         np.testing.assert_allclose(dists[0, :5], 0.5 / 1024.0 ** n[:5], rtol=1e-13)

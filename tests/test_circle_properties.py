@@ -117,7 +117,7 @@ def test_table_entries_past_the_floor_are_at_most_the_floor(probes, r):
     n_max = 60
     one = CircleDensity.uniform()
     assume(all(l1_distance(p, one) > 1e-12 for p in probes))
-    dists, _, _ = circle._distance_table(one, probes, r, n_max)
+    dists, _, _ = circle.distance_table(one, probes, r, n_max)
     n = np.arange(n_max + 1)
     for row, probe in zip(dists, probes):
         _, jumps, kinks = circle._amplitudes(*merged_difference(probe, one))

@@ -71,16 +71,17 @@ class TestEvolveCommand:
         rows = read_csv_rows(out)
         assert rows[-1, 4] <= 1e-6
 
-    def test_step_past_rk4_rotation_stability_exits_3(self, tmp_path, capsys):
-        # omega dt = 2 sqrt 2 + 2e-7: every step grows the norm by about 2.4e-7,
-        # which a per-step guard would clamp step after step; over a block of
-        # step powers the growth compounds past the 1e-6 abort threshold
+    def test_rotation_step_past_explicit_stability_limit_stays_in_the_ball(self, tmp_path):
+        # omega dt = 2 sqrt 2 + 2e-7 lies past the stability limit of an
+        # explicit fourth-order step; the exponential step is a rotation at
+        # any dt
         dt = math.sqrt(2.0) + 1e-7
         out = tmp_path / "r.csv"
         assert run(["evolve", "--preset", "zeno", "--kappa", 0, "--omega", 2,
-                    "--bloch0", "[1,0,0]", "--t-end", 100 * dt, "--dt", dt, "--out", out]) == 3
-        assert "abort threshold" in capsys.readouterr().err
-        assert not out.exists()
+                    "--bloch0", "[1,0,0]", "--t-end", 100 * dt, "--dt", dt, "--out", out]) == 0
+        rows = read_csv_rows(out)
+        assert len(rows) == 101
+        assert np.linalg.norm(rows[:, 1:4], axis=1).max() <= 1.0 + 1e-12
 
     def test_degenerate_stationary_state_noted(self, tmp_path):
         out = tmp_path / "sx.csv"
@@ -428,6 +429,14 @@ class TestPdpAndFractal:
         xs, fs = np.loadtxt(density_out, delimiter=",", unpack=True)
         assert len(xs) == 1024 and xs[1] == pytest.approx(2.0 * math.pi / 1024, rel=1e-15)
         np.testing.assert_allclose(fs, 1.0, atol=1e-3)
+
+    def test_classical_ramp_decay_is_exact_at_the_largest_radix(self, tmp_path):
+        # ||P^n ramp - 1||_1 = 1 / (2 r^n) holds bit for bit at r = 1024, past
+        # the 1e-13 floor (n = 5) as well
+        out = tmp_path / "classical.json"
+        assert run(["classical", "--r", 1024, "--n-max", 12, "--out", out]) == 0
+        decay = json.loads(out.read_text())["ramp_l1_decay"]
+        assert decay == [1.0 / (2.0 * 1024.0 ** n) for n in range(13)]
 
     def test_classical_report_does_not_depend_on_grid_size(self, tmp_path):
         # --grid-size sets only the number of --density-out samples

@@ -1,10 +1,11 @@
-"""Property tests for the Bloch RK4 integrator on random Lindblad models."""
+"""Property tests for the Bloch propagator of evolve on random Lindblad models."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from expm_oracle import expm_longdouble
 from qmix.lindblad import LindbladModel, evolve, generator_apply
-from qmix.states import from_bloch, to_bloch
+from qmix.states import IDENTITY2, PAULIS, from_bloch, to_bloch
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
@@ -33,26 +34,24 @@ def blochs(draw, radii):
     return v / norm * draw(radii)
 
 
-def rk4_reference(model, rho, dt, n_steps):
-    """Classical RK4 on the 2x2 density matrix, one generator call per stage."""
-    out = [rho]
-    for _ in range(n_steps):
-        k1 = generator_apply(model, rho)
-        k2 = generator_apply(model, rho + 0.5 * dt * k1)
-        k3 = generator_apply(model, rho + 0.5 * dt * k2)
-        k4 = generator_apply(model, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(rho)
-    return out
+def exact_paths(model, x0, times):
+    """Oracle: (x(t), 1) = exp(t A) (x0, 1), with A = [[M, b], [0, 0]] read off
+    the master equation on I/2 and the Pauli basis, exponentiated per time in
+    extended precision."""
+    a = np.zeros((4, 4))
+    a[:3, 3] = to_bloch(generator_apply(model, 0.5 * IDENTITY2))
+    for k, pauli in enumerate(PAULIS):
+        a[:3, k] = to_bloch(generator_apply(model, 0.5 * pauli))
+    prop = expm_longdouble(a, times).astype(float)
+    return prop[:, :3, :3] @ x0 + prop[:, :3, 3]
 
 
 @PROPERTY_SETTINGS
 @given(model=models(), x0=blochs(st.floats(0.0, 0.9)))
-def test_bloch_rk4_matches_density_matrix_rk4(model, x0):
+def test_evolve_matches_the_extended_precision_exponential(model, x0):
     traj = evolve(model, from_bloch(x0), 0.2, dt=0.01)
-    reference = rk4_reference(model, from_bloch(x0), 0.01, 20)
-    expected = np.array([to_bloch(rho) for rho in reference])
-    np.testing.assert_allclose(traj.blochs, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.blochs, exact_paths(model, x0, traj.times),
+                               rtol=0.0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS

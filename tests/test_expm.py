@@ -1,8 +1,9 @@
 """``lindblad._expm`` against the extended-precision exponential.
 
 Every matrix exponential of the package goes through ``_expm``: the
-4x4 augmented generator of (M, b) for exact paths and the mixing
-classification, the bare 3x3 M for the grid step of the distance tables.
+4x4 augmented generator of (M, b) for evolve's step, exact paths and the
+mixing classification, the bare 3x3 M for the grid step of the distance
+tables.
 Both are drawn here as stacks over [0, t_max] and as one matrix at
 t_max, on every preset up to 1.5 times its fit horizon (critical Zeno,
 where M is defective, and sigma1 conjugation, where M is singular,

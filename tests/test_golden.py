@@ -58,9 +58,9 @@ WRITERS = [
      "--size", "128", "--out", "zoom.pgm"],
 ]
 WRITERS_DIGESTS = {
-    "traj.csv": "27c2390c20f7eacdc85f6f2eb807dcbb09f738c17e86b4c32f1c251f435a36a8",
-    "traj_sx.csv": "5586fb48dc265486e54331f51aedde93c1b37c55b7adf9051a64fc4478a78db4",
-    "classical.json": "2bf7476933847bbd1885aa4e5736d08e66152a9442fa5b1a3ecae2b785d694e3",
+    "traj.csv": "c00567a7be5e2edc249a68b08bc9ef01e3a37f0d819c0252fbf18cc39572ef47",
+    "traj_sx.csv": "6c9313801ca33d27f9bb877ebc767b7d30523970af1bc4d8b3a9505640825c3a",
+    "classical.json": "e46b743265f12db93abb086dcbc4f703f05e20919b87d7c694e56252165f6daf",
     "density.csv": "8b2aa90e32d2dad5406a5899e28bfc6971df5ea6eeb0cfe112fa9d4ce699a090",
     "z.pgm": "49c0cd49977bfc9bac9062613944bc4e9aaecca29ef4d43085eed7e531765db7",
     "zoom.pgm": "26bb0636382c643651423e0713ee1e42933dd1d103cda860fc5b75dd8cf68876",
