@@ -16,7 +16,9 @@ P^n itself is a closed form.  A table minus its mean is a sum of jumps and
 kinks at its breaks, P scales each jump by 1/r and each kink by 1/r^2 and
 moves its break b to r b (Raabe's multiplication theorem), so
 :func:`pf_power` and the classical distance table follow the breaks and
-rescale the amplitudes; no step sums over the r branches.
+rescale the amplitudes; no step sums over the r branches.  Distances take
+f - g as f's amplitudes next to g's negated ones, and :func:`_snap` is the
+one rule by which breaks coincide.
 """
 
 from __future__ import annotations
@@ -50,29 +52,6 @@ MAX_R = 1024
 # (r = 1024, 1000 iterates, 100 probe ks and 2^20 --density-out samples; one
 # 2-CPU host).
 MAX_ITERATES = 1000
-
-
-def _dedupe_breaks(points: np.ndarray) -> np.ndarray:
-    """Sorted breakpoints on [0, 2pi] with sub-1e-12 gaps collapsed.
-
-    A point is kept when it lies more than the tolerance past the last kept
-    one.  A point that far past its predecessor is that far past every kept
-    point before it, so only points after a sub-tolerance gap are checked
-    one by one.
-    """
-    pts = np.sort(np.mod(points, TWO_PI))
-    pts = pts[(pts > _BREAK_TOL) & (pts < TWO_PI - _BREAK_TOL)]
-    keep = np.diff(pts, prepend=0.0) > _BREAK_TOL
-    close = np.flatnonzero(~keep)
-    # the largest point kept so far by the gap rule, up to each close point
-    sure = np.maximum.accumulate(np.where(keep, pts, 0.0))[close]
-    last = 0.0
-    for i, p, before in zip(close.tolist(), pts[close].tolist(), sure.tolist()):
-        last = max(last, before)
-        if p - last > _BREAK_TOL:
-            keep[i] = True
-            last = p
-    return np.concatenate(([0.0], pts[keep], [TWO_PI]))
 
 
 def grid_points(m: int) -> np.ndarray:
@@ -203,14 +182,18 @@ def _amplitudes(breaks: np.ndarray, c: np.ndarray, s: np.ndarray):
     return breaks[:-1], jumps, kinks
 
 
-def _merge(p: np.ndarray, jumps: np.ndarray, kinks: np.ndarray):
-    """Sort the points of every row, snap each run of points closer than
-    ``_BREAK_TOL`` (and points that close to 0 or 2pi, onto 0) to the run's
-    first point, and move the run's summed amplitudes onto that point.
+def _difference(f: CircleDensity, g: CircleDensity):
+    """(points, jumps, kinks) of f - g, unmerged: f's, then g's negated."""
+    (pf, jf, kf), (pg, jg, kg) = (_amplitudes(h.breaks, *h.coefs.T) for h in (f, g))
+    return np.concatenate([pf, pg]), np.concatenate([jf, -jg]), np.concatenate([kf, -kg])
 
-    Returns the sorted rows and the mask of run starts.  Runs are split
-    where a gap exceeds the tolerance, the rule of :func:`_dedupe_breaks`
-    on every sequence of breaks that lacks sub-tolerance chains.
+
+def _snap(p: np.ndarray):
+    """Sort the points of every row and snap each run of points closer than
+    ``_BREAK_TOL`` (and points that close to 0 or 2pi, onto 0) to the run's
+    first point.  A run ends only where a gap exceeds the tolerance, so a
+    chain of sub-tolerance gaps is one run.  Returns the snapped rows, the
+    flat index of every sorted point and the mask of run starts.
     """
     rows, width = p.shape
     p = np.where((p > _BREAK_TOL) & (p < TWO_PI - _BREAK_TOL), p, 0.0)
@@ -218,7 +201,16 @@ def _merge(p: np.ndarray, jumps: np.ndarray, kinks: np.ndarray):
     p = p.ravel()[order]
     first = np.ones(p.shape, dtype=bool)
     first[:, 1:] = p[:, 1:] - p[:, :-1] > _BREAK_TOL
-    p = np.maximum.accumulate(np.where(first, p, 0.0), axis=1)
+    return np.maximum.accumulate(np.where(first, p, 0.0), axis=1), order, first
+
+
+def _merge(p: np.ndarray, jumps: np.ndarray, kinks: np.ndarray):
+    """:func:`_snap` the points of every row and move each run's summed
+    amplitudes onto its first point (zero elsewhere).  Returns the rows,
+    jumps, kinks and run starts; on :func:`_difference` (f, g), the
+    amplitudes of f - g.
+    """
+    p, order, first = _snap(p)
     starts = np.flatnonzero(first)  # every row opens with a start
     merged = []
     for amp in (jumps, kinks):
@@ -298,18 +290,19 @@ def pf_apply(f: CircleDensity, r: int) -> CircleDensity:
 # -- integrals ------------------------------------------------------------
 
 def _merged_table(f: CircleDensity, g: CircleDensity):
-    """Merged breaks of f and g and the (c, s) columns of each on every merged piece."""
-    breaks = _dedupe_breaks(np.concatenate([f.breaks[:-1], g.breaks[:-1], [0.0]]))
+    """The breaks of f and g merged by :func:`_snap`, and the (c, s) columns
+    of each on every merged piece."""
+    p, _, first = _snap(np.concatenate([f.breaks[:-1], g.breaks[:-1]])[None, :])
+    breaks = np.append(p[first], TWO_PI)
     xm = 0.5 * (breaks[:-1] + breaks[1:])
     return (breaks, f.coefs[_piece_of(f.breaks, xm)].T,
             g.coefs[_piece_of(g.breaks, xm)].T)
 
 
 def l1_distance(f: CircleDensity, g: CircleDensity) -> float:
-    """Integral of |f - g| d mu, exact: :func:`_combination_l1` of the jumps
-    and kinks of f - g on the merged breaks."""
-    breaks, (cf, sf), (cg, sg) = _merged_table(f, g)
-    p, jumps, kinks = (a[None, :] for a in _amplitudes(breaks, cf - cg, sf - sg))
+    """Integral of |f - g| d mu, exact: :func:`_combination_l1` of the
+    merged jumps and kinks of f - g."""
+    p, jumps, kinks, _ = _merge(*(a[None, :] for a in _difference(f, g)))
     return float(_combination_l1(p, jumps, kinks)[0])
 
 
@@ -375,29 +368,28 @@ def distance_table(f0: CircleDensity, probes: Sequence[CircleDensity], r: int, n
     """(dists, exact_rates, uniform_at): the (probes, n_max + 1) table of
     ||P^n probe - P^n f0||_1 and the rates of :class:`ClassicalEstimate`.
 
-    Each probe - f0 is decomposed once, and every iterate is one batched
-    :func:`_merge` and :func:`_combination_l1` over the rows still live.  A
-    row stops at the first n where the bound (sum|J| / 4) r^-n + (pi / 6)
-    (sum|K|) r^-2n on its distance falls below ``_FLOOR``; its later
-    entries hold that bound, which no fit window can use.  When probe - f0
+    A row is :func:`_difference` (probe, f0); every iterate is one batched
+    :func:`_merge` (the first one sums probe - f0) and
+    :func:`_combination_l1` over the rows still live.  A row stops at the
+    first n where the bound (sum|J| / 4) r^-n + (pi / 6) (sum|K|) r^-2n on
+    its distance falls below ``_FLOOR``; its later entries hold that
+    bound, which no fit window can use.  When probe - f0
     is one jump and no kink (the ramp against the uniform density), the
     bound is the exact distance.  ``r`` and ``n_max`` are used as given;
     :func:`lambda_classical` checks them.
     """
-    parts = []
-    for probe in probes:
-        breaks, (cf, sf), (cg, sg) = _merged_table(probe, f0)
-        parts.append(_amplitudes(breaks, cf - cg, sf - sg))
+    parts = [_difference(probe, f0) for probe in probes]
     width = max(len(part[0]) for part in parts)
     p, jumps, kinks = (np.array([np.pad(part[i], (0, width - len(part[i]))) for part in parts])
                        for i in range(3))
-    tol = _BREAK_TOL * (np.abs(jumps).sum(axis=1) + TWO_PI * np.abs(kinks).sum(axis=1))
     dists = np.empty((len(parts), n_max + 1))
     jump_left = np.ones(len(parts), dtype=bool)
     uniform_at = np.full(len(parts), -1)
     live = np.arange(len(parts))
     for n in range(n_max + 1):
         p, jumps, kinks, _ = _merge(p, jumps, kinks)
+        if n == 0:  # the amplitudes of probe - f0 set what counts as cancelled
+            tol = _BREAK_TOL * (np.abs(jumps).sum(axis=1) + TWO_PI * np.abs(kinks).sum(axis=1))
         jump_left[live] = np.abs(jumps).max(axis=1) > tol[live]
         kink_left = np.abs(kinks).max(axis=1) > tol[live] / TWO_PI
         uniform_at[live[~(jump_left[live] | kink_left) & (uniform_at[live] < 0)]] = n

@@ -10,9 +10,9 @@ seed reproduces the outputs byte for byte.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Importing this module loads only :mod:`qmix.io`, through which every command
-writes, and :mod:`qmix.pdp` (with :mod:`qmix.states`), the home of the
-burn-in default.  Each ``cmd_*`` imports the compute modules it runs, so
-``qmix render`` never loads the master-equation or circle-map code.
+writes, and :mod:`qmix.states`, the home of the burn-in default.  Each
+``cmd_*`` imports the compute modules it runs, so ``qmix render`` never
+loads the sampler, the master-equation or the circle-map code.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Any, Optional
 
 import numpy as np
 
-from . import pdp
 from .io import (
     atomic_write_bytes,
     header_comments,
@@ -37,6 +37,7 @@ from .io import (
     write_json,
     write_jsonl,
 )
+from .states import DEFAULT_BURN_IN
 
 # CLI name -> preset class of qmix.lindblad
 PRESETS = {"tetrahedron": "Tetrahedron", "zeno": "Zeno", "fluorescence": "Fluorescence",
@@ -57,6 +58,7 @@ class Field:
     item: Optional[Field] = None
     length: Optional[int] = None
     max_length: Optional[int] = None
+    output: bool = False  # a path to write, in a directory that must exist
 
 
 def _coerce(name: str, field: Field, value):
@@ -106,6 +108,10 @@ def resolve_config(schema: dict[str, Field], config_path: Optional[str],
     missing = [k for k, f in schema.items() if f.required and resolved[k] is None]
     if missing:
         raise ConfigError(f"missing required field(s): {', '.join(missing)}")
+    for key, field in schema.items():  # no run may end by failing to write
+        path = resolved[key]
+        if field.output and path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"field '{key}': the directory of {path} does not exist")
     return resolved
 
 
@@ -123,6 +129,9 @@ MAX_SWEEP_POINTS = 100
 # probe count, but small (`qmix classical` takes about 0.25 s at the cap with
 # its other defaults, about what the defaults take).
 MAX_PROBE_KS = 100
+# Largest `classical --probe-ks` k: the sawtooth's distance 0.5/k to the uniform
+# density (5e-12) must exceed the 1e-12 at which lambda_classical calls them equal.
+MAX_PROBE_K = 10 ** 11
 
 _BLOCH = Field(list, [0.0, 0.0, 1.0], item=Field(float), length=3)
 
@@ -140,7 +149,7 @@ EVOLVE_SCHEMA = {
     "bloch0": _BLOCH,
     "t_end": Field(float, 5.0),
     "dt": Field(float),
-    "out": Field(str, required=True),
+    "out": Field(str, required=True, output=True),
 }
 
 EXPONENT_SCHEMA = {
@@ -149,7 +158,7 @@ EXPONENT_SCHEMA = {
     "probe_seed": Field(int, 7),
     "tol": Field(float, 1e-4),
     "kappa_sweep": Field(list, item=Field(float), max_length=MAX_SWEEP_POINTS),
-    "out": Field(str, required=True),
+    "out": Field(str, required=True, output=True),
 }
 
 PDP_SCHEMA = {
@@ -157,17 +166,17 @@ PDP_SCHEMA = {
     "kappa": Field(float, 1.0),
     "omega": Field(float, 0.0),
     "n_points": Field(int, 100000),
-    "burn_in": Field(int, pdp.DEFAULT_BURN_IN),
+    "burn_in": Field(int, DEFAULT_BURN_IN),
     "seed": Field(int, 0),
     "r0": _BLOCH,
-    "out": Field(str, required=True),
-    "log": Field(str),
+    "out": Field(str, required=True, output=True),
+    "log": Field(str, output=True),
 }
 
 FRACTAL_SCHEMA = {
     "cloud": Field(str, required=True),
     "levels": Field(int),
-    "out": Field(str, required=True),
+    "out": Field(str, required=True, output=True),
 }
 
 CLASSICAL_SCHEMA = {
@@ -175,8 +184,8 @@ CLASSICAL_SCHEMA = {
     "n_max": Field(int, 12),
     "probe_ks": Field(list, [1, 2, 3, 4, 5], item=Field(int), max_length=MAX_PROBE_KS),
     "grid_size": Field(int, 1024),
-    "out": Field(str, required=True),
-    "density_out": Field(str),
+    "out": Field(str, required=True, output=True),
+    "density_out": Field(str, output=True),
 }
 
 RENDER_SCHEMA = {
@@ -187,12 +196,12 @@ RENDER_SCHEMA = {
     "mode": Field(str, "pgm", choices=("pgm", "ppm")),
     "zoom_center": Field(list, item=Field(float), length=3),
     "zoom_radius": Field(float),
-    "out": Field(str, required=True),
+    "out": Field(str, required=True, output=True),
 }
 
 REPRO_SCHEMA = {
     "criteria": Field(list, item=Field(int)),
-    "out": Field(str),
+    "out": Field(str, output=True),
 }
 
 
@@ -259,6 +268,8 @@ def cmd_exponent(cfg: dict) -> None:
 
 
 def cmd_pdp(cfg: dict) -> None:
+    from . import pdp
+
     path = _checked(
         pdp.sample_path, omega=cfg["omega"], kappa=cfg["kappa"], alpha=cfg["alpha"],
         r0=np.array(cfg["r0"], dtype=float), n_jumps=cfg["n_points"], seed=cfg["seed"],
@@ -290,6 +301,8 @@ def cmd_classical(cfg: dict) -> None:
     from . import circle
 
     r = cfg["r"]
+    if any(k > MAX_PROBE_K for k in cfg["probe_ks"]):
+        raise ConfigError(f"field 'probe_ks' holds a k past the cap of {MAX_PROBE_K}")
     xs = _checked(circle.grid_points, cfg["grid_size"])  # the --density-out samples
     f0 = circle.CircleDensity.uniform()
     probes = [_checked(circle.sawtooth_density, int(k)) for k in cfg["probe_ks"]]

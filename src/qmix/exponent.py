@@ -55,7 +55,6 @@ from .lindblad import (
     bloch_generator,
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
-from .pdp import make_rng
 from .states import (
     MAX_ENTROPY,
     _check_in_ball,
@@ -63,6 +62,7 @@ from .states import (
     bloch_distance,
     bloch_entropy,
     bloch_relative_entropy,
+    make_rng,
 )
 
 DEFAULT_PROBE_SEED = 7

@@ -37,10 +37,10 @@ every round writes its intermediates into that workspace instead of fresh
 arrays, because freshly allocated arrays come back from the allocator as
 fresh zeroed pages, and faulting those in cost more than the arithmetic.
 
-Every ``qmix`` command loads this module (``cli`` reads ``DEFAULT_BURN_IN``),
-so it imports only numpy and :mod:`qmix.states`, where the tetrahedron
-directions live; ``concurrent.futures`` is imported inside
-``ensemble_bloch_mean``, the one user of threads.
+``TETRA_DIRECTIONS``, ``DEFAULT_BURN_IN`` and ``make_rng`` come from
+:mod:`qmix.states`, which ``qmix.cli`` loads without this module.
+``concurrent.futures`` is imported inside ``ensemble_bloch_mean``, the one
+user of threads.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ from typing import Optional
 
 import numpy as np
 
-from .states import TETRA_DIRECTIONS
+from .states import DEFAULT_BURN_IN, TETRA_DIRECTIONS, make_rng
 
 DEFAULT_START = (0.0, 0.0, 1.0)
-DEFAULT_BURN_IN = 100  # attractor convergence is geometric; 100 jumps suffice
 ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
 # rate * t_end cap: an ensemble runs one vectorized round per jump of its
 # slowest path (about 0.1 ms each at 10 paths on a 2-vCPU Xeon)
@@ -66,18 +65,6 @@ MAX_EXPECTED_JUMPS = 10 ** 5
 # 16 more as arrays (the scalar loop's Python lists of them hold one block)
 MAX_JUMPS = 10 ** 7
 _DRAW_BLOCK = 65536  # draws per block of the scalar loop
-
-
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox4x64-10 generator keyed by (seed, stream), each in [0, 2^64).
-
-    Every Philox key in the package is built here.  A key word outside that
-    range raises ValueError rather than wrapping onto another seed's stream.
-    """
-    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
-        raise ValueError(f"Philox key (seed={seed}, stream={stream}) must lie in [0, 2^64)")
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def total_rate(kappa: float, alpha: float) -> float:
@@ -419,17 +406,6 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
     return final.sum(axis=0)
 
 
-def qmix_threads() -> int:
-    """Worker-thread cap from QMIX_THREADS (default: cpu count)."""
-    raw = os.environ.get("QMIX_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
-
-
 def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
                         n_paths: int, t_end: float, seed: int = 0,
                         rate_convention: str = "eeqt") -> np.ndarray:
@@ -442,9 +418,9 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     Paths are simulated in vectorized chunks of ``ENSEMBLE_CHUNK``; chunk c
     draws from the Philox stream (seed, c), and partial sums are combined
     in chunk order, so the result does not depend on the thread count.
-    With T = min(QMIX_THREADS, chunks) workers, worker w runs chunks w,
-    w + T, ... in one ``_Workspace`` it allocates once, so no round
-    allocates batch-sized arrays (each would fault in fresh pages).
+    With T = min(CPUs this process may run on, chunks) workers, worker w
+    runs chunks w, w + T, ... in one ``_Workspace`` it allocates once, so
+    no round allocates batch-sized arrays (each would fault in fresh pages).
     """
     from concurrent.futures import ThreadPoolExecutor  # only ensembles use threads
 
@@ -455,7 +431,8 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     r0u = _unit(r0)
     jobs = [(omega, alpha, r0u, min(ENSEMBLE_CHUNK, n_paths - start), t_end, seed, stream, rate)
             for stream, start in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
-    n_workers = min(qmix_threads(), len(jobs))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(cpus or 1, len(jobs))
 
     def run_chunks(worker: int) -> list[np.ndarray]:
         ws = _Workspace(min(ENSEMBLE_CHUNK, n_paths))

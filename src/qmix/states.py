@@ -18,6 +18,9 @@ Bloch formula elsewhere in the package is derived against these constants;
 Entropies are batched closed forms of Bloch vectors (:func:`bloch_entropy`,
 :func:`bloch_relative_entropy`); the matrix forms validate, then convert.
 All logarithms are natural (entropies in nats).
+
+The jump process's tetrahedron, burn-in default and Philox constructor
+live here too, so the command line reads them without :mod:`qmix.pdp`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ TETRA_DIRECTIONS = np.array([
     [-1.0 / 3.0, math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
     [-1.0 / 3.0, -math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
 ])
+DEFAULT_BURN_IN = 100  # attractor convergence is geometric; 100 jumps suffice
+
+
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox4x64-10 generator keyed by (seed, stream), each in [0, 2^64).
+
+    Every Philox key in the package is built here.  A key word outside that
+    range raises ValueError rather than wrapping onto another seed's stream.
+    """
+    if not (0 <= seed < 2 ** 64 and 0 <= stream < 2 ** 64):
+        raise ValueError(f"Philox key (seed={seed}, stream={stream}) must lie in [0, 2^64)")
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def is_hermitian(a: np.ndarray, atol: float = ATOL_STRUCT) -> bool:

@@ -7,7 +7,9 @@ Both allocate work per grid cell, so they suit small grids only.
 indexing.  ``pf_affine`` pushes a piece table forward one step by gathering
 the r preimage pieces of every image piece, and ``iterated_distance_table``
 fills the classical distance table with it, one push-forward and one exact
-L1 distance per probe and iterate.
+L1 distance per probe and iterate.  ``dedupe_breaks_oracle`` merges the
+image breaks of ``pf_affine`` by the sequential rule, one point at a time,
+so the oracle does not lean on the library's snapping.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from qmix.boxdim import _cell_index, _face_coords
-from qmix.circle import TWO_PI, CircleDensity, _dedupe_breaks, _piece_of, l1_distance
+from qmix.circle import _BREAK_TOL, TWO_PI, CircleDensity, _piece_of, l1_distance
 from qmix.render import DETECTOR_COLORS, _pixel_coords
 
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
@@ -75,6 +77,19 @@ def argmax_face_coords(points):
     return face, u, v
 
 
+def dedupe_breaks_oracle(points):
+    """Sorted breaks, each kept when more than the tolerance past the last
+    kept one, walked one point at a time."""
+    pts = np.sort(np.mod(points, TWO_PI))
+    pts = pts[(pts > _BREAK_TOL) & (pts < TWO_PI - _BREAK_TOL)]
+    keep = [0.0]
+    for p in pts:
+        if p - keep[-1] > _BREAK_TOL:
+            keep.append(float(p))
+    keep.append(TWO_PI)
+    return np.array(keep)
+
+
 def pf_affine(f, r):
     """One push-forward under x -> r x (mod 2pi).
 
@@ -83,7 +98,7 @@ def pf_affine(f, r):
     The r branches are summed with ``math.fsum``: a running sum of 1024
     terms of size 1/r is off by up to 1e-14 (the library's route did so).
     """
-    breaks = _dedupe_breaks(np.concatenate([np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
+    breaks = dedupe_breaks_oracle(np.concatenate([np.mod(r * f.breaks[:-1], TWO_PI), [0.0]]))
     xm = 0.5 * (breaks[:-1] + breaks[1:])
     j = np.arange(r)[:, None]
     c, s = np.moveaxis(f.coefs[_piece_of(f.breaks, (xm + TWO_PI * j) / r)], -1, 0)

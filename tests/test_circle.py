@@ -331,10 +331,10 @@ def random_probe(rng, kind, pieces=9):
     return density_from_ends(edges, lo, hi)
 
 
-def merged_difference(f, g):
-    """(breaks, c, s) of the piece table of f - g."""
-    breaks, (cf, sf), (cg, sg) = circle._merged_table(f, g)
-    return breaks, cf - cg, sf - sg
+def difference_amplitudes(f, g):
+    """(jumps, kinks) of f - g, merged as the distance table merges them."""
+    _, jumps, kinks, _ = circle._merge(*(a[None, :] for a in circle._difference(f, g)))
+    return jumps[0], kinks[0]
 
 
 # continuous, with kinks at 0, 1 and 4 only
@@ -359,7 +359,7 @@ class TestClosedForm:
         for row, probe in enumerate(probes):
             # entries up to the certified floor are exact; past it both
             # read at most the floor
-            _, jumps, kinks = circle._amplitudes(*merged_difference(probe, one))
+            jumps, kinks = difference_amplitudes(probe, one)
             n = np.arange(n_max + 1)
             bound = (np.abs(jumps).sum() / 4 * float(r) ** -n
                      + math.pi / 6 * np.abs(kinks).sum() * float(r) ** (-2 * n))

@@ -12,7 +12,6 @@ from qmix.circle import (
     _BREAK_TOL,
     TWO_PI,
     CircleDensity,
-    _dedupe_breaks,
     fourier_check,
     l1_distance,
     pf_apply,
@@ -20,7 +19,8 @@ from qmix.circle import (
     relative_entropy as circle_relative_entropy,
 )
 from qmix.states import from_bloch, relative_entropy, trace_norm
-from test_circle import merged_difference, random_probe
+from dense_oracle import dedupe_breaks_oracle
+from test_circle import difference_amplitudes, random_probe
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                              database=None)
@@ -120,7 +120,7 @@ def test_table_entries_past_the_floor_are_at_most_the_floor(probes, r):
     dists, _, _ = circle.distance_table(one, probes, r, n_max)
     n = np.arange(n_max + 1)
     for row, probe in zip(dists, probes):
-        _, jumps, kinks = circle._amplitudes(*merged_difference(probe, one))
+        jumps, kinks = difference_amplitudes(probe, one)
         bound = (np.abs(jumps).sum() / 4 * float(r) ** -n
                  + math.pi / 6 * np.abs(kinks).sum() * float(r) ** (-2 * n))
         assert np.all(row <= bound * (1 + 1e-12))
@@ -147,19 +147,6 @@ def test_l1_distance_is_symmetric_and_matches_a_midpoint_rule(f, g):
     assert abs(d - reference) <= tol
 
 
-def dedupe_breaks_oracle(points):
-    """Sorted breaks, each kept when more than the tolerance past the last
-    kept one, walked one point at a time."""
-    pts = np.sort(np.mod(points, TWO_PI))
-    pts = pts[(pts > _BREAK_TOL) & (pts < TWO_PI - _BREAK_TOL)]
-    keep = [0.0]
-    for p in pts:
-        if p - keep[-1] > _BREAK_TOL:
-            keep.append(float(p))
-    keep.append(TWO_PI)
-    return np.array(keep)
-
-
 @st.composite
 def clustered_breaks(draw):
     """Break candidates around [0, 2pi], with 0 and 2pi among them, where
@@ -173,13 +160,43 @@ def clustered_breaks(draw):
     return np.concatenate([base, chains.ravel(), [0.0]])
 
 
+def has_sub_tolerance_chain(points):
+    """Whether a run of sorted breaks, each within the tolerance of the one
+    before, spans more than the tolerance (points that close to 0 or 2pi
+    count as 0)."""
+    q = np.sort(np.where((points > _BREAK_TOL) & (points < TWO_PI - _BREAK_TOL), points, 0.0))
+    starts = np.flatnonzero(np.diff(q, prepend=-math.inf) > _BREAK_TOL)
+    ends = np.append(starts[1:], len(q)) - 1
+    return bool(np.any(q[ends] - q[starts] > _BREAK_TOL))
+
+
 @PROPERTY_SETTINGS
-@given(points=clustered_breaks())
-def test_dedupe_breaks_matches_the_sequential_rule(points):
+@given(points=clustered_breaks(), seed=st.integers(0, 2 ** 32 - 1))
+def test_merge_is_the_one_break_rule(points, seed):
+    rng = np.random.default_rng(seed)
+    p = np.mod(points, TWO_PI)
+    rows = np.stack([p, rng.permutation(p)])
+    # integer amplitudes: their sums are exact in any order
+    jumps, kinks = (rng.integers(-1000, 1001, rows.shape).astype(float) for _ in range(2))
+    q, merged_jumps, merged_kinks, first = circle._merge(rows, jumps, kinks)
+    for row in range(2):
+        starts = q[row, first[row]]
+        assert starts[0] == 0.0 and starts[-1] < TWO_PI - _BREAK_TOL
+        assert np.all(np.diff(starts) > _BREAK_TOL)
+        assert np.all(np.diff(q[row]) >= 0.0)
+        assert merged_jumps[row].sum() == jumps[row].sum()
+        assert merged_kinks[row].sum() == kinks[row].sum()
+        assert not (merged_jumps[row, ~first[row]].any() or merged_kinks[row, ~first[row]].any())
+    # the order of the points does not move a break
+    np.testing.assert_array_equal(q[0], q[1])
+    breaks = np.append(q[0, first[0]], TWO_PI)
     expected = dedupe_breaks_oracle(points)
-    out = _dedupe_breaks(points)
-    assert out.dtype == expected.dtype
-    np.testing.assert_array_equal(out, expected)
+    # a chain of sub-tolerance gaps is one run here, where the sequential
+    # rule keeps a point of it once the chain has left the last kept one
+    # more than the tolerance behind
+    assert np.all(np.isin(breaks, expected))
+    if not has_sub_tolerance_chain(p):
+        np.testing.assert_array_equal(breaks, expected)
 
 
 @PROPERTY_SETTINGS

@@ -175,6 +175,9 @@ class TestConfigHandling:
         ["exponent", "--preset", "zeno", "--omega", 1, "--probe-seed", 2 ** 64],
         ["pdp", "--alpha", 0.5, "--n-points", 10, "--seed", -1],
         ["pdp", "--alpha", 0.5, "--n-points", 10, "--seed", 2 ** 64],
+        ["pdp", "--alpha", 0.5, "--n-points", 10, "--log", "/nonexistent/l.jsonl"],
+        ["classical", "--density-out", "/nonexistent/d.csv"],
+        ["classical", "--probe-ks", json.dumps([1, cli.MAX_PROBE_K + 1])],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -189,7 +192,8 @@ class TestConfigHandling:
             "classical-r-past-cap", "exponent-t-max-neg", "exponent-sweep-t-max-neg",
             "exponent-kappa-sweep-past-cap", "classical-probe-ks-past-cap",
             "exponent-probe-seed-neg", "exponent-probe-seed-2^64", "pdp-seed-neg",
-            "pdp-seed-2^64"])
+            "pdp-seed-2^64", "pdp-log-missing-dir", "classical-density-out-missing-dir",
+            "classical-probe-k-past-cap"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -198,6 +202,29 @@ class TestConfigHandling:
         assert time.perf_counter() - start < 1.0  # rejected before any real work
         assert capsys.readouterr().err.startswith("config error")
         assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["pdp", "--alpha", 0.5, "--n-points", 200_000],
+        ["evolve", "--preset", "zeno"],
+        ["classical"],
+        ["repro", "--criteria", "[8]"],
+    ], ids=["pdp", "evolve", "classical", "repro"])
+    def test_output_in_a_missing_directory_is_a_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "out.csv"
+        start = time.perf_counter()
+        assert run(args + ["--out", out]) == 2
+        assert time.perf_counter() - start < 1.0  # rejected before any real work
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_probe_k_is_capped_where_the_sawtooth_is_told_from_uniform(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["classical", "--probe-ks", "[1e300]", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'probe_ks'" in err and f"cap of {cli.MAX_PROBE_K}" in err
+        # at the cap the sawtooth is still 5e-12 from the uniform density
+        assert run(["classical", "--probe-ks", json.dumps([1, cli.MAX_PROBE_K]), "--out", out]) == 0
 
     def test_abbreviated_flag_is_a_usage_error(self, tmp_path, capsys):
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -625,7 +652,8 @@ def _fresh_python(code):
 def test_startup_imports_no_scipy():
     # scipy is a test dependency only; importing it would add about 0.3 s and
     # 20 MB to every qmix process.  The package loads no module of its own,
-    # and qmix.cli only what every command needs; logging and
+    # and qmix.cli only what every command needs: not the sampler, whose
+    # burn-in default and generator live in qmix.states.  logging and
     # concurrent.futures come only with lindblad and with the ensemble
     loaded = _fresh_python(
         "import json, sys; before = set(sys.modules); import qmix; "
@@ -634,7 +662,7 @@ def test_startup_imports_no_scipy():
     package, cli_modules = loaded
     assert [m for m in package if m.startswith("qmix")] == ["qmix"]
     assert [m for m in cli_modules if m.startswith("qmix")] == [
-        "qmix", "qmix.cli", "qmix.io", "qmix.pdp", "qmix.states"]
+        "qmix", "qmix.cli", "qmix.io", "qmix.states"]
     assert not {"logging", "concurrent.futures"} & set(cli_modules)
     assert [m for m in cli_modules if m.split(".")[0] == "scipy"] == []
 

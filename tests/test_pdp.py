@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -322,7 +323,7 @@ class TestEnsembleConsistency:
                       n_paths=4 * ENSEMBLE_CHUNK + 12_345, t_end=0.8, seed=11)
         means = {}
         for threads in (1, 2, 3, 7):
-            monkeypatch.setenv("QMIX_THREADS", str(threads))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=threads: set(range(n)))
             means[threads] = ensemble_bloch_mean(**kwargs)
         for threads in (2, 3, 7):
             np.testing.assert_array_equal(means[threads], means[1])
@@ -376,14 +377,3 @@ class TestEnsembleConsistency:
     def test_means_are_pinned_bit_for_bit(self, kwargs, expected):
         mean = ensemble_bloch_mean(kappa=1.0, **kwargs)
         assert tuple(float(v).hex() for v in mean) == expected
-
-    def test_thread_cap_env_var(self, monkeypatch):
-        from qmix.pdp import qmix_threads
-        monkeypatch.setenv("QMIX_THREADS", "3")
-        assert qmix_threads() == 3
-        monkeypatch.setenv("QMIX_THREADS", "0")
-        assert qmix_threads() == 1
-        monkeypatch.setenv("QMIX_THREADS", "junk")
-        assert qmix_threads() == 1
-        monkeypatch.delenv("QMIX_THREADS")
-        assert qmix_threads() >= 1
