@@ -40,7 +40,6 @@ from .states import (
     _random_bloch,
     bloch_relative_entropy,
     from_bloch,
-    pure_state,
     trace_norm,
 )
 
@@ -94,7 +93,7 @@ def criterion_2() -> CriterionResult:
         worst = 0.0
         for omega in (0.0, 1.0):
             model = build_model(Tetrahedron(kappa=1.0, alpha=1.0, omega=omega))
-            traj = evolve(model, pure_state([0.0, 0.0, 1.0]), 5.0)
+            traj = evolve(model, [0.0, 0.0, 1.0], 5.0)
             radius = np.linalg.norm(traj.blochs, axis=1)  # trace distance to I/2
             err = np.abs(radius - np.exp(-4.0 * traj.times / 3.0))
             worst = max(worst, float(err.max()))

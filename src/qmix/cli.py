@@ -109,8 +109,10 @@ def resolve_config(schema: dict[str, Field], config_path: Optional[str],
     if missing:
         raise ConfigError(f"missing required field(s): {', '.join(missing)}")
     for key, field in schema.items():  # no run may end by failing to write
-        path = resolved[key]
-        if field.output and path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        path = field.output and resolved[key]
+        if path and os.path.isdir(path):
+            raise ConfigError(f"field '{key}': {path} is a directory, not a file")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"field '{key}': the directory of {path} does not exist")
     return resolved
 
@@ -215,11 +217,10 @@ def _checked(fn, *args, **kwargs):
 
 def cmd_evolve(cfg: dict) -> None:
     from .lindblad import NonUniqueStationaryError, build_model, evolve, stationary_state
-    from .states import bloch_distance, from_bloch
+    from .states import bloch_distance
 
     model = _checked(build_model, _preset(cfg))
-    rho0 = _checked(from_bloch, np.array(cfg["bloch0"], dtype=float))
-    traj = _checked(evolve, model, rho0, cfg["t_end"], dt=cfg["dt"])
+    traj = _checked(evolve, model, cfg["bloch0"], cfg["t_end"], dt=cfg["dt"])
     notes = ()
     try:
         x_stat = stationary_state(model)
@@ -299,6 +300,7 @@ def cmd_fractal(cfg: dict) -> None:
 
 def cmd_classical(cfg: dict) -> None:
     from . import circle
+    from .fitting import FitWindowError
 
     r = cfg["r"]
     if any(k > MAX_PROBE_K for k in cfg["probe_ks"]):
@@ -306,7 +308,11 @@ def cmd_classical(cfg: dict) -> None:
     xs = _checked(circle.grid_points, cfg["grid_size"])  # the --density-out samples
     f0 = circle.CircleDensity.uniform()
     probes = [_checked(circle.sawtooth_density, int(k)) for k in cfg["probe_ks"]]
-    estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
+    try:
+        estimate = _checked(circle.lambda_classical, f0, probes, r, n_max=cfg["n_max"])
+    except FitWindowError as exc:  # the settings alone leave no probe to fit
+        raise ConfigError(f"fields 'probe_ks' and 'r': no k of {cfg['probe_ks']} can be "
+                          f"fitted at r = {r} ({exc})") from exc
     ramp = circle.linear_ramp_density()
     ramp_dists, _, _ = circle.distance_table(f0, [ramp], r, cfg["n_max"])
     payload = {

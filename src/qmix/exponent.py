@@ -58,6 +58,8 @@ from .lindblad import (
 from .states import (
     MAX_ENTROPY,
     _check_in_ball,
+    _one_bloch,
+    _random_bloch,
     as_bloch,
     bloch_distance,
     bloch_entropy,
@@ -80,26 +82,20 @@ _AXES = np.array([
 ])
 
 
-def default_probe_set(rho_ref, seed: int = DEFAULT_PROBE_SEED,
-                      n_pure: int = 10, n_mixed: int = 2,
-                      min_distance: float = 1e-6) -> np.ndarray:
+def default_probe_set(rho_ref, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
     """Probe states as Bloch vectors, shape (P, 3): the six Bloch axes, then
-    seeded random pure and mixed states.
+    ten pure and two mixed states drawn by :func:`qmix.states._random_bloch`
+    from the Philox stream of ``seed``.
 
-    Probes closer than ``min_distance`` (trace distance) to ``rho_ref``, a
-    Bloch vector or a density matrix, are dropped so none coincides with it.
+    Probes within trace distance 1e-6 of ``rho_ref``, a Bloch vector or a
+    density matrix, are dropped so none coincides with it.
     """
-    ref = _one_state(rho_ref)
+    ref = _one_bloch(rho_ref)
     rng = make_rng(seed)
-    blochs = [a for a in _AXES]
-    for _ in range(n_pure):
-        v = rng.normal(size=3)
-        blochs.append(v / np.linalg.norm(v))
-    for _ in range(n_mixed):
-        v = rng.normal(size=3)
-        blochs.append(v / np.linalg.norm(v) * rng.random())
-    blochs = np.array(blochs)
-    return blochs[np.linalg.norm(blochs - ref, axis=1) >= min_distance]
+    drawn = [_random_bloch(rng, pure=True) for _ in range(10)]
+    drawn += [_random_bloch(rng) for _ in range(2)]
+    blochs = np.concatenate([_AXES, drawn])
+    return blochs[np.linalg.norm(blochs - ref, axis=1) >= 1e-6]
 
 
 def lambda_q_analytic(preset: Preset) -> float:
@@ -156,14 +152,6 @@ def _check_horizon(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
 
 
-def _one_state(state) -> np.ndarray:
-    """Bloch vector (3,) of one state given as a Bloch vector or a 2x2 matrix."""
-    x = as_bloch(state)
-    if x.shape != (3,):
-        raise ValueError(f"expected one state, got Bloch array of shape {x.shape}")
-    return x
-
-
 def _probe_blochs(probes) -> np.ndarray:
     """(P, 3) Bloch array of a nonempty probe family (Bloch vectors or 2x2 matrices)."""
     if len(probes) == 0:
@@ -192,7 +180,7 @@ def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
     _check_horizon(t_max)
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
-    ref_b = _one_state(rho_ref)
+    ref_b = _one_bloch(rho_ref)
     probe_b = _probe_blochs(probes)
     close = np.flatnonzero(np.linalg.norm(probe_b - ref_b, axis=1) < 1e-6)
     if close.size:

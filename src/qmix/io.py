@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import re
-import tempfile
 import warnings
 
 import numpy as np
@@ -33,25 +32,19 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def _umask() -> int:
-    """The process umask; os.umask can only read it by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` via a renamed temp file.
 
-    ``mkstemp`` creates the temp file with mode 0600 whatever the umask; the
-    result gets the mode a plain ``open`` would give, 0666 minus the umask.
+    The temp file is created with mode 0666 under a random ``.qmix-tmp-``
+    name beside ``path``, so the kernel applies the umask and the result
+    gets the mode a plain ``open`` would give.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qmix-tmp-")
+    tmp = os.path.join(directory, f".qmix-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

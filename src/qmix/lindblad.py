@@ -9,7 +9,7 @@ the package:
 
 * ``Tetrahedron`` -- four spin polarizers along the vertices of a regular
   tetrahedron, coupling operators (I + alpha n_i . sigma)/2 at rate kappa
-  each, Hamiltonian (omega/2) sigma3.
+  each (``from_bloch(alpha n_i)``), Hamiltonian (omega/2) sigma3.
 * ``Zeno`` -- a single yes/no polarizer e = (I + sigma1)/2 at rate kappa,
   Hamiltonian (omega/2) sigma3.
 * ``Fluorescence`` -- driven two-level emitter: H = -(rabi/2) sigma1 and
@@ -35,7 +35,8 @@ and squaring in numpy.
 defines (M, b) and serves as the reference the Bloch forms are checked
 against.
 
-Everything is expressed against the Pauli constants in :mod:`qmix.states`.
+States are Bloch vectors: :func:`evolve` takes one (a 2x2 matrix too) and
+returns Bloch rows.  Everything is expressed against the Pauli constants in :mod:`qmix.states`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .states import (
     SIGMA3,
     TETRA_DIRECTIONS,
     _check_in_ball,
-    check_density_matrix,
+    _one_bloch,
     from_bloch,
     hermitian_eigenvalues,
     to_bloch,
@@ -124,7 +125,6 @@ class LindbladModel:
         if np.max(np.abs(h - h.conj().T)) > 1e-10:
             raise ValueError("hamiltonian must be hermitian")
         terms = []
-        grams = []
         for op, rate in jump_terms:
             op = np.array(op, dtype=complex)
             if op.shape != (2, 2):
@@ -135,11 +135,9 @@ class LindbladModel:
                 raise ValueError("jump rates must be finite and nonnegative")
             op.setflags(write=False)
             terms.append((op, float(rate)))
-            grams.append(op.conj().T @ op)
         h.setflags(write=False)
         self._h = h
         self._terms = tuple(terms)
-        self._grams = tuple(grams)  # op^+ op, reused every generator call
         self.preset = preset
         b = to_bloch(generator_apply(self, 0.5 * IDENTITY2))
         m = np.stack([to_bloch(generator_apply(self, 0.5 * p)) for p in PAULIS], axis=1)
@@ -167,11 +165,8 @@ def build_model(preset: Preset) -> LindbladModel:
         if not 0.0 <= preset.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         h = 0.5 * preset.omega * SIGMA3
-        ops = []
-        for n in TETRA_DIRECTIONS:
-            a_i = 0.5 * (IDENTITY2 + preset.alpha * (n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]))
-            ops.append((a_i, preset.kappa))
-        return LindbladModel(h, ops, preset)
+        ops = from_bloch(preset.alpha * TETRA_DIRECTIONS)
+        return LindbladModel(h, [(a_i, preset.kappa) for a_i in ops], preset)
     if isinstance(preset, Zeno):
         if preset.kappa < 0 or preset.omega < 0:
             raise ValueError("kappa and omega must be nonnegative")
@@ -196,9 +191,10 @@ def generator_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """
     h = model.hamiltonian
     out = -1j * (h @ rho - rho @ h)
-    for (op, rate), gram in zip(model.jump_terms, model._grams):
+    for op, rate in model.jump_terms:
         if rate == 0.0:
             continue
+        gram = op.conj().T @ op
         out = out + rate * (op @ rho @ op.conj().T - 0.5 * (gram @ rho + rho @ gram))
     return out
 
@@ -230,20 +226,17 @@ def default_timestep(model: LindbladModel) -> float:
 # x86-64 host, numpy 2.4, OpenBLAS).
 MAX_STEPS = 10 ** 7
 
-_PAULI_STACK = np.array(PAULIS)
-
 
 @dataclass
 class StateTrajectory:
-    """Uniformly sampled integrator output in Bloch coordinates."""
+    """Output of :func:`evolve`: Bloch vectors ``blochs`` (n, 3) at uniform ``times``."""
     times: np.ndarray
-    blochs: np.ndarray  # shape (n, 3)
-    dt: float
+    blochs: np.ndarray
 
     @property
     def states(self) -> np.ndarray:
         """Density matrices (I + x . sigma) / 2, shape (n, 2, 2)."""
-        return 0.5 * (IDENTITY2 + np.tensordot(self.blochs, _PAULI_STACK, axes=1))
+        return from_bloch(self.blochs)
 
     def final(self) -> np.ndarray:
         return from_bloch(self.blochs[-1])
@@ -253,23 +246,25 @@ def _positivity_guard(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Clamp the Bloch vectors (rows of ``x``, at times ``t``) that left the unit ball.
 
     The smaller eigenvalue of (I + x . sigma) / 2 is lo = (1 - |x|) / 2.
-    A row with lo below -1e-6 aborts, naming the first such time; rows
-    with smaller drift are projected back to the sphere, which is the pure
-    state with the same eigenvectors.  Returns the guarded rows (``x``
-    itself when every row lies in the ball) and lo of every row; the
+    A row with lo below -1e-6 or not finite aborts, naming the first such
+    time; rows with smaller drift are projected back to the sphere, which
+    is the pure state with the same eigenvectors.  Returns the guarded rows
+    (``x`` itself when every row lies in the ball) and lo of every row; the
     clamped rows are those with lo < 0.
     """
     norm = np.sqrt(np.einsum("...i,...i->...", x, x))
     lo = 0.5 * (1.0 - norm)
-    out = norm > 1.0
+    out = ~(norm <= 1.0)  # a non-finite norm too
     if not out.any():
         return x, lo
-    bad = lo < -1e-6
+    bad = ~(lo >= -1e-6)
     if bad.any():
         first = np.argmax(bad)
-        raise PositivityError(
-            f"state eigenvalue {lo.flat[first]:.3e} at "
-            f"t={np.broadcast_to(t, lo.shape).flat[first]:.6g} exceeds the -1e-6 abort threshold")
+        at = f"at t={np.broadcast_to(t, lo.shape).flat[first]:.6g}"
+        if not math.isfinite(lo.flat[first]):
+            raise PositivityError(f"non-finite state norm {norm.flat[first]:.3e} {at}")
+        raise PositivityError(f"state eigenvalue {lo.flat[first]:.3e} {at} exceeds the "
+                              "-1e-6 abort threshold")
     return np.divide(x, norm[..., None], out=x.copy(), where=out[..., None]), lo
 
 
@@ -303,10 +298,13 @@ def _step_powers(step: np.ndarray, n: int) -> np.ndarray:
 _BLOCK_STEPS = 1024
 
 
-def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row aborts instead
+def evolve(model: LindbladModel, state0, t_end: float,
            dt: Optional[float] = None) -> StateTrajectory:
     """The solution of the master equation on a uniform grid of output steps.
 
+    ``state0`` is one state, a Bloch vector (3,) or a 2x2 density matrix;
+    a vector is the first row as given.
     The step propagator is exact: P = exp(dt A) (:func:`_affine_propagator`)
     for the affine Bloch system d x/dt = M x + b of :func:`bloch_generator`
     acting on (x, 1), so dt sets only the spacing of the rows, at any size.
@@ -320,9 +318,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     row on each block: drift (|x| > 1) beyond 1e-6 in the smaller
     eigenvalue aborts with PositivityError at the first such time, smaller
     drift (the rounding of the step powers) is clamped, and one warning
-    per call reports the clamped rows.
+    per call reports the clamped rows.  A non-finite row (an overflowed
+    propagator) aborts too, without numpy's floating-point warnings.
     """
-    x = to_bloch(check_density_matrix(rho0))
+    x = _one_bloch(state0)
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     if dt is None:
@@ -330,7 +329,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     if not dt > 0:
         raise ValueError("dt must be positive")
     if t_end == 0.0:
-        return StateTrajectory(np.array([0.0]), x[None, :], dt)
+        return StateTrajectory(np.array([0.0]), x[None, :].copy())
     ratio = t_end / dt - 1e-12
     if not ratio <= MAX_STEPS:
         raise ValueError(
@@ -362,7 +361,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t_end: float,
     if clamped:
         logger.warning("clamped %d of %d steps back to the Bloch sphere: worst positivity "
                        "drift %.3e, first at t=%.6g", clamped, n_steps, worst, first)
-    return StateTrajectory(times, blochs, dt)
+    return StateTrajectory(times, blochs)
 
 
 # 1/k! for k = 0..24 in five rows of five: the blocks of the Taylor polynomial

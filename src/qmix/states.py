@@ -137,22 +137,23 @@ def _check_in_ball(x: np.ndarray) -> None:
         raise ValueError(f"Bloch vector lies outside the unit ball (|x| = {norm:.12g})")
 
 
-def from_bloch(x) -> np.ndarray:
-    """Statistical state rho = (I + x . sigma) / 2 for |x| <= 1."""
-    x = np.asarray(x, dtype=float)
+def _one_bloch(state) -> np.ndarray:
+    """Bloch vector (3,) of one state, a Bloch vector or a 2x2 matrix (see :func:`as_bloch`)."""
+    x = as_bloch(state)
     if x.shape != (3,):
+        raise ValueError(f"expected one state, got Bloch array of shape {x.shape}")
+    return x
+
+
+def from_bloch(x) -> np.ndarray:
+    """States rho = (I + x . sigma) / 2, shape (..., 2, 2), of Bloch vectors x (..., 3)
+    with |x| <= 1; at x = alpha n_i, the tetrahedron's detector operators."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
         raise ValueError("Bloch vector must have three components")
     _check_in_ball(x)
+    x = np.moveaxis(x, -1, 0)[..., None, None]
     return 0.5 * (IDENTITY2 + x[0] * SIGMA1 + x[1] * SIGMA2 + x[2] * SIGMA3)
-
-
-def pure_state(direction) -> np.ndarray:
-    """Rank-1 projector whose Bloch vector points along ``direction``."""
-    d = np.asarray(direction, dtype=float)
-    n = float(np.linalg.norm(d))
-    if n == 0.0:
-        raise ValueError("direction must be nonzero")
-    return from_bloch(d / n)
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestEvolveCommand:
         rows = read_csv_rows(out)
         assert len(rows) == 101
         assert np.linalg.norm(rows[:, 1:4], axis=1).max() <= 1.0 + 1e-12
+
+    def test_non_finite_rows_abort_with_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run(["evolve", "--preset", "fluorescence", "--rabi", 1e300, "--gamma", 1,
+                        "--t-end", 1, "--dt", 0.5, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite state") and "t=0.5" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_degenerate_stationary_state_noted(self, tmp_path):
         out = tmp_path / "sx.csv"
@@ -217,6 +228,56 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(out) in err
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["evolve", "--preset", "zeno", "--out", "{dir}"], "out"),
+        (["pdp", "--alpha", 0.5, "--n-points", 200_000, "--out", "c.csv", "--log", "{dir}"],
+         "log"),
+        (["classical", "--out", "c.json", "--density-out", "{dir}"], "density_out"),
+    ], ids=["evolve-out", "pdp-log", "classical-density-out"])
+    def test_output_that_names_a_directory_is_a_config_error(self, tmp_path, capsys,
+                                                             monkeypatch, args, field):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "existing"
+        target.mkdir()
+        start = time.perf_counter()
+        assert run([str(a).format(dir=target) for a in args]) == 2
+        assert time.perf_counter() - start < 1.0  # rejected before any real work
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{field}'" in err and str(target) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("doc, message", [
+        (None, "cannot read config"),
+        ("{not json", "cannot read config"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"preset": "nonsense"}', "field 'preset' must be one of"),
+    ], ids=["missing-file", "invalid-json", "not-an-object", "bad-choice"])
+    def test_bad_config_document_is_a_config_error(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        if doc is not None:
+            cfg.write_text(doc)
+        out = tmp_path / "x.csv"
+        assert run(["evolve", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("probe_ks", ["[100000000000]", "[5000000]"])
+    def test_classical_settings_that_leave_no_probe_to_fit_are_a_config_error(
+            self, tmp_path, capsys, probe_ks):
+        # at r = 1024 the sawtooth's distance 0.5/k 1024^-n falls below the
+        # 1e-13 floor before any window of three iterates
+        out = tmp_path / "c.json"
+        assert run(["classical", "--r", 1024, "--probe-ks", probe_ks, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'probe_ks'" in err and "r = 1024" in err
+        assert not out.exists()
+        # one fittable probe keeps the run, and the other is excluded in a note
+        assert run(["classical", "--r", 1024, "--probe-ks", "[1,100000000000]",
+                    "--out", out]) == 0
+        assert "probe 1 excluded" in " ".join(json.loads(out.read_text())["notes"])
 
     def test_probe_k_is_capped_where_the_sawtooth_is_told_from_uniform(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -487,6 +548,17 @@ class TestPdpAndFractal:
         peaks = [row["numeric"]["exponent"] for row in table]
         assert max(peaks) == peaks[2]  # kappa = 4 omega is the optimum
 
+    def test_zeno_without_precession_reports_no_mixing(self, tmp_path):
+        # omega = 0 has no closed form; the horizon falls back to the jump rate
+        out = tmp_path / "exp.json"
+        assert run(["exponent", "--preset", "zeno", "--omega", 0, "--out", out]) == 0
+        payload = json.load(open(out))
+        assert payload["analytic"] is None
+        assert payload["numeric"]["exponent"] is None
+        assert payload["numeric"]["fit_window"] == [60.0, 120.0]
+        assert payload["numeric"]["notes"][-1].startswith("not completely mixing")
+        assert not payload["classification"]["completely_mixing"]
+
     def test_decoupled_detectors_report_no_mixing(self, tmp_path):
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "tetrahedron", "--alpha", 0, "--kappa", 1,
@@ -574,7 +646,8 @@ class TestRenderCommand:
         (["--projection", "+w"], "projection"),
         (["--zoom-center", "[1,0,0]", "--zoom-radius", 2], "zoom radius"),
         (["--mode", "ppm"], "'log'"),
-    ], ids=["size", "projection", "zoom-radius", "ppm-without-log"])
+        (["--zoom-center", "[1,0,0]"], "zoom needs both"),
+    ], ids=["size", "projection", "zoom-radius", "ppm-without-log", "zoom-center-alone"])
     def test_bad_render_settings_fail_before_the_cloud_is_read(self, tmp_path, capsys,
                                                                monkeypatch, args, field):
         def unread(path):

@@ -8,6 +8,7 @@ import pytest
 
 from qmix import cli, lindblad
 from qmix.exponent import (
+    DEFAULT_PROBE_SEED,
     classify_mixing,
     default_fit_horizon,
     default_horizon,
@@ -24,7 +25,7 @@ from qmix.lindblad import (
     build_model,
     stationary_state,
 )
-from qmix.states import from_bloch, random_density, to_bloch
+from qmix.states import _random_bloch, from_bloch, make_rng, random_density, to_bloch
 
 
 class TestAnalyticValues:
@@ -59,6 +60,11 @@ class TestProbeSet:
         np.testing.assert_array_equal(blochs, default_probe_set(np.zeros(3)))
         # a density-matrix reference names the same state
         np.testing.assert_array_equal(blochs, default_probe_set(from_bloch([0, 0, 0])))
+
+    def test_random_probes_are_the_state_layer_draws(self):
+        rng = make_rng(DEFAULT_PROBE_SEED)
+        drawn = [_random_bloch(rng, pure=i < 10) for i in range(12)]
+        assert default_probe_set(np.zeros(3))[6:].tobytes() == np.array(drawn).tobytes()
 
     def test_reference_coincidence_dropped(self):
         blochs = default_probe_set(np.array([1.0, 0.0, 0.0]))

@@ -27,6 +27,18 @@ def test_atomic_write_respects_umask(tmp_path, umask, mode):
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, which races with other threads
+    def umask(mask):
+        raise AssertionError("atomic_write_bytes changed the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(str(path), b"payload")
+    assert path.read_bytes() == b"payload"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
 def test_cloud_csv_round_trips_every_bit(tmp_path):
     rng = np.random.default_rng(17)
     points = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(-300, 300, size=(400, 3))

@@ -32,9 +32,9 @@ from qmix.lindblad import (
 from qmix.states import (
     IDENTITY2,
     SIGMA1,
+    SIGMA2,
     SIGMA3,
     from_bloch,
-    pure_state,
     random_density,
     relative_entropy,
     to_bloch,
@@ -55,6 +55,14 @@ def analytic_evolve(preset, rho0, t):
 
 
 class TestTetrahedronGeometry:
+    def test_coupling_operators_are_the_pauli_sum(self):
+        # (I + alpha n . sigma) / 2 written out, bit for bit, signed zeros too
+        for alpha in np.linspace(0.0, 1.0, 31):
+            ops = [op for op, _ in build_model(Tetrahedron(1.0, alpha)).jump_terms]
+            for n, op in zip(TETRA_DIRECTIONS, ops):
+                pauli_sum = n[0] * SIGMA1 + n[1] * SIGMA2 + n[2] * SIGMA3
+                assert op.tobytes() == (0.5 * (IDENTITY2 + alpha * pauli_sum)).tobytes()
+
     def test_printed_directions(self):
         np.testing.assert_allclose(TETRA_DIRECTIONS[0], [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(
@@ -156,9 +164,27 @@ class TestGenerator:
 class TestEvolve:
     def test_decay_law_at_unit_time(self):
         model = build_model(Tetrahedron(kappa=1.0, alpha=1.0, omega=0.0))
-        traj = evolve(model, pure_state([0.0, 0.0, 1.0]), 1.0)
+        traj = evolve(model, from_bloch([0.0, 0.0, 1.0]), 1.0)
         dist = trace_norm(traj.final() - 0.5 * IDENTITY2)
         assert dist == pytest.approx(math.exp(-4.0 / 3.0), abs=1e-8)
+
+    def test_bloch_start_is_the_first_row_as_given(self):
+        # a round trip through the density matrix would start at
+        # z = 0.30000000000000004
+        model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
+        x0 = [0.1, 0.2, 0.3]
+        traj = evolve(model, x0, 1.0, dt=0.1)
+        assert traj.blochs[0].tolist() == x0
+        via_matrix = evolve(model, from_bloch(x0), 1.0, dt=0.1)
+        np.testing.assert_allclose(via_matrix.blochs, traj.blochs, rtol=0, atol=1e-15)
+        assert evolve(model, np.array(x0), 0.0).blochs.tolist() == [x0]
+
+    @pytest.mark.parametrize("state", [np.zeros((2, 3)), np.array([0.5 * IDENTITY2] * 2),
+                                       [0.0, 0.0, 1.0 + 1e-6], np.zeros(2)],
+                             ids=["two-vectors", "two-matrices", "outside-ball", "two-entries"])
+    def test_takes_exactly_one_state(self, state):
+        with pytest.raises(ValueError):
+            evolve(build_model(Zeno(kappa=1.0, omega=1.0)), state, 1.0)
 
     def test_zero_horizon_returns_initial_state(self):
         model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
@@ -179,7 +205,7 @@ class TestEvolve:
     def test_matches_closed_form_zeno(self):
         preset = Zeno(kappa=2.0, omega=1.0)
         model = build_model(preset)
-        rho0 = pure_state([0.0, 1.0, 0.0])
+        rho0 = from_bloch([0.0, 1.0, 0.0])
         traj = evolve(model, rho0, 5.0)
         err = trace_norm(traj.final() - analytic_evolve(preset, rho0, 5.0))
         assert err <= 1e-8
@@ -220,6 +246,18 @@ class TestEvolve:
         from qmix.lindblad import PositivityError
         with pytest.raises(PositivityError):
             _positivity_guard(to_bloch(np.diag([1.01, -0.01]).astype(complex)), 0.0)
+
+    def test_positivity_guard_aborts_a_non_finite_row(self):
+        rows = np.array([[0.0, 0.0, 0.5], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]])
+        with pytest.raises(PositivityError, match=r"non-finite state norm nan at t=1\b"):
+            _positivity_guard(rows, np.array([0.0, 1.0, 2.0]))
+
+    def test_overflowing_propagator_aborts_without_numpy_warnings(self, recwarn):
+        # exp(dt A) overflows at rabi = 1e300; the row at t = 0.5 is nan
+        model = build_model(Fluorescence(rabi=1e300, gamma=1.0))
+        with pytest.raises(PositivityError, match=r"non-finite .* at t=0\.5\b"):
+            evolve(model, [0.0, 0.0, 1.0], 1.0, dt=0.5)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_positivity_guard_leaves_the_ball_untouched(self):
         for inside in (np.array([0.6, 0.0, 0.8]), np.array([0.1, -0.2, 0.3])):
@@ -378,7 +416,7 @@ class TestAnalyticEvolve:
     def test_tetrahedron_z_decay(self):
         preset = Tetrahedron(kappa=1.0, alpha=1.0, omega=0.7)
         for t in (0.0, 0.5, 2.0):
-            x = to_bloch(analytic_evolve(preset, pure_state([0, 0, 1]), t))
+            x = to_bloch(analytic_evolve(preset, from_bloch([0, 0, 1]), t))
             np.testing.assert_allclose(x, [0, 0, math.exp(-4.0 * t / 3.0)], atol=1e-12)
 
     def test_sigma_x_conjugation_limit(self):

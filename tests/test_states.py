@@ -15,7 +15,6 @@ from qmix.states import (
     check_density_matrix,
     from_bloch,
     hermitian_eigenvalues,
-    pure_state,
     random_density,
     relative_entropy,
     to_bloch,
@@ -81,6 +80,20 @@ class TestBlochMaps:
     def test_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="unit ball"):
             from_bloch([1.0 + 1e-6, 0.0, 0.0])
+
+    def test_stack_of_vectors_gives_stack_of_states(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 5, 3))
+        x *= rng.random((4, 5, 1)) / np.linalg.norm(x, axis=-1, keepdims=True)
+        got = from_bloch(x)
+        assert got.shape == (4, 5, 2, 2)
+        for i, j in np.ndindex(4, 5):
+            assert got[i, j].tobytes() == from_bloch(x[i, j]).tobytes()
+        x[2, 3] = [0.0, 0.0, 1.0 + 1e-6]
+        with pytest.raises(ValueError, match="unit ball"):
+            from_bloch(x)
+        with pytest.raises(ValueError, match="three components"):
+            from_bloch(np.zeros((2, 4)))
 
     def test_closed_form_eigenvalues_match_lapack(self):
         rng = np.random.default_rng(5)
@@ -158,7 +171,7 @@ class TestEntropies:
             assert h >= 0.5 * trace_norm(rho - sigma) ** 2 - 1e-12
 
     def test_von_neumann_entropy_values(self):
-        assert von_neumann_entropy(pure_state([0, 1, 0])) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(from_bloch([0, 1, 0])) == pytest.approx(0.0, abs=1e-12)
         assert von_neumann_entropy(0.5 * IDENTITY2) == pytest.approx(math.log(2), abs=1e-14)
         got = von_neumann_entropy(from_bloch([0.0, 0.5, 0.0]))
         expected = -0.75 * math.log(0.75) - 0.25 * math.log(0.25)
