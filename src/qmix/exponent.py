@@ -52,12 +52,12 @@ from .lindblad import (
     Zeno,
     _affine_propagator,
     _grid_propagator,
+    _positivity_guard,
     bloch_generator,
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .states import (
     MAX_ENTROPY,
-    _check_in_ball,
     _one_bloch,
     _random_bloch,
     as_bloch,
@@ -74,6 +74,10 @@ DEFAULT_PROBE_SEED = 7
 # the same time against an extended-precision exponential in the property
 # tests) down to the denormal range.
 DISTANCE_FLOOR = 1e-290
+# Longest horizon t_max.  The slope fit squares its window's centred times:
+# the 81 samples of (1e150)^2 stay finite, while from t_max = 5e154 their sum
+# overflows and the slopes are lost.
+MAX_HORIZON = 1e150
 
 _AXES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
@@ -150,6 +154,8 @@ def default_fit_horizon(model: LindbladModel) -> float:
 def _check_horizon(t_max: float) -> None:
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    if t_max > MAX_HORIZON:
+        raise ValueError(f"t_max = {t_max:g} exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}")
 
 
 def _probe_blochs(probes) -> np.ndarray:
@@ -176,6 +182,7 @@ def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
     horizon"; the overall exponent is then nan.  Distances that underflow
     ``DISTANCE_FLOOR`` shrink their probe's window, with a note; a probe
     with no window of three distances above it is excluded, with a note.
+    A propagator that overflows before ``t_max`` raises FloatingPointError.
     """
     _check_horizon(t_max)
     if n_samples < 3:
@@ -188,8 +195,11 @@ def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
     times = np.linspace(0.0, t_max, n_samples)
     m, _ = bloch_generator(model)
     # (time, probe, component) differences T_t sigma - T_t rho_ref
-    diffs = (probe_b - ref_b) @ np.swapaxes(_grid_propagator(m, t_max, n_samples), 1, 2)
-    dists = bloch_distance(diffs).T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance aborts
+        diffs = (probe_b - ref_b) @ np.swapaxes(_grid_propagator(m, t_max, n_samples), 1, 2)
+        dists = bloch_distance(diffs).T
+    if not np.isfinite(dists).all():
+        raise FloatingPointError(f"the propagator exp(M t) overflowed before t_max = {t_max:g}")
     stalled = dists[:, -1] > 1e-2
     estimate = probe_exponent(times, dists, DISTANCE_FLOOR, skip=stalled)
     if stalled.any():
@@ -205,6 +215,7 @@ class MixingReport:
     exact: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite probe aborts instead
 def classify_mixing(model: LindbladModel, probes, t_max: float,
                     tol: float = 1e-4) -> MixingReport:
     """Empirical mixing/exactness classification at horizon ``t_max``.
@@ -212,13 +223,13 @@ def classify_mixing(model: LindbladModel, probes, t_max: float,
     ``probes`` is a (P, 3) Bloch array or a stack of density matrices.
     Completely mixing: every ordered pair of evolved probes has relative
     entropy below ``tol`` at the horizon.  Exact: additionally every
-    evolved probe has von Neumann entropy within ``tol`` of log 2.
+    evolved probe has von Neumann entropy within ``tol`` of log 2.  The
+    evolved probes follow ``evolve``'s drift rule (``lindblad._positivity_guard``).
     """
     _check_horizon(t_max)
     blochs = _probe_blochs(probes)
     prop = _affine_propagator(*bloch_generator(model), t_max)
-    x = blochs @ prop[:3, :3].T + prop[:3, 3]
-    _check_in_ball(x)
+    x = _positivity_guard(blochs @ prop[:3, :3].T + prop[:3, 3], t_max)[0]
     pairs = bloch_relative_entropy(x[:, None], x[None, :])
     np.fill_diagonal(pairs, 0.0)
     if np.max(pairs) >= tol:  # a support violation (inf) counts as not mixing

@@ -55,10 +55,10 @@ from .states import (
     SIGMA1,
     SIGMA3,
     TETRA_DIRECTIONS,
-    _check_in_ball,
     _one_bloch,
     from_bloch,
     hermitian_eigenvalues,
+    is_hermitian,
     to_bloch,
 )
 
@@ -122,7 +122,7 @@ class LindbladModel:
             raise ValueError("hamiltonian must be 2x2")
         if not np.all(np.isfinite(h)):
             raise ValueError("hamiltonian must be finite")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        if not is_hermitian(h, 1e-10):
             raise ValueError("hamiltonian must be hermitian")
         terms = []
         for op, rate in jump_terms:
@@ -434,6 +434,7 @@ def stationary_state(model: LindbladModel) -> np.ndarray:
     the fixed set is a whole affine subspace and NonUniqueStationaryError
     is raised with the flat directions attached.  The residual |M x + b|,
     the trace norm of the traceless hermitian L(rho), must stay below 1e-12.
+    The solution, a computed state, passes :func:`_positivity_guard`.
     """
     m, b = bloch_generator(model)
     u, sing, vt = np.linalg.svd(m)
@@ -444,8 +445,7 @@ def stationary_state(model: LindbladModel) -> np.ndarray:
             f"subspace with flat Bloch direction(s) {np.round(null_dirs, 12).tolist()}",
             null_dirs)
     x = np.linalg.solve(m, -b)
-    _check_in_ball(x)
     residual = float(np.linalg.norm(m @ x + b))
     if residual > ATOL_STRUCT:
         raise RuntimeError(f"stationary solve left residual {residual:.3e}")
-    return x
+    return _positivity_guard(x, math.inf)[0]

@@ -15,6 +15,10 @@ permutations), so the usual Bloch-ball geometry holds verbatim.  Every
 Bloch formula elsewhere in the package is derived against these constants;
 ``test_pauli_convention`` pins the algebra.
 
+A given state, a Bloch vector or a 2x2 density matrix, passes one test in
+either form (:func:`as_bloch`): |x| <= 1 + 2e-12.  Computed states, which
+drift by rounding, follow ``lindblad._positivity_guard`` instead.
+
 Entropies are batched closed forms of Bloch vectors (:func:`bloch_entropy`,
 :func:`bloch_relative_entropy`); the matrix forms validate, then convert.
 All logarithms are natural (entropies in nats).
@@ -80,28 +84,13 @@ def hermitian_eigenvalues(a: np.ndarray):
     return 0.5 * (d0 + d1) - disc, 0.5 * (d0 + d1) + disc
 
 
-def _check_states(rho: np.ndarray, atol: float) -> None:
-    """Raise ValueError unless every matrix of ``rho`` (..., 2, 2) is hermitian
-    and unit-trace to ``atol`` with eigenvalues >= -atol."""
-    if not is_hermitian(rho, atol):
-        raise ValueError("density matrix must be hermitian")
-    if np.any(np.abs(rho[..., 0, 0].real + rho[..., 1, 1].real - 1.0) > atol):
-        raise ValueError("density matrix must have unit trace")
-    lo, _ = hermitian_eigenvalues(rho)
-    if np.any(lo < -atol):
-        raise ValueError(f"density matrix has negative eigenvalue {np.min(lo):.3e}")
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = ATOL_STRUCT) -> np.ndarray:
-    """Validate a statistical state and return it as a complex array.
-
-    Raises ValueError unless rho is hermitian and unit-trace to ``atol``
-    with eigenvalues >= -atol.
-    """
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate one statistical state, a 2x2 matrix that :func:`as_bloch`
+    accepts, and return it as a complex array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    _check_states(rho, atol)
+    as_bloch(rho)
     return rho
 
 
@@ -114,27 +103,34 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
 
 
 def as_bloch(states) -> np.ndarray:
-    """Bloch vectors (..., 3) of density matrices (..., 2, 2), checked as
-    :func:`check_density_matrix` checks one, or of Bloch vectors (..., 3),
-    checked to lie in the unit ball."""
+    """Bloch vectors (..., 3) of given states: Bloch vectors (..., 3), or density
+    matrices (..., 2, 2) hermitian with unit trace to ``ATOL_STRUCT``, converted
+    by :func:`to_bloch`.  Both forms then pass :func:`_check_in_ball`."""
     a = np.asarray(states)
     if a.shape[-1:] == (3,):
         x = a.astype(float, copy=False)
-        _check_in_ball(x)
-        return x
-    if a.shape[-2:] != (2, 2):
+    elif a.shape[-2:] == (2, 2):
+        rho = a.astype(complex, copy=False)
+        if not is_hermitian(rho):
+            raise ValueError("density matrix must be hermitian")
+        if np.any(np.abs(rho[..., 0, 0].real + rho[..., 1, 1].real - 1.0) > ATOL_STRUCT):
+            raise ValueError("density matrix must have unit trace")
+        x = to_bloch(rho)
+    else:
         raise ValueError(f"expected a 2x2 matrix or a Bloch vector of three components, "
                          f"got shape {a.shape}")
-    rho = a.astype(complex, copy=False)
-    _check_states(rho, ATOL_STRUCT)
-    return to_bloch(rho)
+    _check_in_ball(x)
+    return x
 
 
 def _check_in_ball(x: np.ndarray) -> None:
-    """Raise ValueError unless every Bloch vector in ``x`` (..., 3) has |x| <= 1 + 1e-9."""
+    """Raise ValueError unless every Bloch vector of ``x`` (..., 3) is a given
+    state: its smaller eigenvalue (1 - |x|) / 2 is at least -``ATOL_STRUCT``,
+    that is |x| <= 1 + 2e-12 (computed states: ``lindblad._positivity_guard``)."""
     norm = float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
-    if not norm <= 1.0 + 1e-9:  # nan fails too
-        raise ValueError(f"Bloch vector lies outside the unit ball (|x| = {norm:.12g})")
+    if not norm <= 1.0 + 2.0 * ATOL_STRUCT:  # nan fails too
+        raise ValueError(f"state has negative eigenvalue {0.5 * (1.0 - norm):.3e}: its Bloch "
+                         f"vector lies outside the unit ball (|x| = {norm:.12g})")
 
 
 def _one_bloch(state) -> np.ndarray:

@@ -189,6 +189,9 @@ class TestConfigHandling:
         ["pdp", "--alpha", 0.5, "--n-points", 10, "--log", "/nonexistent/l.jsonl"],
         ["classical", "--density-out", "/nonexistent/d.csv"],
         ["classical", "--probe-ks", json.dumps([1, cli.MAX_PROBE_K + 1])],
+        ["evolve", "--preset", "zeno", "--kappa", 0, "--omega", 1,
+         "--bloch0", "[0,0,1.0000000005]", "--t-end", 1, "--dt", 0.5],
+        ["exponent", "--preset", "tetrahedron", "--kappa", 1e-300, "--alpha", 1],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -204,7 +207,8 @@ class TestConfigHandling:
             "exponent-kappa-sweep-past-cap", "classical-probe-ks-past-cap",
             "exponent-probe-seed-neg", "exponent-probe-seed-2^64", "pdp-seed-neg",
             "pdp-seed-2^64", "pdp-log-missing-dir", "classical-density-out-missing-dir",
-            "classical-probe-k-past-cap"])
+            "classical-probe-k-past-cap", "evolve-bloch0-past-the-ball",
+            "exponent-horizon-past-cap"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -558,6 +562,32 @@ class TestPdpAndFractal:
         assert payload["numeric"]["fit_window"] == [60.0, 120.0]
         assert payload["numeric"]["notes"][-1].startswith("not completely mixing")
         assert not payload["classification"]["completely_mixing"]
+
+    @pytest.mark.parametrize("args", [
+        ["--preset", "zeno", "--omega", 1000, "--kappa", 0, "--t-max", 1e6],
+        ["--preset", "zeno", "--omega", 1, "--kappa", 0, "--t-max", 1e8],
+        ["--preset", "tetrahedron", "--kappa", 0, "--alpha", 1, "--omega", 5, "--t-max", 1e8],
+    ], ids=["zeno-omega-1000", "zeno-omega-1", "tetrahedron"])
+    def test_long_unitary_horizon_reports_no_mixing(self, tmp_path, args):
+        # the propagator's rounding carries pure probes to |x| = 1 + 3e-9 or
+        # more at the horizon: drift the classification clamps, as evolve does
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["exponent", *args, "--out", out]) == 0
+        payload = json.load(open(out))
+        assert payload["numeric"]["notes"][-1].startswith("not completely mixing")
+        assert not payload["classification"]["completely_mixing"]
+
+    def test_overflowing_propagator_is_named(self, tmp_path, capsys):
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run(["exponent", "--preset", "fluorescence", "--rabi", 1e160,
+                        "--gamma", 1, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: the propagator exp(M t) overflowed before t_max = 240\n"
+        assert not out.exists()
 
     def test_decoupled_detectors_report_no_mixing(self, tmp_path):
         out = tmp_path / "exp.json"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from qmix import cli, lindblad
 from qmix.exponent import (
     DEFAULT_PROBE_SEED,
+    MAX_HORIZON,
+    MixingReport,
     classify_mixing,
     default_fit_horizon,
     default_horizon,
@@ -161,6 +164,20 @@ class TestNumericEstimates:
         with pytest.raises(ValueError, match="t_max must be finite and positive"):
             classify_mixing(model, probes, t_max=t_max)
 
+    def test_horizon_is_capped_where_the_fit_stays_finite(self):
+        # the default fit horizon is 120 decay times: 9e147 at kappa = 1e-146
+        # still fits, while 9e301 at kappa = 1e-300 would overflow the squared
+        # times of the fit and read every slope as 0
+        probes = default_probe_set(np.zeros(3))
+        slow = build_model(Tetrahedron(kappa=1e-146, alpha=1.0))
+        est = lambda_q_numeric(slow, np.zeros(3), probes, default_fit_horizon(slow))
+        assert est.exponent == pytest.approx(lambda_q_analytic(slow.preset), rel=1e-12)
+        slower = build_model(Tetrahedron(kappa=1e-300, alpha=1.0))
+        with pytest.raises(ValueError, match=r"t_max = 9e\+301 exceeds the MAX_HORIZON cap"):
+            lambda_q_numeric(slower, np.zeros(3), probes, default_fit_horizon(slower))
+        with pytest.raises(ValueError, match="MAX_HORIZON"):
+            classify_mixing(slower, probes, 2.0 * MAX_HORIZON)
+
     @pytest.mark.parametrize("n_samples", [2, 1, 0])
     def test_too_few_samples_rejected(self, n_samples):
         model = build_model(Zeno(kappa=1.0, omega=1.0))
@@ -204,6 +221,20 @@ class TestClassification:
         model = build_model(SigmaXConjugation())
         report = classify_mixing(model, default_probe_set(from_bloch([0, 0, 0])), t_max=20.0)
         assert not report.completely_mixing and not report.exact
+
+    def test_long_unitary_horizon_is_not_mixing(self):
+        # at t = 1e6 the propagator's rounding carries pure probes to
+        # |x| = 1 + 3.2e-8, drift that the positivity guard clamps
+        model = build_model(Zeno(kappa=0.0, omega=1000.0))
+        report = classify_mixing(model, default_probe_set(np.zeros(3)), 1e6)
+        assert report == MixingReport(False, False)
+
+    def test_overflowing_propagator_aborts_without_numpy_warnings(self):
+        model = build_model(Fluorescence(rabi=1e160, gamma=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(lindblad.PositivityError, match="non-finite state norm nan at t=40"):
+                classify_mixing(model, default_probe_set(np.zeros(3)), 40.0)
 
     def test_fluorescence_mixing_not_exact(self):
         model = build_model(Fluorescence(rabi=1.0, gamma=1.0))

@@ -239,6 +239,9 @@ class TestAsBloch:
             as_bloch([[0.0, 0.0, 1.0], [0.0, 0.8, 0.8]])
         with pytest.raises(ValueError, match="outside the unit ball"):
             as_bloch([0.0, math.nan, 0.0])
+        # the ball of a density matrix: eigenvalue -5e-12, below -1e-12
+        with pytest.raises(ValueError, match="outside the unit ball"):
+            as_bloch([0.0, 0.0, 1.0 + 1e-11])
 
     @pytest.mark.parametrize("shape", [(4,), (2,), (3, 2), (2, 2, 4), ()])
     def test_wrong_shape_rejected(self, shape):

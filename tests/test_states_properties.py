@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from qmix.states import (
     ATOL_STRUCT,
+    IDENTITY2,
     MAX_ENTROPY,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    as_bloch,
     bloch_entropy,
     bloch_relative_entropy,
     from_bloch,
@@ -109,6 +114,27 @@ def test_bloch_forms_equal_the_matrix_forms(x, y):
         assert math.isinf(bloch_relative_entropy(x, y))
     else:
         assert bloch_relative_entropy(x, y) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def _accepted(state):
+    try:
+        as_bloch(state)
+    except ValueError:
+        return False
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(direction=st.lists(_entry, min_size=3, max_size=3).filter(
+           lambda v: np.linalg.norm(v) > 1e-3),
+       k=st.integers(-50, 50).filter(lambda k: k != 20))
+def test_a_vector_and_its_matrix_get_one_verdict(direction, k):
+    # |x| = 1 + k 1e-13 against the bound 1 + 2e-12; at k = 20 the state sits
+    # on the bound, where the 1e-16 rounding of the matrix decides.  The matrix
+    # is built here because from_bloch checks the ball itself
+    x = (1.0 + k * 1e-13) * np.array(direction) / np.linalg.norm(direction)
+    rho = 0.5 * (IDENTITY2 + x[0] * SIGMA1 + x[1] * SIGMA2 + x[2] * SIGMA3)
+    assert _accepted(x) == _accepted(rho) == (k < 20)
 
 
 def binary_entropy(p):
