@@ -2,8 +2,8 @@
 
 Modules:
 
-* :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates, closed-form entropies
-* :mod:`qmix.lindblad` -- master-equation presets, the Bloch-affine form (M, b), its
+* :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates and map tables, entropies
+* :mod:`qmix.lindblad` -- master-equation presets, the generator's 4x4 table, its
   exponential by scaling and squaring (every propagator, evolve's step included),
   grid powers of exp(M dt)
 * :mod:`qmix.exponent` -- characteristic-exponent estimation on grid-power distance

@@ -242,15 +242,15 @@ def _exponent_payload(cfg: dict, preset) -> dict:
         analytic = lambda_q_analytic(preset)
     except ValueError:
         analytic = None
-    fit_t = cfg["t_max"] if cfg["t_max"] else default_fit_horizon(model)
-    classify_t = cfg["t_max"] if cfg["t_max"] else default_horizon(model)
+    fit_t = cfg["t_max"] if cfg["t_max"] else _checked(default_fit_horizon, model)
+    classify_t = cfg["t_max"] if cfg["t_max"] else _checked(default_horizon, model)
     try:
         x_ref = stationary_state(model)
     except NonUniqueStationaryError:
         x_ref = np.zeros(3)
     probes = _checked(default_probe_set, x_ref, seed=cfg["probe_seed"])
     estimate = _checked(lambda_q_numeric, model, x_ref, probes, fit_t)
-    report = classify_mixing(model, probes, classify_t, tol=cfg["tol"])
+    report = _checked(classify_mixing, model, probes, classify_t, tol=cfg["tol"])
     return {"analytic": analytic, "numeric": dataclasses.asdict(estimate),
             "classification": dataclasses.asdict(report)}
 

@@ -133,18 +133,21 @@ def default_horizon(model: LindbladModel, scale: float = 20.0) -> float:
     deserve more: a degenerate slow eigenvalue drags a polynomial-in-t
     prefactor into the distance, whose log biases the fitted slope by
     roughly 1/t, so :func:`default_fit_horizon` stretches to 120 decay
-    times (about one percent bias in the worst case).
+    times (about one percent bias in the worst case).  A horizon past
+    ``MAX_HORIZON`` (inf too) raises ValueError naming the rate.
     """
-    preset = model.preset
-    if preset is not None and not isinstance(preset, SigmaXConjugation):
-        try:
-            rate = lambda_q_analytic(preset)
-        except ValueError:
-            rate = 0.0
-        if rate > 0:
-            return scale / rate
-    top = max(model.rates(), default=0.0)
-    return scale / top if top > 0 else scale
+    kind = "slowest decay rate"
+    try:
+        rate = lambda_q_analytic(model.preset)
+    except (ValueError, TypeError):  # no closed form, or no preset
+        rate = 0.0
+    if not rate > 0:
+        rate, kind = max(model.rates(), default=0.0), "largest jump rate"
+    if rate > 0 and not scale / rate <= MAX_HORIZON:
+        raise ValueError(f"the default horizon {scale:g} / ({kind} {rate:.6g}) = "
+                         f"{scale / rate:g} exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}; "
+                         "give t_max (--t-max) explicitly")
+    return scale / rate if rate > 0 else scale
 
 
 def default_fit_horizon(model: LindbladModel) -> float:
@@ -225,10 +228,13 @@ def classify_mixing(model: LindbladModel, probes, t_max: float,
     entropy below ``tol`` at the horizon.  Exact: additionally every
     evolved probe has von Neumann entropy within ``tol`` of log 2.  The
     evolved probes follow ``evolve``'s drift rule (``lindblad._positivity_guard``).
+    Relative entropies are nonnegative, so ``tol`` must be positive.
     """
     _check_horizon(t_max)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     blochs = _probe_blochs(probes)
-    prop = _affine_propagator(*bloch_generator(model), t_max)
+    prop = _affine_propagator(model, t_max)
     x = _positivity_guard(blochs @ prop[:3, :3].T + prop[:3, 3], t_max)[0]
     pairs = bloch_relative_entropy(x[:, None], x[None, :])
     np.fill_diagonal(pairs, 0.0)

@@ -17,9 +17,9 @@ the package:
 * ``SigmaXConjugation`` -- d rho/dt = sigma1 rho sigma1 - rho, the stock
   example of a dissipative semigroup that is not completely mixing.
 
-Propagation has one route.  In Bloch coordinates every generator is the
-affine map d x/dt = M x + b (:func:`bloch_generator`), and every propagator
-is the matrix exponential of that system acting on (x, 1)
+Propagation has one route.  Every generator is one 4x4 table A =
+[[M, b], [0, 0]] on (x, tr rho) (:func:`bloch_generator`), the affine map
+d x/dt = M x + b on (x, 1), and every propagator is exp(t A)
 (:func:`_affine_propagator`): :func:`evolve` takes one exponential of the
 output step, P = exp(dt A), and fills each block of trajectory rows as one
 product of a state with the powers P^1 .. P^B, while the exact paths of
@@ -32,8 +32,7 @@ property tests).  Both stacks of powers are filled by doubling in
 :func:`_step_powers`.  Every matrix exponential is :func:`_expm`, scaling
 and squaring in numpy.
 :func:`generator_apply`, the master equation on 2x2 density matrices,
-defines (M, b) and serves as the reference the Bloch forms are checked
-against.
+defines A and serves as the reference the Bloch forms are checked against.
 
 States are Bloch vectors: :func:`evolve` takes one (a 2x2 matrix too) and
 returns Bloch rows.  Everything is expressed against the Pauli constants in :mod:`qmix.states`.
@@ -51,15 +50,14 @@ import numpy as np
 from .states import (
     ATOL_STRUCT,
     IDENTITY2,
-    PAULIS,
     SIGMA1,
     SIGMA3,
     TETRA_DIRECTIONS,
     _one_bloch,
+    bloch_table,
     from_bloch,
     hermitian_eigenvalues,
     is_hermitian,
-    to_bloch,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,8 +110,8 @@ class LindbladModel:
 
     ``jump_terms`` is an ordered tuple of (operator, rate) pairs with
     rate >= 0.  Instances built from a preset remember it so its closed-form
-    exponent stays available downstream.  The affine Bloch form (M, b) of the
-    generator is built once, here (see :func:`bloch_generator`).
+    exponent stays available downstream.  The generator's table is built
+    once, here (see :func:`bloch_generator`).
     """
 
     def __init__(self, hamiltonian: np.ndarray, jump_terms, preset: Optional[Preset] = None):
@@ -139,11 +137,9 @@ class LindbladModel:
         self._h = h
         self._terms = tuple(terms)
         self.preset = preset
-        b = to_bloch(generator_apply(self, 0.5 * IDENTITY2))
-        m = np.stack([to_bloch(generator_apply(self, 0.5 * p)) for p in PAULIS], axis=1)
-        for a in (m, b):
-            a.setflags(write=False)
-        self._affine = (m, b)
+        self._generator = bloch_table(lambda rho: generator_apply(self, rho))
+        self._generator[3] = 0.0  # trace is preserved
+        self._generator.setflags(write=False)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -185,7 +181,7 @@ def build_model(preset: Preset) -> LindbladModel:
 
 
 def generator_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation at ``rho``.
+    """Right-hand side of the master equation at ``rho``, 2x2 or a stack (..., 2, 2).
 
     Output is traceless and hermitian for hermitian input.
     """
@@ -202,11 +198,12 @@ def generator_apply(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
 def bloch_generator(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """Affine form of the generator in Bloch coordinates.
 
-    Returns (M, b) with d x / dt = M x + b, obtained by applying the
-    generator to the identity and the Pauli basis when the model is built.
-    Exact up to rounding; both arrays are read-only.
+    Returns (M, b) with d x / dt = M x + b, read-only views of the model's
+    :func:`qmix.states.bloch_table` of :func:`generator_apply`, whose trace
+    row (rounding) is set to 0.  Exact up to rounding.
     """
-    return model._affine
+    a = model._generator
+    return a[:3, :3], a[:3, 3]
 
 
 def default_timestep(model: LindbladModel) -> float:
@@ -233,14 +230,6 @@ class StateTrajectory:
     times: np.ndarray
     blochs: np.ndarray
 
-    @property
-    def states(self) -> np.ndarray:
-        """Density matrices (I + x . sigma) / 2, shape (n, 2, 2)."""
-        return from_bloch(self.blochs)
-
-    def final(self) -> np.ndarray:
-        return from_bloch(self.blochs[-1])
-
 
 def _positivity_guard(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Clamp the Bloch vectors (rows of ``x``, at times ``t``) that left the unit ball.
@@ -266,14 +255,6 @@ def _positivity_guard(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         raise PositivityError(f"state eigenvalue {lo.flat[first]:.3e} {at} exceeds the "
                               "-1e-6 abort threshold")
     return np.divide(x, norm[..., None], out=x.copy(), where=out[..., None]), lo
-
-
-def _augmented(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """4x4 generator A = [[M, b], [0, 0]] acting on (x, 1)."""
-    a = np.zeros((4, 4))
-    a[:3, :3] = m
-    a[:3, 3] = b
-    return a
 
 
 def _step_powers(step: np.ndarray, n: int) -> np.ndarray:
@@ -306,8 +287,8 @@ def evolve(model: LindbladModel, state0, t_end: float,
     ``state0`` is one state, a Bloch vector (3,) or a 2x2 density matrix;
     a vector is the first row as given.
     The step propagator is exact: P = exp(dt A) (:func:`_affine_propagator`)
-    for the affine Bloch system d x/dt = M x + b of :func:`bloch_generator`
-    acting on (x, 1), so dt sets only the spacing of the rows, at any size.
+    of the generator table acting on (x, 1), so dt sets only the spacing of
+    the rows, at any size.
     The powers P^1 .. P^B (B = ``_BLOCK_STEPS``) are filled once by
     doubling, and each block of B rows is the block's first state times
     that stack, so the block's last row, the state times P^B, starts the
@@ -337,7 +318,7 @@ def evolve(model: LindbladModel, state0, t_end: float,
     n_steps = max(1, math.ceil(ratio))
     dt = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    step_t = _affine_propagator(*bloch_generator(model), dt).T
+    step_t = _affine_propagator(model, dt).T
     # powers[:, 4 (k-1) + j] = column j of step_t^k, so state @ powers is
     # the next rows of (x, 1) side by side
     powers = _step_powers(step_t, min(n_steps, _BLOCK_STEPS) + 1)[1:]
@@ -403,12 +384,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _affine_propagator(m: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """4x4 matrices propagating (x, 1) under d x/dt = M x + b, one per time.
+def _affine_propagator(model: LindbladModel, t) -> np.ndarray:
+    """4x4 matrices exp(t A) of the model's generator table, one per time.
 
     ``t`` is a time or an array of times; the result has shape t.shape + (4, 4).
     """
-    return _expm(np.asarray(t, dtype=float)[..., None, None] * _augmented(m, b))
+    return _expm(np.asarray(t, dtype=float)[..., None, None] * model._generator)
 
 
 def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
@@ -418,12 +399,12 @@ def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
 
 
 def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact Bloch trajectories of a preset: the matrix exponential of (M, b).
+    """Exact Bloch trajectories of a preset: the exponential of its generator table.
 
     ``blochs`` has shape (n, 3); the result has shape (n, len(times), 3).
     """
     blochs = np.atleast_2d(np.asarray(blochs, dtype=float))
-    prop = _affine_propagator(*bloch_generator(build_model(preset)), times)
+    prop = _affine_propagator(build_model(preset), times)
     return np.einsum("tij,nj->nti", prop[:, :3, :3], blochs) + prop[None, :, :3, 3]
 
 

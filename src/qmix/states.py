@@ -102,6 +102,14 @@ def to_bloch(rho: np.ndarray) -> np.ndarray:
                      rho[..., 1, 1].real - rho[..., 0, 0].real], axis=-1)
 
 
+def bloch_table(linear_map) -> np.ndarray:
+    """Real 4x4 table of a linear map on 2x2 matrices, in the coordinates (x, tr rho)
+    of rho = (tr rho I + x . sigma) / 2: one call of ``linear_map`` on the stack
+    sigma_1/2, sigma_2/2, sigma_3/2, I/2, whose images' (x, tr) are the columns."""
+    out = linear_map(0.5 * np.stack([*PAULIS, IDENTITY2]))
+    return np.vstack([to_bloch(out).T, np.trace(out, axis1=1, axis2=2).real])
+
+
 def as_bloch(states) -> np.ndarray:
     """Bloch vectors (..., 3) of given states: Bloch vectors (..., 3), or density
     matrices (..., 2, 2) hermitian with unit trace to ``ATOL_STRUCT``, converted

@@ -192,6 +192,8 @@ class TestConfigHandling:
         ["evolve", "--preset", "zeno", "--kappa", 0, "--omega", 1,
          "--bloch0", "[0,0,1.0000000005]", "--t-end", 1, "--dt", 0.5],
         ["exponent", "--preset", "tetrahedron", "--kappa", 1e-300, "--alpha", 1],
+        ["exponent", "--preset", "fluorescence", "--rabi", 2, "--gamma", 1, "--tol", -1],
+        ["exponent", "--preset", "fluorescence", "--rabi", 2, "--gamma", 1, "--tol", 0],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
             "evolve-bloch0-outside", "exponent-gamma-neg", "classical-r-1",
             "classical-probe-k-0", "classical-grid-4", "classical-n-max-3",
@@ -208,7 +210,7 @@ class TestConfigHandling:
             "exponent-probe-seed-neg", "exponent-probe-seed-2^64", "pdp-seed-neg",
             "pdp-seed-2^64", "pdp-log-missing-dir", "classical-density-out-missing-dir",
             "classical-probe-k-past-cap", "evolve-bloch0-past-the-ball",
-            "exponent-horizon-past-cap"])
+            "exponent-horizon-past-cap", "exponent-tol-neg", "exponent-tol-0"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -587,6 +589,25 @@ class TestPdpAndFractal:
                         "--gamma", 1, "--out", out]) == 3
         err = capsys.readouterr().err
         assert err == "error: the propagator exp(M t) overflowed before t_max = 240\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, kind, rate, horizon", [
+        (["tetrahedron", "--kappa", 1e-320, "--alpha", 1], "slowest decay rate", "1.33348e-320",
+         "inf"),
+        (["tetrahedron", "--kappa", 1e-300, "--alpha", 1], "slowest decay rate", "1.33333e-300",
+         "9e+301"),
+        (["zeno", "--omega", 0, "--kappa", 1e-320], "largest jump rate", "9.99989e-321", "inf"),
+        (["fluorescence", "--rabi", 0, "--gamma", 1e-320], "slowest decay rate", "4.99994e-321",
+         "inf"),
+    ], ids=["tetrahedron-subnormal", "tetrahedron-1e-300", "zeno-subnormal",
+            "fluorescence-subnormal"])
+    def test_default_horizon_past_the_cap_names_the_rate(self, tmp_path, capsys, args, kind,
+                                                         rate, horizon):
+        out = tmp_path / "exp.json"
+        assert run(["exponent", "--preset", *args, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the default horizon 120 / ({kind} {rate}) = {horizon} exceeds "
+            "the MAX_HORIZON cap of 1e+150; give t_max (--t-max) explicitly\n")
         assert not out.exists()
 
     def test_decoupled_detectors_report_no_mixing(self, tmp_path):

@@ -167,16 +167,27 @@ class TestNumericEstimates:
     def test_horizon_is_capped_where_the_fit_stays_finite(self):
         # the default fit horizon is 120 decay times: 9e147 at kappa = 1e-146
         # still fits, while 9e301 at kappa = 1e-300 would overflow the squared
-        # times of the fit and read every slope as 0
+        # times of the fit and read every slope as 0; the default horizon
+        # names the rate it came from, a given t_max names itself
         probes = default_probe_set(np.zeros(3))
         slow = build_model(Tetrahedron(kappa=1e-146, alpha=1.0))
         est = lambda_q_numeric(slow, np.zeros(3), probes, default_fit_horizon(slow))
         assert est.exponent == pytest.approx(lambda_q_analytic(slow.preset), rel=1e-12)
         slower = build_model(Tetrahedron(kappa=1e-300, alpha=1.0))
+        with pytest.raises(ValueError, match=r"default horizon 120 / \(slowest decay rate "
+                                             r"1\.33333e-300\) = 9e\+301 exceeds the MAX_HORIZON"):
+            default_fit_horizon(slower)
         with pytest.raises(ValueError, match=r"t_max = 9e\+301 exceeds the MAX_HORIZON cap"):
-            lambda_q_numeric(slower, np.zeros(3), probes, default_fit_horizon(slower))
+            lambda_q_numeric(slower, np.zeros(3), probes, 9e301)
         with pytest.raises(ValueError, match="MAX_HORIZON"):
             classify_mixing(slower, probes, 2.0 * MAX_HORIZON)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        # relative entropies are nonnegative: no pair could meet tol <= 0
+        model = build_model(Fluorescence(rabi=2.0, gamma=1.0))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            classify_mixing(model, default_probe_set(np.zeros(3)), 20.0, tol=tol)
 
     @pytest.mark.parametrize("n_samples", [2, 1, 0])
     def test_too_few_samples_rejected(self, n_samples):
@@ -302,5 +313,5 @@ class TestBlochBoundary:
         out = tmp_path / "exponent.json"
         assert cli.main(["exponent", "--preset", "fluorescence", "--rabi", "2",
                          "--gamma", "1", "--out", str(out)]) == 0
-        # I/2 and the three Paulis / 2, once, when the model is built
-        assert calls == [(2, 2)] * 4
+        # the three Paulis / 2 and I/2 in one batched call, when the model is built
+        assert calls == [(4, 2, 2)]

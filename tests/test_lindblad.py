@@ -165,7 +165,7 @@ class TestEvolve:
     def test_decay_law_at_unit_time(self):
         model = build_model(Tetrahedron(kappa=1.0, alpha=1.0, omega=0.0))
         traj = evolve(model, from_bloch([0.0, 0.0, 1.0]), 1.0)
-        dist = trace_norm(traj.final() - 0.5 * IDENTITY2)
+        dist = trace_norm(from_bloch(traj.blochs[-1]) - 0.5 * IDENTITY2)
         assert dist == pytest.approx(math.exp(-4.0 / 3.0), abs=1e-8)
 
     def test_bloch_start_is_the_first_row_as_given(self):
@@ -191,14 +191,14 @@ class TestEvolve:
         rho0 = from_bloch([0.1, 0.2, 0.3])
         traj = evolve(model, rho0, 0.0)
         assert len(traj.times) == 1
-        np.testing.assert_allclose(traj.final(), rho0, atol=1e-15)
+        np.testing.assert_allclose(from_bloch(traj.blochs[-1]), rho0, atol=1e-15)
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(31)
         for preset in ALL_PRESETS:
             model = build_model(preset)
             traj = evolve(model, random_density(rng), 2.0, dt=2e-3)
-            for rho in traj.states[:: len(traj.states) // 10]:
+            for rho in from_bloch(traj.blochs[:: len(traj.times) // 10]):
                 assert abs(np.trace(rho).real - 1.0) <= 1e-10
                 assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
 
@@ -207,7 +207,7 @@ class TestEvolve:
         model = build_model(preset)
         rho0 = from_bloch([0.0, 1.0, 0.0])
         traj = evolve(model, rho0, 5.0)
-        err = trace_norm(traj.final() - analytic_evolve(preset, rho0, 5.0))
+        err = trace_norm(from_bloch(traj.blochs[-1]) - analytic_evolve(preset, rho0, 5.0))
         assert err <= 1e-8
 
     def test_matches_closed_form_all_presets(self):
@@ -218,7 +218,7 @@ class TestEvolve:
             traj = evolve(model, rho0, 1.5)
             for idx in range(0, len(traj.times), len(traj.times) // 8):
                 ref = analytic_evolve(preset, rho0, traj.times[idx])
-                assert trace_norm(traj.states[idx] - ref) <= 1e-8
+                assert trace_norm(from_bloch(traj.blochs[idx]) - ref) <= 1e-8
 
     def test_invalid_inputs(self):
         model = build_model(SigmaXConjugation())
@@ -309,17 +309,17 @@ class TestEvolve:
         model = build_model(Fluorescence(rabi=1.0, gamma=1.0))
         traj = evolve(model, from_bloch([0.3, -0.2, 0.5]), 0.5)
         assert traj.blochs.shape == (len(traj.times), 3)
-        assert traj.states.shape == (len(traj.times), 2, 2)
-        for x, rho in zip(traj.blochs[::100], traj.states[::100]):
+        states = from_bloch(traj.blochs)
+        assert states.shape == (len(traj.times), 2, 2)
+        for x, rho in zip(traj.blochs[::100], states[::100]):
             np.testing.assert_allclose(to_bloch(rho), x, atol=1e-15)
-        np.testing.assert_allclose(traj.final(), traj.states[-1], atol=1e-15)
 
 
 def sequential_evolve(model, x0, t_end, dt):
     """Oracle: the step propagator exp(dt A) applied once per step, each state
     guarded before the next step."""
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
-    step_t = _affine_propagator(*bloch_generator(model), t_end / n_steps).T
+    step_t = _affine_propagator(model, t_end / n_steps).T
     state = np.append(x0, 1.0)
     out = [state[:3].copy()]
     for _ in range(n_steps):
@@ -408,7 +408,7 @@ def test_affine_propagator_keeps_states_in_the_ball(preset, t, direction, radius
     v = np.array(direction)
     assume(np.linalg.norm(v) > 1e-3)
     x = radius * v / np.linalg.norm(v)
-    prop = _affine_propagator(*bloch_generator(build_model(preset)), t)
+    prop = _affine_propagator(build_model(preset), t)
     assert np.linalg.norm(prop[:3, :3] @ x + prop[:3, 3]) <= 1.0 + 1e-12
 
 
