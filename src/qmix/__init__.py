@@ -3,11 +3,11 @@
 Modules:
 
 * :mod:`qmix.states` -- qubit arithmetic, Bloch coordinates and map tables, entropies
-* :mod:`qmix.lindblad` -- master-equation presets, the generator's 4x4 table, its
-  exponential by scaling and squaring (every propagator, evolve's step included),
-  grid powers of exp(M dt)
-* :mod:`qmix.exponent` -- characteristic-exponent estimation on grid-power distance
-  tables, and mixing tests
+* :mod:`qmix.lindblad` -- master-equation presets, the generator's 4x4 table A, its
+  exponential by scaling and squaring (every propagator), and the powers of the
+  step propagator exp(dt A) (evolve's rows and the exponent's distance grid)
+* :mod:`qmix.exponent` -- characteristic-exponent estimation on distance tables
+  from those powers, and mixing tests
 * :mod:`qmix.pdp` -- measurement jump process and chaos-game sampling
 * :mod:`qmix.boxdim` -- box-counting dimension on the sphere
 * :mod:`qmix.circle` -- circle densities and the r-adic transfer operator

@@ -20,19 +20,20 @@ through :func:`qmix.states.as_bloch`, which also takes density matrices.
 
 Every qubit semigroup is affine in Bloch coordinates, d x/dt = M x + b,
 so the difference of two evolved states obeys d/dt (x - y) = M (x - y).
-Distances are therefore propagated by exp(M t) applied to the initial
-difference, for every model, and stay relatively accurate far below the
-rounding level of the states themselves.  On the uniform sample grid
-exp(M t_k) is the k-th power of exp(M dt): one matrix exponential and
-about log2(n) batched products (``lindblad._grid_propagator``).  Against
-an extended-precision per-time exponential those powers agree to 1.7e-12
-of the largest distance from the same exp(M t_k) on the property test's
-draws (3.2e-11 at worst over 3000 draws); a distance that nearly cancels,
-one axis at 1.3e-36 beside 9.2e-25, is off by 3.1e-9 of itself.  The
-README reports' exponents stay within 1e-13 of the per-time exponential
-route.  Mixing is
-classified at the horizon on the propagated Bloch vectors, all ordered
-pairs in one closed-form call.
+Distances are therefore propagated from the initial difference, for
+every model, and stay relatively accurate far below the rounding level
+of the states themselves.  On the uniform sample grid they read the
+model's one grid, the powers of its step propagator P = exp(dt A)
+(``lindblad._grid_propagator``): one matrix exponential of the 4x4 table
+and about log2(n) batched products.  A difference is (d, 0) on
+(x, tr rho), so only the 3x3 block exp(M t_k) of each power moves it.
+Against an extended-precision per-time exponential that block agrees to
+1.7e-12 of the largest distance from the same exp(M t_k) on the property
+test's draws (3.2e-11 at worst over 3000 draws); a distance that nearly
+cancels, one axis at 1.3e-36 beside 9.2e-25, is off by 3.1e-9 of itself.
+The README reports' exponents stay within 1e-13 of the per-time
+exponential route.  Mixing is classified at the horizon on the probes
+propagated by exp(t_max A), all ordered pairs in one closed-form call.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ from .lindblad import (
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
-    _affine_propagator,
     _grid_propagator,
     _positivity_guard,
-    bloch_generator,
+    _propagate,
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .states import (
@@ -69,10 +69,10 @@ from .states import (
 
 DEFAULT_PROBE_SEED = 7
 # Trace distances at or below the floor cannot enter a fit.  Differences are
-# propagated by powers of exp(M dt) directly, never as the difference of two
-# rounded states, so they stay accurate (1.7e-12 of the largest distance at
-# the same time against an extended-precision exponential in the property
-# tests) down to the denormal range.
+# propagated directly by the 3x3 block of the powers of P = exp(dt A), never
+# as the difference of two rounded states, so they stay accurate (1.7e-12 of
+# the largest distance at the same time against an extended-precision
+# exponential in the property tests) down to the denormal range.
 DISTANCE_FLOOR = 1e-290
 # Longest horizon t_max.  The slope fit squares its window's centred times:
 # the 81 samples of (1e150)^2 stay finite, while from t_max = 5e154 their sum
@@ -196,10 +196,11 @@ def lambda_q_numeric(model: LindbladModel, rho_ref, probes, t_max: float,
     if close.size:
         raise ValueError(f"probe {close[0]} coincides with the reference state")
     times = np.linspace(0.0, t_max, n_samples)
-    m, _ = bloch_generator(model)
-    # (time, probe, component) differences T_t sigma - T_t rho_ref
+    # (time, probe, component) differences T_t sigma - T_t rho_ref; a difference
+    # is (d, 0) on (x, tr rho), so the 3x3 block of each power moves it
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance aborts
-        diffs = (probe_b - ref_b) @ np.swapaxes(_grid_propagator(m, t_max, n_samples), 1, 2)
+        grid = _grid_propagator(model, t_max / (n_samples - 1), n_samples)[:, :3, :3]
+        diffs = (probe_b - ref_b) @ np.swapaxes(grid, 1, 2)
         dists = bloch_distance(diffs).T
     if not np.isfinite(dists).all():
         raise FloatingPointError(f"the propagator exp(M t) overflowed before t_max = {t_max:g}")
@@ -234,8 +235,7 @@ def classify_mixing(model: LindbladModel, probes, t_max: float,
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     blochs = _probe_blochs(probes)
-    prop = _affine_propagator(model, t_max)
-    x = _positivity_guard(blochs @ prop[:3, :3].T + prop[:3, 3], t_max)[0]
+    x = _positivity_guard(_propagate(model, blochs, t_max), t_max)[0]
     pairs = bloch_relative_entropy(x[:, None], x[None, :])
     np.fill_diagonal(pairs, 0.0)
     if np.max(pairs) >= tol:  # a support violation (inf) counts as not mixing

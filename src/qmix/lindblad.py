@@ -20,17 +20,15 @@ the package:
 Propagation has one route.  Every generator is one 4x4 table A =
 [[M, b], [0, 0]] on (x, tr rho) (:func:`bloch_generator`), the affine map
 d x/dt = M x + b on (x, 1), and every propagator is exp(t A)
-(:func:`_affine_propagator`): :func:`evolve` takes one exponential of the
-output step, P = exp(dt A), and fills each block of trajectory rows as one
-product of a state with the powers P^1 .. P^B, while the exact paths of
-every preset (:func:`analytic_bloch_paths`) and the mixing classification
-at a horizon take it at arbitrary times.  The exponent's distance tables
-live on a uniform grid, where exp(M t_k) is the k-th power of one exp(M dt)
-(:func:`_grid_propagator`, within 1.7e-12 of the largest distance at the
-same time against an extended-precision per-time exponential in the
-property tests).  Both stacks of powers are filled by doubling in
-:func:`_step_powers`.  Every matrix exponential is :func:`_expm`, scaling
-and squaring in numpy.
+(:func:`_affine_propagator`), the only matrix exponential of the package
+(:func:`_expm`, scaling and squaring in numpy).  On a uniform grid it is
+the powers of the step propagator P = exp(dt A), filled by doubling
+(:func:`_grid_propagator`): :func:`evolve` fills each block of trajectory
+rows as one product of P^1 .. P^B with a state, and the exponent's
+distance tables read the 3x3 block of P^k, which moves a difference of
+two states, (d, 0).  The exact paths of every preset
+(:func:`analytic_bloch_paths`) and the mixing classification at a horizon
+apply exp(t A) at arbitrary times (:func:`_propagate`).
 :func:`generator_apply`, the master equation on 2x2 density matrices,
 defines A and serves as the reference the Bloch forms are checked against.
 
@@ -218,9 +216,9 @@ def default_timestep(model: LindbladModel) -> float:
 
 # Each step stores one time and one Bloch vector (32 bytes), so the cap bounds
 # a trajectory at about 320 MB.  Longer horizons need a larger dt.  At the cap
-# (a tetrahedron, dt = 1e-3) evolve takes 0.9 s and peaks at 336 MB RSS; a
-# per-step loop over the same grid took 57 s at the same peak (one 2-CPU
-# x86-64 host, numpy 2.4, OpenBLAS).
+# (a tetrahedron, dt = 1e-3) evolve takes 0.40-0.56 s (median 0.45 s over six
+# fresh processes) and peaks at 335 MB RSS (one 2-CPU x86-64 host, numpy 2.4,
+# OpenBLAS).
 MAX_STEPS = 10 ** 7
 
 
@@ -257,15 +255,16 @@ def _positivity_guard(x: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(x, norm[..., None], out=x.copy(), where=out[..., None]), lo
 
 
-def _step_powers(step: np.ndarray, n: int) -> np.ndarray:
-    """step^0 .. step^(n-1) of a square matrix, shape (n, k, k), for n >= 2.
+def _grid_propagator(model: LindbladModel, dt: float, n: int) -> np.ndarray:
+    """exp(t_k A) on the uniform grid t_k = k dt, shape (n, 4, 4), for n >= 2:
+    the powers P^0 .. P^(n-1) of the step propagator P = exp(dt A).
 
     Powers by doubling: with P[0..k] filled, P[k+1 : k+1+c] = P[1 : 1+c] @ P[k],
     so about log2(n) batched products fill the stack.
     """
-    p = np.empty((n,) + step.shape)
-    p[0] = np.eye(len(step))
-    p[1] = step
+    p = np.empty((n, 4, 4))
+    p[0] = np.eye(4)
+    p[1] = _affine_propagator(model, dt)
     k = 1
     while k < n - 1:
         c = min(k, n - 1 - k)
@@ -286,13 +285,13 @@ def evolve(model: LindbladModel, state0, t_end: float,
 
     ``state0`` is one state, a Bloch vector (3,) or a 2x2 density matrix;
     a vector is the first row as given.
-    The step propagator is exact: P = exp(dt A) (:func:`_affine_propagator`)
-    of the generator table acting on (x, 1), so dt sets only the spacing of
-    the rows, at any size.
-    The powers P^1 .. P^B (B = ``_BLOCK_STEPS``) are filled once by
-    doubling, and each block of B rows is the block's first state times
-    that stack, so the block's last row, the state times P^B, starts the
-    next block and the work memory stays at B powers for any grid.  The
+    The step propagator is exact: P = exp(dt A) of the generator table
+    acting on (x, 1), so dt sets only the spacing of the rows, at any size.
+    The powers P^1 .. P^B (B = ``_BLOCK_STEPS``) are filled once
+    (:func:`_grid_propagator`), and each block of B rows is that stack
+    times the block's first state, so the block's last row, P^B times the
+    state, starts the next block and the work memory stays at B powers for
+    any grid.  The
     step is shrunk so the grid lands on ``t_end`` exactly, and grids longer
     than ``MAX_STEPS`` are rejected before anything is allocated.  Trace
     and hermiticity hold by construction.  Positivity is guarded row by
@@ -318,18 +317,16 @@ def evolve(model: LindbladModel, state0, t_end: float,
     n_steps = max(1, math.ceil(ratio))
     dt = t_end / n_steps
     times = np.linspace(0.0, t_end, n_steps + 1)
-    step_t = _affine_propagator(model, dt).T
-    # powers[:, 4 (k-1) + j] = column j of step_t^k, so state @ powers is
-    # the next rows of (x, 1) side by side
-    powers = _step_powers(step_t, min(n_steps, _BLOCK_STEPS) + 1)[1:]
-    powers = powers.transpose(1, 0, 2).reshape(4, -1)
+    # rows 3 (k-1) .. 3k - 1 are the Bloch rows of P^k: times (x, 1), the
+    # next Bloch vectors end to end
+    powers = _grid_propagator(model, dt, min(n_steps, _BLOCK_STEPS) + 1)[1:, :3].reshape(-1, 4)
     blochs = np.empty((n_steps + 1, 3))
     blochs[0] = x
     state = np.append(x, 1.0)
     clamped, worst, first = 0, 0.0, 0.0
     for start in range(1, n_steps + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n_steps + 1)
-        rows = (state @ powers[:, :4 * (stop - start)]).reshape(-1, 4)[:, :3]
+        rows = (powers[:3 * (stop - start)] @ state).reshape(-1, 3)
         rows, lo = _positivity_guard(rows, times[start:stop])
         out = lo < 0.0
         if out.any():
@@ -392,10 +389,11 @@ def _affine_propagator(model: LindbladModel, t) -> np.ndarray:
     return _expm(np.asarray(t, dtype=float)[..., None, None] * model._generator)
 
 
-def _grid_propagator(m: np.ndarray, t_max: float, n: int) -> np.ndarray:
-    """exp(M t_k) on the uniform grid t_k = k t_max / (n - 1), shape (n, 3, 3):
-    the powers of one matrix exponential of the step."""
-    return _step_powers(_expm((t_max / (n - 1)) * m), n)
+def _propagate(model: LindbladModel, blochs: np.ndarray, t) -> np.ndarray:
+    """exp(t A) applied to (x, 1) for each Bloch vector x of ``blochs`` (n, 3)
+    at each time of ``t``; the result has shape (n,) + t.shape + (3,)."""
+    prop = _affine_propagator(model, t)
+    return np.einsum("...ij,nj->n...i", prop[..., :3, :3], blochs) + prop[..., :3, 3]
 
 
 def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -404,8 +402,7 @@ def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) 
     ``blochs`` has shape (n, 3); the result has shape (n, len(times), 3).
     """
     blochs = np.atleast_2d(np.asarray(blochs, dtype=float))
-    prop = _affine_propagator(build_model(preset), times)
-    return np.einsum("tij,nj->nti", prop[:, :3, :3], blochs) + prop[None, :, :3, 3]
+    return _propagate(build_model(preset), blochs, times)
 
 
 def stationary_state(model: LindbladModel) -> np.ndarray:

@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import DEFAULT_BURN_IN, TETRA_DIRECTIONS, make_rng
+from .states import DEFAULT_BURN_IN, TETRA_DIRECTIONS, _unit_direction, make_rng
 
 DEFAULT_START = (0.0, 0.0, 1.0)
 ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
@@ -254,11 +254,7 @@ class SamplePath:
 
 
 def _unit(v) -> tuple[float, float, float]:
-    x, y, z = (float(c) for c in v)
-    n = math.sqrt(x * x + y * y + z * z)
-    if not 0 < n < math.inf:
-        raise ValueError("state must be a finite nonzero 3-vector")
-    return x / n, y / n, z / n
+    return _unit_direction(v, "state")
 
 
 # as Python floats: the scalar loop below runs about twice as slow on numpy

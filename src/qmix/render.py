@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .boxdim import _cell_index, _face_coords
+from .states import _unit_direction
 
 AXIS_PROJECTIONS = {
     "+x": (0, 1, 2), "-x": (0, 1, 2),
@@ -67,13 +68,12 @@ class RenderSpec:
             raise ValueError("zoom needs both a center and an angular radius")
         if self.zoom_radius is not None and not 0 < self.zoom_radius <= math.pi / 2:
             raise ValueError("zoom radius must lie in (0, pi/2]")
-        if self.zoom_center is not None and not np.linalg.norm(self.zoom_center) > 0:
-            raise ValueError("zoom_center must be a nonzero vector")
+        if self.zoom_center is not None:
+            _unit_direction(self.zoom_center, "zoom_center")
 
 
 def _zoom_coords(points: np.ndarray, center, radius: float):
-    c = np.asarray(center, dtype=float)
-    c = c / np.linalg.norm(c)
+    c = np.array(_unit_direction(center, "zoom_center"))
     helper = np.zeros(3)
     helper[int(np.argmin(np.abs(c)))] = 1.0
     e1 = np.cross(c, helper)

@@ -149,6 +149,22 @@ def _one_bloch(state) -> np.ndarray:
     return x
 
 
+def _unit_direction(v, name: str) -> tuple[float, float, float]:
+    """v / |v| of a finite nonzero 3-vector ``v``, else ValueError naming ``name``.
+
+    The norm is taken after an exact power-of-two scaling of v into [1/2, 1),
+    so no square overflows or underflows: a huge or tiny v gives the direction
+    of its unit-scale twin bit for bit, and an ordinary v the bits of v / |v|.
+    """
+    x, y, z = (float(c) for c in v)
+    if not all(map(math.isfinite, (x, y, z))) or x == y == z == 0.0:
+        raise ValueError(f"{name} must be a finite nonzero 3-vector")
+    shift = -math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    x, y, z = (math.ldexp(c, shift) for c in (x, y, z))
+    n = math.sqrt(x * x + y * y + z * z)
+    return x / n, y / n, z / n
+
+
 def from_bloch(x) -> np.ndarray:
     """States rho = (I + x . sigma) / 2, shape (..., 2, 2), of Bloch vectors x (..., 3)
     with |x| <= 1; at x = alpha n_i, the tetrahedron's detector operators."""

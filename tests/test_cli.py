@@ -25,6 +25,24 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# huge and tiny directions: each must act as its unit-scale twin, the same
+# vector scaled by the power of two that puts its largest entry in [1/2, 1)
+SCALED_DIRECTIONS = ["[1e200,1e200,0]", "[1e-320,0,0]", "[-1e300,1e-300,2.8e300]",
+                     "[0,2e-310,-5e-311]"]
+
+
+def unit_scale_twin(text):
+    v = json.loads(text)
+    shift = -math.frexp(max(abs(c) for c in v))[1]
+    return json.dumps([math.ldexp(c, shift) for c in v])
+
+
+def data_lines(path):
+    """The lines of a CSV or JSON-lines output past its embedded config."""
+    lines = Path(path).read_text().splitlines()
+    return [line for line in lines[1:] if not line.startswith("#")]
+
+
 def read_csv_rows(path):
     rows = []
     with open(path) as handle:
@@ -45,7 +63,7 @@ class TestEvolveCommand:
         t_final, dist_final = rows[-1, 0], rows[-1, 4]
         assert t_final == pytest.approx(1.0)
         assert dist_final == pytest.approx(math.exp(-4.0 / 3.0), abs=1e-6)
-        header = open(out).read().splitlines()[0]
+        header = Path(out).read_text().splitlines()[0]
         assert header.startswith("# config_hash: ")
 
     def test_distance_does_not_underflow(self, tmp_path):
@@ -98,7 +116,7 @@ class TestEvolveCommand:
         out = tmp_path / "sx.csv"
         assert run(["evolve", "--preset", "sigma_x_conjugation", "--bloch0", "[0.5,0,0.5]",
                     "--t-end", 1, "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "# stationary:" in text
         assert math.isnan(read_csv_rows(out)[-1, 4])
 
@@ -463,6 +481,17 @@ class TestParser:
 
 
 class TestPdpAndFractal:
+    @pytest.mark.parametrize("r0", SCALED_DIRECTIONS)
+    def test_a_scaled_start_samples_as_its_unit_twin(self, tmp_path, r0):
+        outputs = []
+        for name, direction in (("scaled", r0), ("twin", unit_scale_twin(r0))):
+            cloud, log = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+            assert run(["pdp", "--alpha", 0.6, "--omega", 0.7, "--r0", direction,
+                        "--burn-in", 0, "--n-points", 200, "--seed", 11,
+                        "--out", cloud, "--log", log]) == 0
+            outputs.append((data_lines(cloud), data_lines(log)))
+        assert outputs[0] == outputs[1]
+
     def test_cloud_and_log_round_trip(self, tmp_path):
         cloud = tmp_path / "cloud.csv"
         log = tmp_path / "path.jsonl"
@@ -471,7 +500,7 @@ class TestPdpAndFractal:
         points = read_cloud_csv(cloud)
         assert points.shape == (500, 3)
         np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-12)
-        lines = open(log).read().splitlines()
+        lines = Path(log).read_text().splitlines()
         meta = json.loads(lines[0])
         assert "config_hash" in meta
         events = [json.loads(line) for line in lines[1:]]
@@ -486,7 +515,7 @@ class TestPdpAndFractal:
         assert run(["pdp", "--alpha", 0.75, "--n-points", 200000, "--seed", 1,
                     "--out", cloud]) == 0
         assert run(["fractal", "--cloud", cloud, "--out", report]) == 0
-        payload = json.load(open(report))
+        payload = json.loads(Path(report).read_text())
         assert 0.5 < payload["dimension"] < 2.2
         assert payload["config_hash"]
         assert len(payload["counts"]) == len(payload["eps"])
@@ -495,7 +524,7 @@ class TestPdpAndFractal:
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "fluorescence", "--rabi", 1, "--gamma", 2,
                     "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["analytic"] == pytest.approx(1.0)
         assert payload["numeric"]["exponent"] == pytest.approx(1.0, rel=0.01)
         assert payload["classification"] == {"completely_mixing": True, "exact": False}
@@ -503,7 +532,7 @@ class TestPdpAndFractal:
     def test_exponent_command_flags_frozen_axis(self, tmp_path):
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "sigma_x_conjugation", "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["analytic"] is None
         assert payload["numeric"]["exponent"] is None
         assert not payload["classification"]["completely_mixing"]
@@ -513,7 +542,7 @@ class TestPdpAndFractal:
         density_out = tmp_path / "density.csv"
         assert run(["classical", "--r", 2, "--out", out,
                     "--density-out", density_out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["exponent"] == pytest.approx(math.log(2.0), rel=0.02)
         # every sawtooth keeps its jump: the exact rate sits next to the fit
         assert payload["exact_rates"] == [math.log(2.0)] * 5
@@ -547,7 +576,7 @@ class TestPdpAndFractal:
         out = tmp_path / "sweep.json"
         assert run(["exponent", "--preset", "zeno", "--omega", 1,
                     "--kappa-sweep", "[1,2,4,8,16]", "--out", out]) == 0
-        table = json.load(open(out))["sweep"]
+        table = json.loads(Path(out).read_text())["sweep"]
         assert [row["kappa"] for row in table] == [1, 2, 4, 8, 16]
         for row in table:
             assert row["numeric"]["exponent"] == pytest.approx(row["analytic"], rel=0.02)
@@ -558,7 +587,7 @@ class TestPdpAndFractal:
         # omega = 0 has no closed form; the horizon falls back to the jump rate
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "zeno", "--omega", 0, "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["analytic"] is None
         assert payload["numeric"]["exponent"] is None
         assert payload["numeric"]["fit_window"] == [60.0, 120.0]
@@ -577,7 +606,7 @@ class TestPdpAndFractal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["exponent", *args, "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["numeric"]["notes"][-1].startswith("not completely mixing")
         assert not payload["classification"]["completely_mixing"]
 
@@ -614,7 +643,7 @@ class TestPdpAndFractal:
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "tetrahedron", "--alpha", 0, "--kappa", 1,
                     "--out", out]) == 0
-        payload = json.load(open(out))
+        payload = json.loads(Path(out).read_text())
         assert payload["analytic"] == 0.0
         assert payload["numeric"]["exponent"] is None
         assert not payload["classification"]["completely_mixing"]
@@ -633,7 +662,7 @@ class TestRenderCommand:
         img = tmp_path / "img.pgm"
         assert run(["render", "--cloud", cloud, "--projection", "net",
                     "--size", 256, "--out", img]) == 0
-        data = open(img, "rb").read()
+        data = Path(img).read_bytes()
         header, pixels = data.split(b"255\n", 1)
         assert data.startswith(b"P5")
         assert sum(1 for b in pixels if b > 0) == 4
@@ -643,7 +672,7 @@ class TestRenderCommand:
         img = tmp_path / "img.ppm"
         assert run(["render", "--cloud", cloud, "--log", log, "--mode", "ppm",
                     "--projection", "net", "--size", 256, "--out", img]) == 0
-        data = open(img, "rb").read()
+        data = Path(img).read_bytes()
         assert data.startswith(b"P6")
 
     def test_zoom_renders_nonzero_spread(self, tmp_path):
@@ -656,12 +685,24 @@ class TestRenderCommand:
                     "--zoom-center", "[1,0,0]", "--zoom-radius", 0.4,
                     "--out", zoom]) == 0
         for path in (full, zoom):
-            _, pixels = open(path, "rb").read().split(b"255\n", 1)
+            _, pixels = Path(path).read_bytes().split(b"255\n", 1)
             assert sum(1 for b in pixels if b > 0) > 50
+
+    @pytest.mark.parametrize("center", SCALED_DIRECTIONS)
+    def test_a_scaled_zoom_center_renders_as_its_unit_twin(self, tmp_path, center):
+        cloud, _ = self._cloud(tmp_path, 0.7, n=2000)
+        pixels = []
+        for name, direction in (("scaled", center), ("twin", unit_scale_twin(center))):
+            out = tmp_path / f"{name}.pgm"
+            assert run(["render", "--cloud", cloud, "--zoom-center", direction,
+                        "--zoom-radius", 0.3, "--size", 128, "--out", out]) == 0
+            pixels.append(out.read_bytes().split(b"255\n", 1)[1])
+        assert pixels[0] == pixels[1]
+        assert any(pixels[0])
 
     def test_detector_labels_are_read_across_log_blocks(self, tmp_path, monkeypatch):
         _, log = self._cloud(tmp_path, 0.7, n=1000)
-        expected = [json.loads(line)["detector"] for line in open(log).read().splitlines()[1:]]
+        expected = [json.loads(line)["detector"] for line in Path(log).read_text().splitlines()[1:]]
         monkeypatch.setattr(io, "LOG_BLOCK_LINES", 64)  # 15 full blocks and a partial one
         np.testing.assert_array_equal(io.read_jsonl_detectors(str(log)), expected)
 
@@ -721,7 +762,7 @@ class TestDeterminism:
         blobs = []
         for _ in range(2):
             assert run(recipe) == 0
-            blobs.append(open(cloud, "rb").read() + open(log, "rb").read())
+            blobs.append(Path(cloud).read_bytes() + Path(log).read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_different_seeds_differ(self, tmp_path):
@@ -730,7 +771,7 @@ class TestDeterminism:
             cloud = tmp_path / f"s{seed}.csv"
             assert run(["pdp", "--alpha", 0.7, "--n-points", 200, "--seed", seed,
                         "--out", cloud]) == 0
-            outs.append(open(cloud, "rb").read())
+            outs.append(Path(cloud).read_bytes())
         assert outs[0] != outs[1]
 
     def test_reports_are_strict_json(self, tmp_path):
@@ -747,8 +788,8 @@ class TestDeterminism:
         reports = [arg for recipe in recipes for arg in recipe if arg.endswith(".json")]
         assert len(reports) == 4
         for path in reports:
-            json.loads(open(path).read(), parse_constant=reject)
-        payload = json.load(open(collapse))
+            json.loads(Path(path).read_text(), parse_constant=reject)
+        payload = json.loads(Path(collapse).read_text())
         assert payload["per_probe_slopes"][1] is None
         assert payload["notes"] == ["probe 1 excluded: no fit window holds three "
                                     "distances above the floor 1e-13"]
@@ -759,7 +800,7 @@ class TestDeterminism:
         assert run(["repro", "--criteria", "[4,6]", "--out", report]) == 0
         text = capsys.readouterr().out
         assert "C4" in text and "C6" in text and "FAIL" not in text
-        payload = json.load(open(report))
+        payload = json.loads(Path(report).read_text())
         assert [c["passed"] for c in payload["criteria"]] == [True, True]
 
 

@@ -315,3 +315,22 @@ class TestBlochBoundary:
                          "--gamma", "1", "--out", str(out)]) == 0
         # the three Paulis / 2 and I/2 in one batched call, when the model is built
         assert calls == [(4, 2, 2)]
+
+    @pytest.mark.parametrize("argv", [
+        ["exponent", "--preset", "fluorescence", "--rabi", "2", "--gamma", "1"],
+        ["exponent", "--preset", "zeno", "--omega", "1", "--kappa-sweep", "[1,2,4,8,16]"],
+        ["evolve", "--preset", "fluorescence", "--rabi", "2", "--gamma", "1"],
+    ], ids=["fluorescence", "zeno-sweep", "evolve"])
+    def test_every_exponential_is_of_the_model_table(self, tmp_path, monkeypatch, argv):
+        shapes = []
+        expm = lindblad._expm
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(lindblad, "_expm", recorded)
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert shapes
+        # the grid step, the horizon and the exact paths: exp(t A) of the 4x4 table
+        assert all(shape[-2:] == (4, 4) for shape in shapes)

@@ -11,6 +11,7 @@ embedded as given (``[1,2.0]`` stays ``[1,2.0]``).
 
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ WRITERS = [
      "--size", "128", "--out", "zoom.pgm"],
 ]
 WRITERS_DIGESTS = {
-    "traj.csv": "c00567a7be5e2edc249a68b08bc9ef01e3a37f0d819c0252fbf18cc39572ef47",
+    "traj.csv": "8dd1d66f6fa73cfad643b77f61d14d115da9bc7b70f83ea34501b96534234dee",
     "traj_sx.csv": "6c9313801ca33d27f9bb877ebc767b7d30523970af1bc4d8b3a9505640825c3a",
     "classical.json": "e46b743265f12db93abb086dcbc4f703f05e20919b87d7c694e56252165f6daf",
     "density.csv": "8b2aa90e32d2dad5406a5899e28bfc6971df5ea6eeb0cfe112fa9d4ce699a090",
@@ -68,7 +69,7 @@ WRITERS_DIGESTS = {
 
 
 def digests(names):
-    return {name: hashlib.sha256(open(name, "rb").read()).hexdigest() for name in names}
+    return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("commands, expected", [
@@ -107,5 +108,5 @@ def test_list_fields_embed_the_config_hash_of_the_value_as_given(tmp_path, monke
     (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n0.6,0,0.8\n")
     argv, expected = LIST_FIELD_RECIPES[field]
     assert main(argv) == 0
-    text = open(argv[-1], "rb").read()
+    text = Path(argv[-1]).read_bytes()
     assert re.search(rb'config_hash"?:\s*"?([0-9a-f]{64})', text).group(1).decode() == expected

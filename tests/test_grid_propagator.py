@@ -1,18 +1,21 @@
-"""The grid-powers distance route against the per-time matrix exponential.
+"""The exponent's distance grid against the per-time matrix exponential.
 
 :func:`qmix.exponent.lambda_q_numeric` propagates probe differences with
-``lindblad._grid_propagator``: one exponential of the grid step, then its
-powers.  The property test compares it at every grid time with a per-time
-matrix exponential in extended precision (``np.longdouble``, 64-bit
-significand), on every preset (critical Zeno damping and sigma1
-conjugation included) and on random bare models.  Each error is measured
-against the largest distance from the same matrix exp(M t_k): that is the
-accuracy a normwise-accurate exponential has, and a distance that nearly
-cancels (one axis at 1.3e-36 beside others near 9.2e-25) cannot be held
-to 1e-10 of itself.  A double-precision exponential is no oracle at the
-1e-10 bound: at long fit horizons scipy's ``expm`` was off by 1.1e-10.
-The pin test holds the README exponent reports to
-the floats that the per-time ``expm`` route wrote.
+``lindblad._grid_propagator``: one exponential of the model's 4x4 table
+over the grid step, P = exp(dt A), then its powers.  A difference of two
+states is (d, 0) on (x, tr rho), so it is moved by the 3x3 block of each
+power, exp(M t_k).  The property test compares that block at every grid
+time with a per-time exponential of M in extended precision
+(``np.longdouble``, 64-bit significand), on every preset (critical Zeno
+damping and sigma1 conjugation included) and on random bare models.
+Each error is measured against the largest distance from the same
+matrix exp(M t_k): that is the accuracy a normwise-accurate exponential
+has, and a distance that nearly cancels (one axis at 1.3e-36 beside
+others near 9.2e-25) cannot be held to 1e-10 of itself.  A
+double-precision exponential is no oracle at the 1e-10 bound: at long
+fit horizons scipy's ``expm`` was off by 1.1e-10.  The pin test holds
+the README exponent reports to the floats that the per-time ``expm``
+route wrote.
 """
 
 import json
@@ -54,8 +57,9 @@ def test_grid_powers_match_the_per_time_expm(case, n, extra):
     m, _ = bloch_generator(model)
     diffs = np.vstack([np.eye(3), np.reshape(extra, (-1, 3))])
     times = np.linspace(0.0, t_max, n)
+    block = _grid_propagator(model, t_max / (n - 1), n)[:, :3, :3]
     # hypot, not norm: the squares of distances below 1e-154 underflow
-    grid = np.hypot.reduce(diffs @ np.swapaxes(_grid_propagator(m, t_max, n), 1, 2), axis=2)
+    grid = np.hypot.reduce(diffs @ np.swapaxes(block, 1, 2), axis=2)
     exact = diffs.astype(np.longdouble) @ np.swapaxes(expm_longdouble(m, times), 1, 2)
     reference = np.sqrt(np.sum(exact * exact, axis=2))  # (time, diff)
     above = reference > DISTANCE_FLOOR

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_jump_log_events_are_canonical_json(tmp_path):
     detectors = np.array([1, 2, 3, 4, 1])
     path = str(tmp_path / "path.jsonl")
     write_jsonl(path, times, detectors, {"n": 5})
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == canonical_json({"config": {"n": 5}, "config_hash": config_hash({"n": 5})})
     expected = [canonical_json({"time": t, "detector": d})
                 for t, d in zip(times.tolist(), detectors.tolist())]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmix.states import (
     IDENTITY2,
@@ -11,6 +12,7 @@ from qmix.states import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    _unit_direction,
     as_bloch,
     check_density_matrix,
     from_bloch,
@@ -247,3 +249,27 @@ class TestAsBloch:
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             as_bloch(np.zeros(shape))
+
+
+class TestUnitDirection:
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+                    min_size=3, max_size=3).filter(any))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_an_ordinary_vector_keeps_the_bits_of_v_over_its_norm(self, v):
+        x, y, z = v
+        n = math.sqrt(x * x + y * y + z * z)
+        assert _unit_direction(v, "v") == (x / n, y / n, z / n)
+
+    @pytest.mark.parametrize("v", [[1e200, 1e200, 0.0], [1e-320, 0.0, 0.0],
+                                   [-3e300, 1e300, 2e-300], [1.7e308, -1.7e308, 1.7e308]])
+    def test_a_huge_or_tiny_vector_gives_the_bits_of_its_unit_scale_twin(self, v):
+        shift = -math.frexp(max(abs(c) for c in v))[1]
+        x, y, z = (math.ldexp(c, shift) for c in v)  # largest entry in [1/2, 1)
+        n = math.sqrt(x * x + y * y + z * z)
+        assert _unit_direction(v, "v") == (x / n, y / n, z / n)
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [1.0, math.nan, 0.0],
+                                   [0.0, math.inf, 0.0], [1.0, -math.inf, 0.0]])
+    def test_zero_and_non_finite_vectors_are_rejected(self, v):
+        with pytest.raises(ValueError, match="direction must be a finite nonzero 3-vector"):
+            _unit_direction(v, "direction")
