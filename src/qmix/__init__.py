@@ -22,6 +22,10 @@ it runs.
 import importlib
 
 __version__ = "0.1.0"
+# jumps qmix.pdp discards before it keeps one; attractor convergence is
+# geometric, so 100 suffice.  It lives here, not in a numpy module, because
+# the schema of qmix.cli reads it before any command loads numpy.
+DEFAULT_BURN_IN = 100
 
 _HOMES = {
     "lindblad": ("Fluorescence", "LindbladModel", "SigmaXConjugation", "Tetrahedron",

@@ -74,10 +74,16 @@ DEFAULT_PROBE_SEED = 7
 # the largest distance at the same time against an extended-precision
 # exponential in the property tests) down to the denormal range.
 DISTANCE_FLOOR = 1e-290
-# Longest horizon t_max.  The slope fit squares its window's centred times:
-# the 81 samples of (1e150)^2 stay finite, while from t_max = 5e154 their sum
-# overflows and the slopes are lost.
+# Longest and shortest horizon t_max.  The slope fit squares its window's
+# centred times, (t_max/160)^2 to (t_max/4)^2 over the 81 samples of
+# [t_max/2, t_max].  Long horizons: (1e150)^2 stay finite, while from t_max =
+# 5e154 their sum overflows and the slopes are lost.  Short horizons: at
+# 1e-150 every nonzero square is a normal float; below about 6e-154 the
+# largest is subnormal, and below a t_max measured between 6.3e-162 and
+# 6.7e-162 (tetrahedron and Zeno presets) it rounds to 0, the slope's
+# denominator vanishes and numpy warns of a division by zero.
 MAX_HORIZON = 1e150
+MIN_HORIZON = 1e-150
 
 _AXES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
@@ -134,7 +140,8 @@ def default_horizon(model: LindbladModel, scale: float = 20.0) -> float:
     prefactor into the distance, whose log biases the fitted slope by
     roughly 1/t, so :func:`default_fit_horizon` stretches to 120 decay
     times (about one percent bias in the worst case).  A horizon past
-    ``MAX_HORIZON`` (inf too) raises ValueError naming the rate.
+    ``MAX_HORIZON`` (inf too) or below ``MIN_HORIZON`` raises ValueError
+    naming the rate.
     """
     kind = "slowest decay rate"
     try:
@@ -143,22 +150,33 @@ def default_horizon(model: LindbladModel, scale: float = 20.0) -> float:
         rate = 0.0
     if not rate > 0:
         rate, kind = max(model.rates(), default=0.0), "largest jump rate"
-    if rate > 0 and not scale / rate <= MAX_HORIZON:
+    horizon = scale / rate if rate > 0 else scale
+    fault = _horizon_fault(horizon)
+    if fault:
         raise ValueError(f"the default horizon {scale:g} / ({kind} {rate:.6g}) = "
-                         f"{scale / rate:g} exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}; "
-                         "give t_max (--t-max) explicitly")
-    return scale / rate if rate > 0 else scale
+                         f"{horizon:g} {fault}; give t_max (--t-max) explicitly")
+    return horizon
 
 
 def default_fit_horizon(model: LindbladModel) -> float:
     return default_horizon(model, scale=120.0)
 
 
+def _horizon_fault(t: float) -> str | None:
+    """Why the slope fit cannot use horizon ``t``, or None if it can."""
+    if not t <= MAX_HORIZON:  # inf too
+        return f"exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}"
+    if t < MIN_HORIZON:
+        return f"is below the MIN_HORIZON cap of {MIN_HORIZON:g}"
+    return None
+
+
 def _check_horizon(t_max: float) -> None:
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    if t_max > MAX_HORIZON:
-        raise ValueError(f"t_max = {t_max:g} exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}")
+    fault = _horizon_fault(t_max)
+    if fault:
+        raise ValueError(f"t_max = {t_max:g} {fault}")
 
 
 def _probe_blochs(probes) -> np.ndarray:

@@ -8,6 +8,11 @@ are written from whole columns, a block of rows per format pass; clouds
 are read back with one bulk parse.  Only this module knows the jump log's
 event layout: it writes the log and reads its detector labels back.  JSON
 reports are strict: a non-finite number is written as null.
+
+numpy is imported by the three functions that build or read arrays
+(:func:`write_cloud_csv`, :func:`read_cloud_csv`,
+:func:`read_jsonl_detectors`), so importing this module, as ``qmix.cli``
+does, loads the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import json
 import os
 import re
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 FLOAT_FMT = "%.17g"  # 17 significant digits round-trips float64 exactly
 
@@ -101,6 +108,8 @@ def write_csv(path: str, config: dict, columns, *data: np.ndarray, notes=()) -> 
 
 def write_cloud_csv(path: str, points: np.ndarray, config: dict) -> None:
     """Point cloud as x,y,z rows at 17 significant digits."""
+    import numpy as np
+
     write_csv(path, config, ("x", "y", "z"), *np.asarray(points, dtype=float).T)
 
 
@@ -111,6 +120,8 @@ def read_cloud_csv(path: str) -> np.ndarray:
     non-finite values and an empty cloud raise ``ValueError`` naming the
     file.
     """
+    import numpy as np
+
     def parse(rows):
         return np.loadtxt(rows, dtype=float, delimiter=",", comments="#", ndmin=2)
 
@@ -175,6 +186,8 @@ def read_jsonl_detectors(path: str) -> np.ndarray:
     that are not JSON objects and labels that are not integers in 1..4
     raise ``ValueError`` naming the file.
     """
+    import numpy as np
+
     parts, decoded, first_line = [np.empty(0, dtype=np.uint8)], [], 1
     with open(path) as handle:  # text mode reads a CRLF line as one ending in LF
         block = list(itertools.islice(handle, 1))  # the metadata record

@@ -37,8 +37,9 @@ every round writes its intermediates into that workspace instead of fresh
 arrays, because freshly allocated arrays come back from the allocator as
 fresh zeroed pages, and faulting those in cost more than the arithmetic.
 
-``TETRA_DIRECTIONS``, ``DEFAULT_BURN_IN`` and ``make_rng`` come from
-:mod:`qmix.states`, which ``qmix.cli`` loads without this module.
+``TETRA_DIRECTIONS`` and ``make_rng`` come from :mod:`qmix.states`, and
+``DEFAULT_BURN_IN`` from the package root, where ``qmix.cli`` reads it
+without loading numpy or this module.
 ``concurrent.futures`` is imported inside ``ensemble_bloch_mean``, the one
 user of threads.
 """
@@ -54,7 +55,8 @@ from typing import Optional
 
 import numpy as np
 
-from .states import DEFAULT_BURN_IN, TETRA_DIRECTIONS, _unit_direction, make_rng
+from . import DEFAULT_BURN_IN
+from .states import TETRA_DIRECTIONS, _unit_direction, make_rng
 
 DEFAULT_START = (0.0, 0.0, 1.0)
 ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays

@@ -23,8 +23,8 @@ Entropies are batched closed forms of Bloch vectors (:func:`bloch_entropy`,
 :func:`bloch_relative_entropy`); the matrix forms validate, then convert.
 All logarithms are natural (entropies in nats).
 
-The jump process's tetrahedron, burn-in default and Philox constructor
-live here too, so the command line reads them without :mod:`qmix.pdp`.
+The jump process's tetrahedron and the Philox constructor live here too:
+the master equation, the exponent's probe set and the sampler share them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ TETRA_DIRECTIONS = np.array([
     [-1.0 / 3.0, math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
     [-1.0 / 3.0, -math.sqrt(2.0 / 3.0), -math.sqrt(2.0) / 3.0],
 ])
-DEFAULT_BURN_IN = 100  # attractor convergence is geometric; 100 jumps suffice
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -272,6 +272,39 @@ class TestConfigHandling:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("command, field", [
+        (command, name) for command, schema in cli._COMMANDS.items()
+        for name, field in schema.items() if field.output])
+    def test_empty_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 command, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+        args = {"evolve": ["--preset", "zeno"], "exponent": ["--preset", "zeno"],
+                "pdp": ["--alpha", 0.5, "--n-points", 200_000], "classical": [],
+                "fractal": ["--cloud", "cloud.csv"], "render": ["--cloud", "cloud.csv"],
+                "repro": ["--criteria", "[8]"]}[command]
+        if field != "out":
+            args += ["--out", "x.out"]
+        start = time.perf_counter()
+        assert run([command, *args, "--" + field.replace("_", "-"), ""]) == 2
+        assert time.perf_counter() - start < 1.0  # rejected before any real work
+        assert capsys.readouterr().err == f"config error: field '{field}' is an empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["--t-max", 0], "t_max must be finite and positive, got 0.0"),
+        (["--kappa-sweep", "[1,2]", "--t-max", 0], "t_max must be finite and positive, got 0.0"),
+        (["--kappa-sweep", "[]"], "field 'kappa_sweep' must hold at least one kappa"),
+    ], ids=["t-max-0", "sweep-t-max-0", "empty-sweep"])
+    def test_a_given_zero_horizon_or_empty_sweep_is_a_config_error(self, tmp_path, capsys,
+                                                                    args, message):
+        # neither may stand for its default: the report would embed the value
+        # given but be computed without it
+        out = tmp_path / "e.json"
+        assert run(["exponent", "--preset", "zeno", "--omega", 1, *args, "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, message", [
         (None, "cannot read config"),
         ("{not json", "cannot read config"),
@@ -639,6 +672,38 @@ class TestPdpAndFractal:
             "the MAX_HORIZON cap of 1e+150; give t_max (--t-max) explicitly\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["tetrahedron", "--t-max", 1e-250], "t_max = 1e-250 is below"),
+        (["zeno", "--omega", 1, "--t-max", 1e-250], "t_max = 1e-250 is below"),
+        (["zeno", "--omega", 1, "--t-max", 1e-300], "t_max = 1e-300 is below"),
+        (["zeno", "--omega", 1, "--t-max", 1e-310], "t_max = 1e-310 is below"),
+        (["zeno", "--omega", 1, "--t-max", 1e-160], "t_max = 1e-160 is below"),
+        (["tetrahedron", "--kappa", 1e300, "--alpha", 1], "the default horizon 120 / "
+         "(slowest decay rate 1.33333e+300) = 9e-299 is below"),
+    ], ids=["tetrahedron-1e-250", "zeno-1e-250", "zeno-1e-300", "zeno-subnormal",
+            "zeno-1e-160", "tetrahedron-default"])
+    def test_horizon_below_the_cap_is_a_config_error(self, tmp_path, capsys, args, message):
+        # the fit's squared centred times would underflow: a raw numpy warning
+        # and an exit 3 that blamed the distance floor
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run(["exponent", "--preset", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message} the MIN_HORIZON cap of 1e-150")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["tetrahedron"], ["tetrahedron", "--omega", 1], ["zeno", "--omega", 1],
+        ["zeno", "--kappa", 4, "--omega", 1], ["fluorescence"]],
+        ids=["tetrahedron", "tetrahedron-omega-1", "zeno", "zeno-kappa-4", "fluorescence"])
+    def test_horizon_at_the_lower_cap_runs(self, tmp_path, args):
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["exponent", "--preset", *args, "--t-max", 1e-150, "--out", out]) == 0
+        assert json.loads(out.read_text())["config"]["t_max"] == 1e-150
+
     def test_decoupled_detectors_report_no_mixing(self, tmp_path):
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "tetrahedron", "--alpha", 0, "--kappa", 1,
@@ -817,19 +882,36 @@ def _fresh_python(code):
 def test_startup_imports_no_scipy():
     # scipy is a test dependency only; importing it would add about 0.3 s and
     # 20 MB to every qmix process.  The package loads no module of its own,
-    # and qmix.cli only what every command needs: not the sampler, whose
-    # burn-in default and generator live in qmix.states.  logging and
-    # concurrent.futures come only with lindblad and with the ensemble
+    # and qmix.cli only what every command needs: not numpy, which a command
+    # loads when it starts its work, so parsing and config checks run
+    # without it.  logging and concurrent.futures come only with lindblad
+    # and with the ensemble
     loaded = _fresh_python(
         "import json, sys; before = set(sys.modules); import qmix; "
         "package = sorted(set(sys.modules) - before); import qmix.cli; "
         "print(json.dumps([package, sorted(set(sys.modules) - before)]))")
     package, cli_modules = loaded
     assert [m for m in package if m.startswith("qmix")] == ["qmix"]
-    assert [m for m in cli_modules if m.startswith("qmix")] == [
-        "qmix", "qmix.cli", "qmix.io", "qmix.states"]
+    assert [m for m in cli_modules if m.startswith("qmix")] == ["qmix", "qmix.cli", "qmix.io"]
+    assert "numpy" not in cli_modules
     assert not {"logging", "concurrent.futures"} & set(cli_modules)
     assert [m for m in cli_modules if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ["pdp", "--alpha"],
+    ["pdp", "--alpha", "nan", "--out", "{tmp}/c.csv"],
+    ["fractal", "--cloud", "{tmp}/c.csv", "--out", "{tmp}/missing/d.json"],
+    ["pdp", "--alpha", "0.5", "--n-points", "10", "--out", ""],
+], ids=["usage", "schema", "missing-directory", "empty-path"])
+def test_config_errors_exit_before_numpy_loads(tmp_path, args):
+    argv = [a.format(tmp=tmp_path) for a in args]
+    code, numpy_loaded = _fresh_python(
+        "import json, sys; from qmix import cli; "
+        f"code = cli.main({argv!r}); "
+        "print(json.dumps([code, 'numpy' in sys.modules]))")
+    assert (code, numpy_loaded) == (2, False)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fractal_command_loads_no_dynamics(tmp_path):

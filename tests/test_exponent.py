@@ -11,6 +11,7 @@ from qmix import cli, lindblad
 from qmix.exponent import (
     DEFAULT_PROBE_SEED,
     MAX_HORIZON,
+    MIN_HORIZON,
     MixingReport,
     classify_mixing,
     default_fit_horizon,
@@ -181,6 +182,21 @@ class TestNumericEstimates:
             lambda_q_numeric(slower, np.zeros(3), probes, 9e301)
         with pytest.raises(ValueError, match="MAX_HORIZON"):
             classify_mixing(slower, probes, 2.0 * MAX_HORIZON)
+
+    def test_horizon_is_capped_where_the_squared_times_stay_normal(self):
+        # below t_max = 6.3e-162 the fit's largest squared centred time rounds
+        # to 0 and its slope divides by it; the default horizon names its rate
+        probes = default_probe_set(np.zeros(3))
+        model = build_model(Tetrahedron(kappa=1.0, alpha=1.0))
+        with pytest.raises(ValueError, match=r"t_max = 1e-160 is below the MIN_HORIZON cap "
+                                             r"of 1e-150"):
+            lambda_q_numeric(model, np.zeros(3), probes, 1e-160)
+        with pytest.raises(ValueError, match="MIN_HORIZON"):
+            classify_mixing(model, probes, 0.5 * MIN_HORIZON)
+        fast = build_model(Tetrahedron(kappa=1e300, alpha=1.0))
+        with pytest.raises(ValueError, match=r"default horizon 120 / \(slowest decay rate "
+                                             r"1\.33333e\+300\) = 9e-299 is below the MIN_HORIZON"):
+            default_fit_horizon(fast)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tolerance_must_be_positive(self, tol):
