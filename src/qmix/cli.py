@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 from typing import Any, Optional
 
@@ -116,9 +117,18 @@ def resolve_config(schema: dict[str, Field], config_path: Optional[str],
         path = resolved[key] if field.output else None
         if path == "":
             raise ConfigError(f"field '{key}' is an empty path")
-        if path and os.path.isdir(path):
+        if not path:
+            continue
+        try:  # follows symlinks: what a write would replace or fill
+            mode = os.stat(path).st_mode
+        except OSError:  # a new file; its directory is checked below
+            mode = stat.S_IFREG
+        if stat.S_ISDIR(mode):
             raise ConfigError(f"field '{key}': {path} is a directory, not a file")
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if not stat.S_ISREG(mode):
+            # the output is renamed over its path, and would replace a device or a pipe
+            raise ConfigError(f"field '{key}': {path} exists and is not a regular file")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"field '{key}': the directory of {path} does not exist")
     return resolved
 

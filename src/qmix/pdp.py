@@ -23,19 +23,42 @@ parameters and seed; the draw order is pinned in ``sample_path``.
 One private kernel, ``_jump_kernel``, holds the weights 1 + a^2 + 2 a r.n_i,
 the pick rule (for a uniform u, the first detector whose running weight sum
 exceeds u 4 (1 + a^2), else detector 4) and the renormalized post-jump map.
-The sequential sampler repeats its arithmetic for one state, bit for bit.
+The scalar loop ``_scalar_steps`` repeats its arithmetic for one state on
+Python floats, bit for bit.
 
 ``sample_path`` is the one path sampler: it runs a burn-in and the kept
 jumps as one path, and stores the kept events by column
 (``SamplePath.times``, ``detectors``, ``states``), not one object per
 jump.  The chaos game is that sampler at omega = 0 and kappa = 1, its
-points the kept post-jump states.  Ensembles run in chunks of
-``ENSEMBLE_CHUNK`` paths, one Philox stream per chunk; each round steps only
-the chunk's live paths, kept compacted in path order.  Of T worker threads,
-worker w runs chunks w, w + T, w + 2T, ... in one workspace of its own:
-every round writes its intermediates into that workspace instead of fresh
-arrays, because freshly allocated arrays come back from the allocator as
-fresh zeroed pages, and faulting those in cost more than the arithmetic.
+points the kept post-jump states.
+
+A path's bytes are the scalar loop's.  ``_lockstep`` gets them about 2-6x
+faster (5e4 to 1e6 jumps at alpha >= 0.6 on a 2-vCPU host) by forward
+coupling (Propp & Wilson 1996) of the chaos game (Barnsley & Demko 1985):
+the detector maps contract, so two copies of the chain fed the same draws
+from different states end in the same double, bit for bit.  It cuts the
+path into segments of L steps, starts each segment after the first
+W = ``_WARM_UP`` steps early from a guessed state, r0, and steps all
+segments together through the kernel, one round per step.  A segment's
+guessed state after its warm-up must equal, bit for bit, the state the
+verified segment before it wrote at that step; from there the segment
+runs the scalar loop's arithmetic (libm's cos and sin included) on the
+scalar loop's state and draws, so its steps are the scalar loop's.  A
+segment that fails the check is rerun by the scalar loop.  The scalar
+loop runs the whole path when it is shorter than ``_LOCKSTEP_MIN``, or
+when a probe finds the chain too weakly contracting: r0 and -r0, stepped
+W steps on the same draws at ``_PROBE_PLACES`` evenly spaced places, meet
+at fewer than ``_PROBE_QUORUM`` of them.  At alpha = 0.5 they meet at
+about a quarter of the places, and reruns would cost more than the scalar
+loop.
+
+Ensembles run in chunks of ``ENSEMBLE_CHUNK`` paths, one Philox stream per
+chunk; each round steps only the chunk's live paths, kept compacted in
+path order.  Of T worker threads, worker w runs chunks w, w + T, w + 2T,
+... in one workspace of its own: every round writes its intermediates into
+that workspace instead of fresh arrays, because freshly allocated arrays
+come back from the allocator as fresh zeroed pages, and faulting those in
+cost more than the arithmetic.
 
 ``TETRA_DIRECTIONS`` and ``make_rng`` come from :mod:`qmix.states`, and
 ``DEFAULT_BURN_IN`` from the package root, where ``qmix.cli`` reads it
@@ -63,10 +86,22 @@ ENSEMBLE_CHUNK = 20_000  # paths per vectorized chunk; bounds its working arrays
 # rate * t_end cap: an ensemble runs one vectorized round per jump of its
 # slowest path (about 0.1 ms each at 10 paths on a 2-vCPU Xeon)
 MAX_EXPECTED_JUMPS = 10 ** 5
+# above every standard exponential draw: numpy's largest, from its ziggurat
+# tail, is 7.70 - log(2^-53) = 44.4
+_LARGEST_EXPONENTIAL = 64.0
 # jumps per sampled path: its columns take 40 bytes a jump, and its draws
-# 16 more as arrays (the scalar loop's Python lists of them hold one block)
+# 16 more as arrays (the scalar loop's Python lists of them hold one block;
+# the lockstep's arrays hold about sqrt(10 n) rows, about 4 MB at the cap)
 MAX_JUMPS = 10 ** 7
 _DRAW_BLOCK = 65536  # draws per block of the scalar loop
+# the lockstep sampler (see _lockstep): the warm-up steps of a segment from
+# its guess, the probe's places and the quorum of them that must meet, and
+# the shortest path it runs (more than _WARM_UP steps); below it a probe
+# that declines, 2-3 ms on a 2-vCPU host, would add over a tenth to the
+# scalar loop's time
+_WARM_UP = 64
+_PROBE_PLACES, _PROBE_QUORUM = 16, 12
+_LOCKSTEP_MIN = 30_000
 
 
 def total_rate(kappa: float, alpha: float) -> float:
@@ -267,44 +302,24 @@ def _unit(v) -> tuple[float, float, float]:
 _DIRECTIONS = tuple(tuple(row) for row in TETRA_DIRECTIONS.tolist())
 
 
-def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
-                n_jumps: int = 1000, seed: int = 0, burn_in: int = 0) -> SamplePath:
-    """Simulate ``burn_in + n_jumps`` jumps of the process from t = 0 and
-    keep the last ``n_jumps`` events; their times stay absolute.
-
-    Draw order is fixed: first a block of ``burn_in + n_jumps`` exponential
-    waiting times, then a block of as many uniforms for the detector
-    choices (inverse CDF in detector order 1..4).  The scalar jump loop
-    writes detectors and states into preallocated typed buffers whose tails
-    become the path's columns without a copy.
+def _scalar_steps(state, lo: int, hi: int, alpha: float, omega: float, waits: np.ndarray,
+                  uniforms: np.ndarray, picks: array.array, states: array.array) -> None:
+    """Run steps [lo, hi) of a path from ``state``, the state step lo starts
+    from, writing each step's detector (1..4) into ``picks`` and its
+    post-jump state into ``states``.
     """
-    _check_args(alpha, kappa, burn_in=burn_in, n_jumps=n_jumps)
-    rate = total_rate(kappa, alpha)
-    n = burn_in + n_jumps
-    rng = make_rng(seed)
-    with np.errstate(over="ignore"):  # a non-finite time or angle is refused below
-        waits = rng.standard_exponential(n) / rate
-        times = np.cumsum(waits)  # in sequence: the times of a running t += dt
-    uniforms = rng.random(n)
-    if not math.isfinite(times[-1]):
-        raise ValueError(f"kappa = {kappa!r} is too small: the arrival times overflow")
-    if not math.isfinite(omega * float(waits.max())):  # the largest wait, the largest angle
-        raise ValueError(f"omega = {omega!r}: a precession angle omega * wait is not finite")
-
     a = alpha
     one_a2 = 1.0 + a * a
     one_minus_a2 = 1.0 - a * a
     two_a = 2.0 * a
     (n1x, n1y, n1z), (n2x, n2y, n2z), (n3x, n3y, n3z), (n4x, n4y, n4z) = _DIRECTIONS
     cos, sin, sqrt = math.cos, math.sin, math.sqrt  # no module lookup per step
-    x, y, z = _unit(r0)
-    picks = array.array("q", [0]) * n
-    states = array.array("d", [0.0]) * (3 * n)
+    x, y, z = state
     # the draws become Python floats (the pick thresholds u 4 (1 + a^2), as
     # the kernel forms them, and the precession angles) one block at a time,
     # so their lists never outgrow a block
-    for start in range(0, n, _DRAW_BLOCK):
-        stop = min(start + _DRAW_BLOCK, n)
+    for start in range(lo, hi, _DRAW_BLOCK):
+        stop = min(start + _DRAW_BLOCK, hi)
         thresholds = (uniforms[start:stop] * 4.0 * one_a2).tolist()
         angles = (omega * waits[start:stop]).tolist() if omega != 0.0 else repeat(None)
         # _jump_kernel for one state, operation for operation (equal bit for
@@ -343,7 +358,151 @@ def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
             states[k] = x
             states[k + 1] = y
             states[k + 2] = z
-    return SamplePath(_unit(r0), times[burn_in:],
+
+
+def _precess(r: np.ndarray, c: np.ndarray, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """Rotate the rows of ``r`` about z in place, row i by the angle whose
+    cosine and sine are ``c[i]`` and ``s[i]``: x, y = c x - s y, s x + c y,
+    the scalar loop's arithmetic; ``p`` and ``q`` are scratch rows."""
+    x, y = r[:, 0], r[:, 1]
+    np.multiply(c, x, out=p)
+    np.multiply(s, y, out=q)
+    np.subtract(p, q, out=p)
+    np.multiply(s, x, out=q)
+    np.multiply(c, y, out=y)
+    np.add(q, y, out=y)
+    np.copyto(x, p)
+
+
+def _lockstep_round(r: np.ndarray, alpha: float, omega: float, waits: np.ndarray,
+                    uniforms: np.ndarray, exact: int, ws: _Workspace):
+    """One step of each row of ``r`` on its own draws ``waits`` and
+    ``uniforms``: precess ``r`` in place by omega times the waits, then
+    jump through the kernel; returns the kernel's 0-based picks and
+    post-jump states.  The first ``exact`` rows take the scalar loop's
+    math.cos and math.sin; the rest are guesses and take numpy's, which
+    are faster but need not match libm bit for bit (where they differ,
+    guesses meet the path less often: more reruns, the same bytes).
+    """
+    m = len(r)
+    if omega != 0.0:
+        angles, c, s, p, q = ws.scratch[:5, :m]
+        np.multiply(waits, omega, out=angles)
+        if exact < m:
+            np.cos(angles[exact:], out=c[exact:])
+            np.sin(angles[exact:], out=s[exact:])
+        if exact:
+            listed = angles[:exact].tolist()
+            c[:exact] = np.fromiter(map(math.cos, listed), float, exact)
+            s[:exact] = np.fromiter(map(math.sin, listed), float, exact)
+        _precess(r, c, s, p, q)
+    _, pick, out = _jump_kernel(r, alpha, u=uniforms, ws=ws)
+    return pick, out
+
+
+def _coalesces(r0, alpha: float, omega: float, waits: np.ndarray, uniforms: np.ndarray) -> bool:
+    """Whether two guesses, r0 and -r0, fed the same draws meet bit for bit
+    within ``_WARM_UP`` steps at ``_PROBE_QUORUM`` or more of
+    ``_PROBE_PLACES`` evenly spaced places of the path.  Copies that have
+    met stay met, so the probe stops at the quorum."""
+    places = _PROBE_PLACES
+    starts = np.tile(np.linspace(0, len(waits) - _WARM_UP, places).astype(np.intp), 2)
+    r = np.empty((2 * places, 3))
+    r[:places], r[places:] = r0, np.negative(r0)
+    bits = r.view(np.uint64)
+    ws = _Workspace(2 * places)
+    for step in range(_WARM_UP):
+        at = starts + step
+        np.copyto(r, _lockstep_round(r, alpha, omega, waits[at], uniforms[at], 0, ws)[1])
+        met = np.logical_and.reduce(bits[:places] == bits[places:], axis=1)
+        if np.count_nonzero(met) >= _PROBE_QUORUM:
+            return True
+    return False
+
+
+def _lockstep(r0, alpha: float, omega: float, waits: np.ndarray, uniforms: np.ndarray,
+              picks: array.array, states: array.array) -> None:
+    """The scalar loop's path from r0, by segments stepped in lockstep.
+
+    With W = ``_WARM_UP`` and L = max(W, floor(sqrt(n / 10))), segment 0
+    runs steps [0, L + W) from r0, and segment s >= 1 runs steps
+    [s L, (s + 1) L + W) from the guess r0 and owns the last L of them; its
+    first W steps are a warm-up over the end of segment s - 1.  Round j
+    steps every segment with a step s L + j through the kernel and writes
+    that step unguarded.  Segment s - 1 writes the steps of segment s's
+    warm-up L rounds later, so every step's last writer is its owner.
+
+    Segment s is exact when segment s - 1 is and its guessed state after
+    the warm-up equals, bit for bit, the state written at step s L + W - 1:
+    from there it steps on the scalar loop's state and draws with its
+    arithmetic.  The segments are checked in order, and one that fails is
+    rerun by the scalar loop from that written state.
+    """
+    n, warm_up = len(waits), _WARM_UP
+    length = max(warm_up, math.isqrt(n // 10))
+    count = -((warm_up - n) // length)  # ceil((n - W) / L) segments
+    picks_np = np.frombuffer(picks, dtype=np.int64)
+    states_np = np.frombuffer(states).reshape(n, 3)
+    ws = _Workspace(count)
+    r = np.empty((count, 3))
+    r[...] = r0
+    for step in range(warm_up + length):
+        m = min(count, (n - 1 - step) // length + 1)  # the segments with s L + step < n
+        live = r[:m]
+        exact = 1 if step < warm_up else m  # in the warm-up, segment 0 alone owns its step
+        pick, out = _lockstep_round(live, alpha, omega, waits[step::length][:m],
+                                    uniforms[step::length][:m], exact, ws)
+        np.add(pick, 1, out=picks_np[step::length][:m])
+        states_np[step::length][:m] = out
+        np.copyto(live, out)
+        if step == warm_up - 1:
+            guessed = r.view(np.uint64).copy()
+    written = states_np[warm_up - 1::length][:count].view(np.uint64)  # a view: sees reruns
+    failed = np.logical_or.reduce(guessed != written, axis=1).tolist()
+    rerun = False
+    for seg in range(1, count):
+        if failed[seg] or rerun:  # a rerun of segment seg - 1 rewrote written[seg]
+            rerun = bool(np.logical_or.reduce(guessed[seg] != written[seg]))
+            if rerun:
+                lo = seg * length + warm_up
+                _scalar_steps(states_np[lo - 1].tolist(), lo, min(lo + length, n), alpha,
+                              omega, waits, uniforms, picks, states)
+
+
+def sample_path(omega: float, kappa: float, alpha: float, r0=DEFAULT_START,
+                n_jumps: int = 1000, seed: int = 0, burn_in: int = 0) -> SamplePath:
+    """Simulate ``burn_in + n_jumps`` jumps of the process from t = 0 and
+    keep the last ``n_jumps`` events; their times stay absolute.
+
+    Draw order is fixed: first a block of ``burn_in + n_jumps`` exponential
+    waiting times, then a block of as many uniforms for the detector
+    choices (inverse CDF in detector order 1..4).  The steps write
+    detectors and states into preallocated typed buffers whose tails
+    become the path's columns without a copy.  A path of at least
+    ``_LOCKSTEP_MIN`` steps whose probe coalesces runs by ``_lockstep``;
+    any other runs the scalar loop, which defines the bytes of both.
+    """
+    _check_args(alpha, kappa, burn_in=burn_in, n_jumps=n_jumps)
+    rate = total_rate(kappa, alpha)
+    n = burn_in + n_jumps
+    rng = make_rng(seed)
+    with np.errstate(over="ignore"):  # a non-finite time or angle is refused below
+        waits = rng.standard_exponential(n) / rate
+        times = np.cumsum(waits)  # in sequence: the times of a running t += dt
+    uniforms = rng.random(n)
+    if not math.isfinite(times[-1]):
+        raise ValueError(f"kappa = {kappa!r} is too small: the arrival times overflow")
+    if not math.isfinite(omega * float(waits.max())):  # the largest wait, the largest angle
+        raise ValueError(f"omega = {omega!r}: a precession angle omega * wait is not finite")
+
+    r0 = _unit(r0)
+    picks = array.array("q", [0]) * n
+    states = array.array("d", [0.0]) * (3 * n)
+    if n >= _LOCKSTEP_MIN and _coalesces(r0, alpha, omega, waits, uniforms):
+        _lockstep(r0, alpha, omega, waits, uniforms, picks, states)
+    else:
+        _scalar_steps(r0, 0, n, alpha, omega, waits, uniforms, picks, states)
+    return SamplePath(r0, times[burn_in:],
                       np.frombuffer(picks, dtype=np.int64)[burn_in:],
                       np.frombuffer(states).reshape(n, 3)[burn_in:])
 
@@ -389,14 +548,7 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
             np.multiply(dt, omega, out=dt)
             np.cos(dt, out=c)
             np.sin(dt, out=s)
-            x, y = r[:, 0], r[:, 1]
-            np.multiply(c, x, out=p)
-            np.multiply(s, y, out=q)
-            np.subtract(p, q, out=p)
-            np.multiply(s, x, out=q)
-            np.multiply(c, y, out=y)
-            np.add(q, y, out=y)
-            np.copyto(x, p)
+            _precess(r, c, s, p, q)
         spare = ws.ids[1 - side]
         final[ids.take(done, out=spare[:len(done)], mode="clip")] = \
             r.take(done, axis=0, out=ws.src[:len(done)], mode="clip")
@@ -434,6 +586,10 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
         raise ValueError(f"rate_convention must be 'eeqt', got {rate_convention!r}")
     _check_args(alpha, kappa, t_end, n_paths=n_paths)
     rate = total_rate(kappa, alpha)
+    if not math.isfinite(t_end + _LARGEST_EXPONENTIAL / rate):  # the largest t + wait
+        raise ValueError(f"kappa = {kappa!r} is too small: the arrival times overflow")
+    if not math.isfinite(omega * t_end):  # every angle is omega times a dt <= t_end
+        raise ValueError(f"omega = {omega!r}: a precession angle omega * wait is not finite")
     r0u = _unit(r0)
     jobs = [(omega, alpha, r0u, min(ENSEMBLE_CHUNK, n_paths - start), t_end, seed, stream, rate)
             for stream, start in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]

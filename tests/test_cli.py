@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -271,6 +272,34 @@ class TestConfigHandling:
         assert err.startswith("config error") and f"'{field}'" in err and str(target) in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("link", [False, True], ids=["fifo", "symlink-to-fifo"])
+    @pytest.mark.parametrize("args, field", [
+        (["pdp", "--alpha", 0.5, "--n-points", 200_000, "--out", "{target}"], "out"),
+        (["pdp", "--alpha", 0.5, "--n-points", 200_000, "--out", "c.csv", "--log", "{target}"],
+         "log"),
+        (["classical", "--out", "c.json", "--density-out", "{target}"], "density_out"),
+    ], ids=["pdp-out", "pdp-log", "classical-density-out"])
+    def test_output_that_is_not_a_regular_file_is_a_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch, args, field,
+                                                                 link):
+        """A write renames a temp file over its path, which would replace a
+        device or a pipe; a FIFO stands in for a device here."""
+        monkeypatch.chdir(tmp_path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        target = fifo
+        if link:
+            target = tmp_path / "link"
+            target.symlink_to(fifo)
+        start = time.perf_counter()
+        assert run([str(a).format(target=target) for a in args]) == 2
+        assert time.perf_counter() - start < 1.0  # rejected before any real work
+        err = capsys.readouterr().err
+        assert err == (f"config error: field '{field}': {target} exists and is not a "
+                       "regular file\n")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"fifo", target.name})
 
     @pytest.mark.parametrize("command, field", [
         (command, name) for command, schema in cli._COMMANDS.items()
@@ -977,6 +1006,18 @@ def test_config_errors_exit_before_numpy_loads(tmp_path, args):
         "print(json.dumps([code, 'numpy' in sys.modules]))")
     assert (code, numpy_loaded) == (2, False)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_regular_output_exits_before_numpy_loads(tmp_path):
+    os.mkfifo(tmp_path / "fifo")
+    argv = ["pdp", "--alpha", "0.5", "--n-points", "10", "--out", str(tmp_path / "c.csv"),
+            "--log", str(tmp_path / "fifo")]
+    code, numpy_loaded = _fresh_python(
+        "import json, sys; from qmix import cli; "
+        f"code = cli.main({argv!r}); "
+        "print(json.dumps([code, 'numpy' in sys.modules]))")
+    assert (code, numpy_loaded) == (2, False)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def test_fractal_command_loads_no_dynamics(tmp_path):

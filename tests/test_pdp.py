@@ -4,6 +4,8 @@ import hashlib
 import math
 import os
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,6 +223,93 @@ class TestSamplePath:
         assert time.perf_counter() - start < 1.0
 
 
+def columns(path) -> bytes:
+    return path.times.tobytes() + path.detectors.tobytes() + path.states.tobytes()
+
+
+def scalar_path(*args, **kwargs):
+    """``sample_path`` run entirely by the scalar loop."""
+    with mock.patch.object(pdp, "_LOCKSTEP_MIN", MAX_JUMPS + 1):
+        return sample_path(*args, **kwargs)
+
+
+class TestLockstep:
+    """The lockstep route gives the scalar loop's bytes, whichever way each
+    segment and the probe go."""
+
+    @pytest.mark.parametrize("alpha, omega, seed", [(0.75, 0.0, 1), (0.6, 0.7, 2),
+                                                    (1.0, -2.5, 3)])
+    def test_long_paths_take_the_lockstep_route_and_the_scalar_bytes(self, alpha, omega,
+                                                                     seed):
+        kwargs = dict(omega=omega, kappa=1.3, alpha=alpha, r0=(0.6, 0.0, 0.8),
+                      n_jumps=pdp._LOCKSTEP_MIN, seed=seed, burn_in=100)
+        with mock.patch.object(pdp, "_lockstep", wraps=pdp._lockstep) as lockstep:
+            path = sample_path(**kwargs)
+        assert lockstep.call_count == 1
+        assert columns(path) == columns(scalar_path(**kwargs))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+    @pytest.mark.parametrize("omega", [0.0, 0.7])
+    def test_failed_segments_are_rerun_by_the_scalar_loop(self, alpha, omega):
+        """A 3-step warm-up leaves guesses short of the path; a quorum of 0
+        sends every path through the lockstep, and blocks of 5 draws cut
+        every rerun."""
+        kwargs = dict(omega=omega, kappa=0.8, alpha=alpha, r0=(0.0, 0.0, 1.0), n_jumps=2000,
+                      seed=4, burn_in=7)
+        expected = columns(scalar_path(**kwargs))
+        with mock.patch.multiple(pdp, _WARM_UP=3, _LOCKSTEP_MIN=4, _PROBE_QUORUM=0,
+                                 _DRAW_BLOCK=5), \
+                mock.patch.object(pdp, "_scalar_steps", wraps=pdp._scalar_steps) as steps:
+            path = sample_path(**kwargs)
+        reruns = [call.args[1] for call in steps.call_args_list]  # their first steps
+        assert reruns and 0 not in reruns
+        assert columns(path) == expected
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0])
+    def test_a_numpy_trig_that_differs_from_libm_moves_no_byte(self, alpha):
+        """Owned steps take math.cos and math.sin, as the scalar loop does,
+        and guesses numpy's.  With math's nudged by an ulp, as on a host
+        whose numpy and libm disagree, guesses miss more often and the bytes
+        stay the scalar loop's."""
+        cos, sin = math.cos, math.sin
+        kwargs = dict(omega=0.7, kappa=1.0, alpha=alpha, r0=(0.6, 0.0, 0.8),
+                      n_jumps=pdp._LOCKSTEP_MIN, seed=6)
+        with mock.patch("math.cos", lambda a: cos(a) * (1.0 + 2.0 ** -52)), \
+                mock.patch("math.sin", lambda a: sin(a) * (1.0 - 2.0 ** -52)), \
+                mock.patch.object(pdp, "_lockstep", wraps=pdp._lockstep) as lockstep:
+            path = sample_path(**kwargs)
+            expected = columns(scalar_path(**kwargs))
+        assert lockstep.call_count == 1
+        assert columns(path) == expected
+
+    def test_a_declining_probe_leaves_the_path_to_the_scalar_loop(self):
+        """At alpha = 0.3 r0 and -r0 stay apart for 64 steps; an unreachable
+        quorum declines at alpha = 0.9 too."""
+        for alpha, quorum in [(0.3, pdp._PROBE_QUORUM), (0.9, pdp._PROBE_PLACES + 1)]:
+            kwargs = dict(omega=0.7, kappa=1.0, alpha=alpha, r0=(0.0, 0.6, 0.8),
+                          n_jumps=pdp._LOCKSTEP_MIN, seed=5)
+            with mock.patch.object(pdp, "_PROBE_QUORUM", quorum), \
+                    mock.patch.object(pdp, "_coalesces", wraps=pdp._coalesces) as probe, \
+                    mock.patch.object(pdp, "_lockstep") as lockstep:
+                path = sample_path(**kwargs)
+            assert probe.call_count == 1 and lockstep.call_count == 0
+            assert columns(path) == columns(scalar_path(**kwargs))
+
+    def test_full_sharpness_from_detector_4s_antipode_through_the_lockstep(self):
+        """From -n_4 at alpha = 1, the lockstep's first step never picks
+        detector 4 either, and every segment guess starts there too."""
+        r0 = -TETRA_DIRECTIONS[3]
+        for seed in range(20):
+            kwargs = dict(omega=0.0, kappa=1.0, alpha=1.0, r0=r0, n_jumps=200, seed=seed)
+            with mock.patch.object(pdp, "_LOCKSTEP_MIN", pdp._WARM_UP + 1), \
+                    mock.patch.object(pdp, "_lockstep", wraps=pdp._lockstep) as lockstep, \
+                    np.errstate(all="raise"):
+                path = sample_path(**kwargs)
+            assert lockstep.call_count == 1
+            assert path.detectors[0] != 4 and np.isfinite(path.states).all()
+            assert columns(path) == columns(scalar_path(**kwargs))
+
+
 class TestChaosGame:
     def test_degenerate_at_zero_sharpness(self):
         pts = chaos_game(0.0, 100, seed=5, r0=[0.0, 0.6, 0.8])
@@ -364,6 +453,23 @@ class TestEnsembleConsistency:
             with pytest.raises(ValueError, match="Philox key"):
                 sample_path(0.0, 1.0, 0.5, n_jumps=10, seed=seed)
         assert len(sample_path(0.0, 1.0, 0.5, n_jumps=10, seed=2 ** 64 - 1).times) == 10
+
+    def test_overflowing_waits_and_angles_are_refused_before_the_pool_starts(self):
+        """A rate below 64 / DBL_MAX overflows the waits, and omega t_end
+        bounds every angle; either is refused in the caller's thread with
+        sample_path's words.  Rates just above run without a warning."""
+        with mock.patch("concurrent.futures.ThreadPoolExecutor") as pool:
+            with pytest.raises(ValueError, match=r"^kappa = 1e-310 is too small: the "
+                                                 r"arrival times overflow$"):
+                ensemble_bloch_mean(1.0, 1e-310, 0.5, (0, 0, 1), 10, 1.0)
+            with pytest.raises(ValueError, match=r"^omega = 1e\+308: a precession angle"):
+                ensemble_bloch_mean(1e308, 1.0, 0.5, (0, 0, 1), 10, 2.0)
+        assert pool.call_count == 0
+        with warnings.catch_warnings():  # the filter, unlike np.errstate, spans threads
+            warnings.simplefilter("error")
+            mean = ensemble_bloch_mean(1.0, 1e-305, 0.5, (0, 0, 1), 1000, 1.0)
+            assert mean.tolist() == [0.0, 0.0, 1.0]  # no path jumps, none precesses away
+            assert np.isfinite(ensemble_bloch_mean(1e307, 1.0, 0.5, (0, 0, 1), 1000, 1.0)).all()
 
     @pytest.mark.parametrize("r0", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [0, 0, 0]],
                              ids=["nan", "inf", "zero"])

@@ -1,10 +1,12 @@
 """Property tests for the detector maps and the jump sampler."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qmix import pdp
 from qmix.lindblad import TETRA_DIRECTIONS
 from qmix.pdp import (_jump_kernel, _Workspace, jump_map, jump_probs, make_rng, sample_path,
                       total_rate)
@@ -97,6 +99,34 @@ def test_each_precessing_step_is_the_rotated_kernel_draw(r0, alpha, omega, kappa
         assert pick[0] + 1 == detector
         np.testing.assert_array_equal(out[0], state)
         x, y, z = state.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(r0=unit_vectors(), alpha=st.one_of(st.just(1.0), _alphas),
+       omega=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)), kappa=st.floats(0.05, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1), burn_in=st.integers(0, 300),
+       n_jumps=st.integers(1, 2000), warm_up=st.sampled_from([1, 3, 16, 64]),
+       forced=st.booleans())
+# at alpha = 1 a failed segment and the next one's guess can land on the same
+# vertex: the next segment passes its check until the rerun rewrites its start
+@example(r0=np.array([0.0, 0.0, 1.0]), alpha=1.0, omega=0.0, kappa=1.0, seed=21, burn_in=0,
+         n_jumps=300, warm_up=1, forced=True)
+@example(r0=np.array([0.0, 0.0, 1.0]), alpha=1.0, omega=0.7, kappa=1.0, seed=27, burn_in=0,
+         n_jumps=300, warm_up=3, forced=True)
+def test_sample_path_is_the_scalar_loop_bit_for_bit(r0, alpha, omega, kappa, seed, burn_in,
+                                                    n_jumps, warm_up, forced):
+    """Every path longer than the warm-up may take the lockstep route (all
+    of them when the quorum is 0, so that short warm-ups force reruns), and
+    each gives the bytes of the scalar loop alone."""
+    kwargs = dict(omega=omega, kappa=kappa, alpha=alpha, r0=r0, n_jumps=n_jumps, seed=seed,
+                  burn_in=burn_in)
+    with mock.patch.multiple(pdp, _WARM_UP=warm_up, _LOCKSTEP_MIN=warm_up + 1,
+                             _PROBE_QUORUM=0 if forced else pdp._PROBE_QUORUM):
+        path = sample_path(**kwargs)
+    with mock.patch.object(pdp, "_LOCKSTEP_MIN", pdp.MAX_JUMPS + 1):
+        scalar = sample_path(**kwargs)
+    for column in ("times", "detectors", "states"):
+        assert getattr(path, column).tobytes() == getattr(scalar, column).tobytes()
 
 
 def first_running_sum_above(weights, threshold):
