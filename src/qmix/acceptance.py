@@ -24,6 +24,7 @@ from . import boxdim, circle, pdp
 from .cli import main as cli_main
 from .exponent import (
     classify_mixing,
+    default_horizon,
     default_probe_set,
     lambda_q_analytic,
     lambda_q_numeric,
@@ -93,7 +94,7 @@ def criterion_1():
         model = build_model(preset)
         expected = lambda_q_analytic(preset)
         ref = stationary_state(model)
-        est = lambda_q_numeric(model, ref, default_probe_set(ref), 20.0 / expected)
+        est = lambda_q_numeric(model, ref, default_probe_set(ref), default_horizon(model))
         dt = time.perf_counter() - t0
         rel = abs(est.exponent - expected) / expected
         ok &= rel <= 0.01 and dt < 10.0
@@ -126,7 +127,7 @@ def criterion_3():
         model = build_model(preset)
         expected = lambda_q_analytic(preset)
         ref = stationary_state(model)
-        est = lambda_q_numeric(model, ref, default_probe_set(ref), 120.0 / expected)
+        est = lambda_q_numeric(model, ref, default_probe_set(ref), default_horizon(model))
         rel = abs(est.exponent - expected) / expected
         ok &= rel <= 0.02
         details.append(f"a={alpha}: {est.exponent:.5f}/{expected:.5f} ({100 * rel:.2f}%)")
@@ -146,7 +147,7 @@ def criterion_4():
         expected = lambda_q_analytic(preset)
         x = stationary_state(model)
         residual = trace_norm(generator_apply(model, from_bloch(x)))
-        est = lambda_q_numeric(model, x, default_probe_set(x), 40.0 / gamma)
+        est = lambda_q_numeric(model, x, default_probe_set(x), default_horizon(model))
         rel = abs(est.exponent - expected) / expected
         ok &= rel <= 0.01 and residual <= 1e-12
         d2 = 2.0 * rabi ** 2 + gamma ** 2

@@ -54,6 +54,7 @@ from .lindblad import (
     _grid_propagator,
     _positivity_guard,
     _propagate,
+    _scaled_inverse,
     evolve,  # noqa: F401  qmix.exponent.evolve stays importable (bench/test_bench.py)
 )
 from .states import (
@@ -132,8 +133,25 @@ def lambda_q_analytic(preset: Preset) -> float:
     raise TypeError(f"unknown preset {preset!r}")
 
 
+def _slowest_rate(model: LindbladModel) -> float:
+    """min -Re(lambda) over the eigenvalues lambda = 2^e / mu of the Bloch block
+    M (0 if M is singular), mu those of ``lindblad._scaled_inverse``, which keep
+    a stiff M's slow modes.  A complex pair's real part, which the eigensolver
+    rounds at 1e-16 of its modulus, is (tr M - the real eigenvalue) / 2; a
+    defective double (critical damping) is split by about sqrt(eps)."""
+    scaled, e, inverse = _scaled_inverse(model)
+    if inverse is None:
+        return 0.0
+    lam = (1.0 / np.linalg.eigvals(inverse)).tolist()  # the eigenvalues of 2^-e M
+    real = [z.real for z in lam if not z.imag]
+    if len(real) == 1:  # and a complex pair
+        real.append(0.5 * (float(np.trace(scaled)) - real[0]))
+    return math.ldexp(-max(real), e)
+
+
 def default_horizon(model: LindbladModel) -> float:
-    """Horizon 120 / (slowest known rate), else over the largest jump rate.
+    """Horizon 120 / :func:`_slowest_rate`, else over the largest jump rate,
+    to 12 significant digits.
 
     An exponent report's fit and mixing verdict share it.  A degenerate slow
     eigenvalue drags a polynomial-in-t prefactor into the distance, whose log
@@ -142,14 +160,10 @@ def default_horizon(model: LindbladModel) -> float:
     too) or below ``MIN_HORIZON`` raises ValueError naming the rate.
     """
     scale = 120.0
-    kind = "slowest decay rate"
-    try:
-        rate = lambda_q_analytic(model.preset)
-    except (ValueError, TypeError):  # no closed form, or no preset
-        rate = 0.0
+    rate, kind = _slowest_rate(model), "slowest decay rate"
     if not rate > 0:
         rate, kind = max(model.rates(), default=0.0), "largest jump rate"
-    horizon = scale / rate if rate > 0 else scale
+    horizon = float(f"{scale / rate if rate > 0 else scale:.12g}")
     fault = _horizon_fault(horizon)
     if fault:
         raise ValueError(f"the default horizon {scale:g} / ({kind} {rate:.6g}) = "

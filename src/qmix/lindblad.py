@@ -28,7 +28,9 @@ rows as one product of P^1 .. P^B with a state, and the exponent's
 distance tables read the 3x3 block of P^k, which moves a difference of
 two states, (d, 0).  The exact paths of every preset
 (:func:`analytic_bloch_paths`) and the mixing classification at a horizon
-apply exp(t A) at arbitrary times (:func:`_propagate`).
+apply exp(t A) at arbitrary times (:func:`_propagate`).  The slowest
+decay rate behind the default horizon and the stationary state read one
+scaled inverse of M (:func:`_scaled_inverse`).
 :func:`generator_apply`, the master equation on 2x2 density matrices,
 defines A and serves as the reference the Bloch forms are checked against.
 
@@ -107,12 +109,12 @@ class LindbladModel:
     """Immutable Hamiltonian + jump-term bundle.
 
     ``jump_terms`` is an ordered tuple of (operator, rate) pairs with
-    rate >= 0.  Instances built from a preset remember it so its closed-form
-    exponent stays available downstream.  The generator's table is built
-    once, here (see :func:`bloch_generator`).
+    rate >= 0.  The generator's table is built once, here (see
+    :func:`bloch_generator`), and every spectral fact of the model is read
+    from it, not from the preset that built it.
     """
 
-    def __init__(self, hamiltonian: np.ndarray, jump_terms, preset: Optional[Preset] = None):
+    def __init__(self, hamiltonian: np.ndarray, jump_terms):
         h = np.array(hamiltonian, dtype=complex)
         if h.shape != (2, 2):
             raise ValueError("hamiltonian must be 2x2")
@@ -134,7 +136,6 @@ class LindbladModel:
         h.setflags(write=False)
         self._h = h
         self._terms = tuple(terms)
-        self.preset = preset
         self._generator = bloch_table(lambda rho: generator_apply(self, rho))
         self._generator[3] = 0.0  # trace is preserved
         self._generator.setflags(write=False)
@@ -160,21 +161,21 @@ def build_model(preset: Preset) -> LindbladModel:
             raise ValueError("alpha must lie in [0, 1]")
         h = 0.5 * preset.omega * SIGMA3
         ops = from_bloch(preset.alpha * TETRA_DIRECTIONS)
-        return LindbladModel(h, [(a_i, preset.kappa) for a_i in ops], preset)
+        return LindbladModel(h, [(a_i, preset.kappa) for a_i in ops])
     if isinstance(preset, Zeno):
         if preset.kappa < 0 or preset.omega < 0:
             raise ValueError("kappa and omega must be nonnegative")
         h = 0.5 * preset.omega * SIGMA3
         e = 0.5 * (IDENTITY2 + SIGMA1)
-        return LindbladModel(h, [(e, preset.kappa)], preset)
+        return LindbladModel(h, [(e, preset.kappa)])
     if isinstance(preset, Fluorescence):
         if preset.gamma < 0 or preset.rabi < 0:
             raise ValueError("gamma and rabi must be nonnegative")
         h = -0.5 * preset.rabi * SIGMA1
         lower = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        return LindbladModel(h, [(lower, preset.gamma)], preset)
+        return LindbladModel(h, [(lower, preset.gamma)])
     if isinstance(preset, SigmaXConjugation):
-        return LindbladModel(np.zeros((2, 2)), [(SIGMA1, 1.0)], preset)
+        return LindbladModel(np.zeros((2, 2)), [(SIGMA1, 1.0)])
     raise TypeError(f"unknown preset {preset!r}")
 
 
@@ -405,25 +406,44 @@ def analytic_bloch_paths(preset: Preset, blochs: np.ndarray, times: np.ndarray) 
     return _propagate(build_model(preset), blochs, times)
 
 
+def _scaled_inverse(model: LindbladModel) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+    """(S, e, inv(S)) for the Bloch block M, S = 2^-e M with its largest entry
+    in [1/2, 1); inv(S) is None for a singular M: ``inv`` fails, or Skeel's
+    condition ||inv(S)| |S|||_inf exceeds 1e10 (rounding leaves the zero mode
+    of a rotated-dephasing table near 1e-17 of |M|, condition 5e15 and up;
+    Zeno reads 1e8 at kappa/omega = 1e8)."""
+    m = bloch_generator(model)[0]
+    e = int(np.frexp(np.abs(m).max())[1])
+    scaled = np.ldexp(m, -e)
+    with np.errstate(all="ignore"):  # an overflowed inverse reads as singular
+        try:
+            inverse = np.linalg.inv(scaled)
+        except np.linalg.LinAlgError:
+            return scaled, e, None
+        condition = (np.abs(inverse) @ np.abs(scaled)).sum(axis=1).max()
+    return scaled, e, inverse if condition <= 1e10 else None
+
+
 def stationary_state(model: LindbladModel) -> np.ndarray:
     """Bloch vector x of the unique state with L(rho) = 0.
 
-    Solves the 3x3 Bloch system M x = -b; a (numerically) singular M means
-    the fixed set is a whole affine subspace and NonUniqueStationaryError
-    is raised with the flat directions attached.  The residual |M x + b|,
-    the trace norm of the traceless hermitian L(rho), must stay below 1e-12.
-    The solution, a computed state, passes :func:`_positivity_guard`.
+    Solves M x = -b at unit scale, x = -inv(S) 2^-e b (:func:`_scaled_inverse`);
+    a singular M means the fixed set is a whole affine subspace, and
+    NonUniqueStationaryError carries its flat directions (right singular
+    vectors of S).  The scaled residual |M x + b| / 2^e must stay below
+    1e-12.  The solution, a computed state, passes :func:`_positivity_guard`.
     """
-    m, b = bloch_generator(model)
-    u, sing, vt = np.linalg.svd(m)
-    if sing[-1] <= 1e-10 * max(1.0, sing[0]):
-        null_dirs = vt[sing <= 1e-10 * max(1.0, sing[0])]
+    scaled, e, inverse = _scaled_inverse(model)
+    if inverse is None:
+        sing, vt = np.linalg.svd(scaled)[1:]
+        null_dirs = vt[sing <= max(1e-10 * sing[0], sing[-1])]
         raise NonUniqueStationaryError(
             "generator kernel is degenerate; stationary states form an affine "
             f"subspace with flat Bloch direction(s) {np.round(null_dirs, 12).tolist()}",
             null_dirs)
-    x = np.linalg.solve(m, -b)
-    residual = float(np.linalg.norm(m @ x + b))
+    b = np.ldexp(bloch_generator(model)[1], -e)
+    x = -(inverse @ b)
+    residual = float(np.linalg.norm(scaled @ x + b))
     if residual > ATOL_STRUCT:
         raise RuntimeError(f"stationary solve left residual {residual:.3e}")
     return _positivity_guard(x, math.inf)[0]

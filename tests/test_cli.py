@@ -121,6 +121,25 @@ class TestEvolveCommand:
         assert "# stationary:" in text
         assert math.isnan(read_csv_rows(out)[-1, 4])
 
+    @pytest.mark.parametrize("args, stationary", [
+        (["fluorescence", "--rabi", 1e-11, "--gamma", 1e-11], [0.0, 2.0 / 3.0, 1.0 / 3.0]),
+        (["zeno", "--kappa", 1e8, "--omega", 1], [0.0, 0.0, 0.0]),
+        (["fluorescence", "--rabi", 1e5, "--gamma", 1e5], [0.0, 2.0 / 3.0, 1.0 / 3.0]),
+    ], ids=["fluorescence-1e-11", "zeno-stiff", "fluorescence-1e5"])
+    def test_a_unique_stationary_state_at_any_scale_is_not_degenerate(self, tmp_path, args,
+                                                                      stationary):
+        # the degeneracy test once took an absolute floor: a small or stiff
+        # table read as a degenerate kernel, and a large one failed its residual
+        out = tmp_path / "e.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--preset", *args, "--t-end", 1, "--dt", 0.5,
+                        "--out", out]) == 0
+        assert "# stationary:" not in out.read_text()
+        rows = read_csv_rows(out)
+        np.testing.assert_allclose(rows[:, 4], np.linalg.norm(rows[:, 1:4] - stationary, axis=1),
+                                   rtol=1e-12, atol=1e-12)
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -622,6 +641,18 @@ class TestPdpAndFractal:
         reports = payload["sweep"] if "sweep" in payload else [payload]
         assert seen == [r["numeric"]["fit_window"][1] for r in reports] == horizons
 
+    def test_a_large_driven_emitter_reports_its_exponent(self, tmp_path):
+        # the stationary solve's residual is taken at unit scale: unscaled, it
+        # read 4.3e-12 here and the run exited 3
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["exponent", "--preset", "fluorescence", "--rabi", 1e5, "--gamma", 1e5,
+                        "--out", out]) == 0
+        numeric = json.loads(out.read_text())["numeric"]
+        assert numeric["exponent"] == pytest.approx(5e4, rel=1e-12, abs=0.0)
+        assert numeric["fit_window"] == [0.0012, 0.0024]
+
     def test_exponent_command_flags_frozen_axis(self, tmp_path):
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", "sigma_x_conjugation", "--out", out]) == 0
@@ -714,7 +745,7 @@ class TestPdpAndFractal:
         assert not out.exists()
 
     @pytest.mark.parametrize("args, kind, rate, horizon", [
-        (["tetrahedron", "--kappa", 1e-320, "--alpha", 1], "slowest decay rate", "1.33348e-320",
+        (["tetrahedron", "--kappa", 1e-320, "--alpha", 1], "slowest decay rate", "1.33299e-320",
          "inf"),
         (["tetrahedron", "--kappa", 1e-300, "--alpha", 1], "slowest decay rate", "1.33333e-300",
          "9e+301"),

@@ -13,6 +13,7 @@ from qmix.exponent import (
     MAX_HORIZON,
     MIN_HORIZON,
     MixingReport,
+    _slowest_rate,
     classify_mixing,
     default_horizon,
     default_probe_set,
@@ -22,6 +23,7 @@ from qmix.exponent import (
 from qmix.lindblad import (
     Fluorescence,
     LindbladModel,
+    NonUniqueStationaryError,
     SigmaXConjugation,
     Tetrahedron,
     Zeno,
@@ -52,6 +54,75 @@ class TestAnalyticValues:
     def test_sigma_x_rejected(self):
         with pytest.raises(ValueError, match="not completely mixing"):
             lambda_q_analytic(SigmaXConjugation())
+
+
+# presets whose spectral facts a preset-free twin must reproduce: stiff Zeno
+# tables, a precessing tetrahedron, a driven emitter and a singular table
+TWIN_PRESETS = [
+    Tetrahedron(kappa=1.0, alpha=1.0), Tetrahedron(kappa=1.0, alpha=0.8, omega=1.0),
+    Zeno(kappa=3.9, omega=1.0), Zeno(kappa=100.0, omega=1.0), Zeno(kappa=1e8, omega=1.0),
+    Zeno(kappa=1e6, omega=1e-3), Fluorescence(rabi=2.0, gamma=1.0),
+    Fluorescence(rabi=1.0, gamma=4.0), Fluorescence(rabi=1e5, gamma=1e5),
+    Fluorescence(rabi=1e-11, gamma=1e-11), SigmaXConjugation(),
+]
+
+
+class TestSpectrum:
+    """The default horizon and the stationary state come from the generator alone."""
+
+    @pytest.mark.parametrize("preset", TWIN_PRESETS, ids=repr)
+    def test_a_preset_free_twin_gets_the_same_horizon_and_stationary_state(self, preset):
+        model = build_model(preset)
+        twin = LindbladModel(model.hamiltonian, model.jump_terms)
+        assert default_horizon(twin) == default_horizon(model)
+        if isinstance(preset, SigmaXConjugation):
+            for m in (model, twin):
+                with pytest.raises(NonUniqueStationaryError):
+                    stationary_state(m)
+            return
+        assert default_horizon(model) == pytest.approx(120.0 / lambda_q_analytic(preset),
+                                                       rel=1e-11)
+        np.testing.assert_array_equal(stationary_state(twin), stationary_state(model))
+
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e3])
+    def test_zeno_rate_matches_the_closed_form(self, omega):
+        # around critical damping (kappa = 4 omega) and into the quantum Zeno
+        # regime, where eigvals(M) loses the slow rate and inv(M) keeps it
+        for ratio in (0.01, 0.1, 1.0, 3.9, 4.0000001, 4.1, 8.0, 100.0, 1e3, 1e6, 1e8, 1e9):
+            preset = Zeno(kappa=ratio * omega, omega=omega)
+            assert _slowest_rate(build_model(preset)) == pytest.approx(
+                lambda_q_analytic(preset), rel=1e-12, abs=0.0), preset
+
+    def test_critical_damping_is_resolved_to_the_square_root_of_rounding(self):
+        # at kappa = 4 omega the slowest eigenvalue is a defective double: a
+        # rounding of the table splits it by about sqrt(eps) = 1.5e-8, into a
+        # complex pair (whose mean the trace keeps) or into two reals
+        for omega in (1e-3, 0.7, 1.0, 3.3, 1e3, 12345.6):
+            preset = Zeno(kappa=4.0 * omega, omega=omega)
+            assert _slowest_rate(build_model(preset)) == pytest.approx(
+                lambda_q_analytic(preset), rel=1e-7, abs=0.0), preset
+
+    def test_precessing_and_driven_rates_match_the_closed_form(self):
+        # a complex pair's real part is 1e-16 of its modulus at the top of the
+        # range: the eigen solver alone leaves it off by up to 100%
+        for frequency in np.logspace(-3, 16, 39):
+            for preset in (Tetrahedron(kappa=1.0, alpha=0.8, omega=frequency),
+                           Tetrahedron(kappa=2.0, alpha=0.3, omega=frequency),
+                           Tetrahedron(kappa=1.0, alpha=1.0, omega=frequency),
+                           Fluorescence(rabi=frequency, gamma=1.0),
+                           Fluorescence(rabi=frequency, gamma=4.0)):
+                assert _slowest_rate(build_model(preset)) == pytest.approx(
+                    lambda_q_analytic(preset), rel=1e-12, abs=0.0), preset
+
+    @pytest.mark.parametrize("preset, horizon", [
+        (SigmaXConjugation(), 120.0), (Zeno(kappa=0.0, omega=1.0), 120.0),
+        (Zeno(kappa=1.0, omega=0.0), 120.0), (Zeno(kappa=1e10, omega=1.0), 1.2e-8),
+    ], ids=["sigma-x", "unitary", "zeno-omega-0", "zeno-kappa-1e10"])
+    def test_a_singular_table_has_no_rate(self, preset, horizon):
+        # the horizon falls back to 120 over the largest jump rate (120 with none)
+        model = build_model(preset)
+        assert _slowest_rate(model) == 0.0
+        assert default_horizon(model) == horizon
 
 
 class TestProbeSet:
@@ -172,7 +243,8 @@ class TestNumericEstimates:
         probes = default_probe_set(np.zeros(3))
         slow = build_model(Tetrahedron(kappa=1e-146, alpha=1.0))
         est = lambda_q_numeric(slow, np.zeros(3), probes, default_horizon(slow))
-        assert est.exponent == pytest.approx(lambda_q_analytic(slow.preset), rel=1e-12)
+        assert est.exponent == pytest.approx(
+            lambda_q_analytic(Tetrahedron(kappa=1e-146, alpha=1.0)), rel=1e-12)
         slower = build_model(Tetrahedron(kappa=1e-300, alpha=1.0))
         with pytest.raises(ValueError, match=r"default horizon 120 / \(slowest decay rate "
                                              r"1\.33333e-300\) = 9e\+301 exceeds the MAX_HORIZON"):

@@ -135,8 +135,8 @@ ZENO_SWEEP_WINDOWS = {
     1.0: [240.0, 480.0],
     2.0: [120.0, 240.0],
     4.0: [60.0, 120.0],
-    8.0: [223.92304845413264, 447.8460969082653],
-    16.0: [472.379000772445, 944.75800154489],
+    8.0: [223.923048454, 447.846096908],
+    16.0: [472.3790007725, 944.758001545],
 }
 # the z axis probes (4 and 5) decay at kappa/2 and sink below the floor
 ZENO_SWEEP_SHRUNK = {8.0: "[82.5716, 165.143]", 16.0: "[41.3332, 82.6663]"}

@@ -439,19 +439,38 @@ class TestAnalyticEvolve:
 class TestStationaryState:
     def test_tetrahedron_and_zeno_center(self):
         for preset in (Tetrahedron(kappa=2.0, alpha=0.6, omega=0.5),
-                       Zeno(kappa=1.0, omega=2.0)):
+                       Zeno(kappa=1.0, omega=2.0), Zeno(kappa=1e8, omega=1.0)):
             x = stationary_state(build_model(preset))
             assert np.linalg.norm(x) <= 1e-12
 
     def test_fluorescence_kernel_matches_closed_form(self):
-        # oracle: the numeric kernel solve; the closed form below reproduces it
-        for rabi, gamma in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
-            model = build_model(Fluorescence(rabi=rabi, gamma=gamma))
-            x = stationary_state(model)
-            denom = 2.0 * rabi ** 2 + gamma ** 2
-            np.testing.assert_allclose(
-                x, [0.0, 2.0 * rabi * gamma / denom, gamma ** 2 / denom], atol=1e-12)
-            assert trace_norm(generator_apply(model, from_bloch(x))) <= 1e-12
+        # oracle: the numeric kernel solve; the closed form below reproduces it.
+        # The state is scale-free, and the residual of L(rho) scales with (R, gamma)
+        for scale in (1.0, 1e-11, 1e5, 1e100):
+            for rabi, gamma in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
+                model = build_model(Fluorescence(rabi=scale * rabi, gamma=scale * gamma))
+                x = stationary_state(model)
+                denom = 2.0 * rabi ** 2 + gamma ** 2
+                np.testing.assert_allclose(
+                    x, [0.0, 2.0 * rabi * gamma / denom, gamma ** 2 / denom], atol=1e-12)
+                assert trace_norm(generator_apply(model, from_bloch(x))) / scale <= 1e-12
+
+    def test_rotated_dephasing_is_singular(self):
+        # dephasing along a random axis n under a Hamiltonian along n fixes n:
+        # rounding leaves M's zero eigenvalue near 1e-17 of |M|, so inv(M)
+        # often succeeds, and the condition number must call it singular
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            axis = n[0] * SIGMA1 + n[1] * SIGMA2 + n[2] * SIGMA3
+            model = LindbladModel(rng.uniform(0.1, 10.0) * axis,
+                                  [(axis, rng.uniform(0.1, 10.0))])
+            with pytest.raises(NonUniqueStationaryError) as err:
+                stationary_state(model)
+            flat = err.value.fixed_directions
+            assert flat.shape == (1, 3)
+            assert abs(flat[0] @ n) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_kernel_reports_fixed_axis(self):
         with pytest.raises(NonUniqueStationaryError) as err:
