@@ -34,6 +34,10 @@ cancels, one axis at 1.3e-36 beside 9.2e-25, is off by 3.1e-9 of itself.
 The README reports' exponents stay within 1e-13 of the per-time
 exponential route.  Mixing is classified where the fit ends, t_max =
 ``fit_window[1]``, on the probes propagated by exp(t_max A), all pairs at once.
+The slope fit is scale-free (:func:`qmix.fitting.line_fit`), so every finite
+positive horizon is fitted; one past the propagator's range raises
+FloatingPointError, and one at which every distance sinks below
+``DISTANCE_FLOOR`` raises FitWindowError.
 """
 
 from __future__ import annotations
@@ -75,16 +79,6 @@ DEFAULT_PROBE_SEED = 7
 # the largest distance at the same time against an extended-precision
 # exponential in the property tests) down to the denormal range.
 DISTANCE_FLOOR = 1e-290
-# Longest and shortest horizon t_max.  The slope fit squares its window's
-# centred times, (t_max/160)^2 to (t_max/4)^2 over the 81 samples of
-# [t_max/2, t_max].  Long horizons: (1e150)^2 stay finite, while from t_max =
-# 5e154 their sum overflows and the slopes are lost.  Short horizons: at
-# 1e-150 every nonzero square is a normal float; below about 6e-154 the
-# largest is subnormal, and below a t_max measured between 6.3e-162 and
-# 6.7e-162 (tetrahedron and Zeno presets) it rounds to 0, the slope's
-# denominator vanishes and numpy warns of a division by zero.
-MAX_HORIZON = 1e150
-MIN_HORIZON = 1e-150
 
 _AXES = np.array([
     [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
@@ -122,10 +116,11 @@ def lambda_q_analytic(preset: Preset) -> float:
     if isinstance(preset, Zeno):
         if preset.omega <= 0:
             raise ValueError("Zeno exponent requires omega > 0")
-        a = preset.kappa / (4.0 * preset.omega)
+        a = preset.kappa / preset.omega / 4.0
         if a <= 1.0:
             return preset.omega * a
-        return preset.omega / (a + math.sqrt(a * a - 1.0))
+        # from a = 1e9 on, sqrt(a^2 - 1) rounds to a, and a^2 would overflow
+        return preset.omega / (a + (a if a >= 1e9 else math.sqrt(a * a - 1.0)))
     if isinstance(preset, Fluorescence):
         return 0.5 * preset.gamma
     if isinstance(preset, SigmaXConjugation):
@@ -156,36 +151,23 @@ def default_horizon(model: LindbladModel) -> float:
     An exponent report's fit and mixing verdict share it.  A degenerate slow
     eigenvalue drags a polynomial-in-t prefactor into the distance, whose log
     biases the fitted slope by roughly 1/t; 120 decay times keep that bias
-    near one percent in the worst case.  A horizon past ``MAX_HORIZON`` (inf
-    too) or below ``MIN_HORIZON`` raises ValueError naming the rate.
+    near one percent in the worst case.  A subnormal rate whose horizon
+    overflows raises ValueError naming the rate.
     """
     scale = 120.0
     rate, kind = _slowest_rate(model), "slowest decay rate"
     if not rate > 0:
         rate, kind = max(model.rates(), default=0.0), "largest jump rate"
     horizon = float(f"{scale / rate if rate > 0 else scale:.12g}")
-    fault = _horizon_fault(horizon)
-    if fault:
+    if horizon == math.inf:
         raise ValueError(f"the default horizon {scale:g} / ({kind} {rate:.6g}) = "
-                         f"{horizon:g} {fault}; give t_max (--t-max) explicitly")
+                         f"{horizon:g} is not finite; give t_max (--t-max) explicitly")
     return horizon
-
-
-def _horizon_fault(t: float) -> str | None:
-    """Why the slope fit cannot use horizon ``t``, or None if it can."""
-    if not t <= MAX_HORIZON:  # inf too
-        return f"exceeds the MAX_HORIZON cap of {MAX_HORIZON:g}"
-    if t < MIN_HORIZON:
-        return f"is below the MIN_HORIZON cap of {MIN_HORIZON:g}"
-    return None
 
 
 def _check_horizon(t_max: float) -> None:
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    fault = _horizon_fault(t_max)
-    if fault:
-        raise ValueError(f"t_max = {t_max:g} {fault}")
 
 
 def _probe_blochs(probes) -> np.ndarray:

@@ -40,7 +40,6 @@ class ExponentEstimate:
     fit_window: tuple[float, float]
     per_probe_slopes: list[float]
     max_residual: float
-    completely_mixing: bool = True
     notes: list[str] = field(default_factory=list)
 
 
@@ -55,16 +54,20 @@ def line_fit(x: np.ndarray, y: np.ndarray,
     ignored, and get residual 0.  The fit is the closed form on centred
     data, slope = sum(w dx dy) / sum(w dx^2) with dx, dy measured from the
     row's weighted means, which agrees with an SVD least-squares solve to
-    rounding on the windows the estimators fit.
+    rounding on the windows the estimators fit.  It is scale-free: x is
+    fitted scaled by the power of two 2^-e that puts its largest |x| in
+    [1/2, 1), and the slope scaled back by 2^-e, both exact, so the squares
+    stay normal at any finite scale of x.
     """
-    x = np.asarray(x, dtype=float)
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    x = np.ldexp(np.asarray(x, dtype=float), -e)
     y = np.asarray(y, dtype=float)
     w = np.ones(y.shape) if mask is None else np.asarray(mask, dtype=float)
     n = w.sum(axis=-1, keepdims=True)
     dx = x - (w * x).sum(axis=-1, keepdims=True) / n
     dy = y - (w * y).sum(axis=-1, keepdims=True) / n
     slope = (w * dx * dy).sum(axis=-1) / (w * dx * dx).sum(axis=-1)
-    return slope, w * (dy - slope[..., None] * dx)
+    return np.ldexp(slope, -e), w * (dy - slope[..., None] * dx)
 
 
 def decay_slope(ts: np.ndarray, dists: np.ndarray, t_lo: float, t_hi: float,
@@ -115,10 +118,9 @@ def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,
 
     Every row not marked in ``skip`` is fitted over [t_max/2, t_max], t_max
     the last time, in one :func:`decay_slope` call.  Skipped rows stay
-    unfitted (nan), and any skipped row makes the exponent nan and the
-    family not completely mixing.  A fitted row with no window of three
-    distances above ``floor`` is excluded with a note; FitWindowError is
-    raised when every fitted row is.
+    unfitted (nan), and any skipped row makes the exponent nan.  A fitted
+    row with no window of three distances above ``floor`` is excluded with
+    a note; FitWindowError is raised when every fitted row is.
     """
     skip = np.zeros(len(dists), dtype=bool) if skip is None else np.asarray(skip)
     t_max = float(times[-1])
@@ -140,6 +142,5 @@ def probe_exponent(times: np.ndarray, dists: np.ndarray, floor: float,
         fit_window=(0.5 * t_max, t_max),
         per_probe_slopes=slopes.tolist(),
         max_residual=float(residuals.max()) if residuals.size else float("nan"),
-        completely_mixing=not skip.any(),
         notes=notes,
     )

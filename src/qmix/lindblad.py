@@ -136,7 +136,11 @@ class LindbladModel:
         h.setflags(write=False)
         self._h = h
         self._terms = tuple(terms)
-        self._generator = bloch_table(lambda rho: generator_apply(self, rho))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite table raises
+            self._generator = bloch_table(lambda rho: generator_apply(self, rho))
+        if not np.isfinite(self._generator).all():
+            raise ValueError(f"the generator table overflows: jump rates {list(self.rates())}, "
+                             f"largest hamiltonian entry {np.abs(h).max():g}")
         self._generator[3] = 0.0  # trace is preserved
         self._generator.setflags(write=False)
 

@@ -229,7 +229,7 @@ class TestConfigHandling:
         ["classical", "--probe-ks", json.dumps([1, cli.MAX_PROBE_K + 1])],
         ["evolve", "--preset", "zeno", "--kappa", 0, "--omega", 1,
          "--bloch0", "[0,0,1.0000000005]", "--t-end", 1, "--dt", 0.5],
-        ["exponent", "--preset", "tetrahedron", "--kappa", 1e-300, "--alpha", 1],
+        ["exponent", "--preset", "tetrahedron", "--kappa", 1e-320, "--alpha", 1],
         ["exponent", "--preset", "fluorescence", "--rabi", 2, "--gamma", 1, "--tol", -1],
         ["exponent", "--preset", "fluorescence", "--rabi", 2, "--gamma", 1, "--tol", 0],
     ], ids=["pdp-kappa-0", "pdp-alpha-1.5", "evolve-kappa-neg", "evolve-t-end-1e9",
@@ -248,7 +248,7 @@ class TestConfigHandling:
             "exponent-probe-seed-neg", "exponent-probe-seed-2^64", "pdp-seed-neg",
             "pdp-seed-2^64", "pdp-log-missing-dir", "classical-density-out-missing-dir",
             "classical-probe-k-past-cap", "evolve-bloch0-past-the-ball",
-            "exponent-horizon-past-cap", "exponent-tol-neg", "exponent-tol-0"])
+            "exponent-default-horizon-not-finite", "exponent-tol-neg", "exponent-tol-0"])
     def test_bad_parameters_are_config_errors(self, tmp_path, capsys, monkeypatch, args):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cloud.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
@@ -744,56 +744,84 @@ class TestPdpAndFractal:
         assert err == "error: the propagator exp(M t) overflowed before t_max = 240\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("args, kind, rate, horizon", [
-        (["tetrahedron", "--kappa", 1e-320, "--alpha", 1], "slowest decay rate", "1.33299e-320",
-         "inf"),
-        (["tetrahedron", "--kappa", 1e-300, "--alpha", 1], "slowest decay rate", "1.33333e-300",
-         "9e+301"),
-        (["zeno", "--omega", 0, "--kappa", 1e-320], "largest jump rate", "9.99989e-321", "inf"),
-        (["fluorescence", "--rabi", 0, "--gamma", 1e-320], "slowest decay rate", "4.99994e-321",
-         "inf"),
-    ], ids=["tetrahedron-subnormal", "tetrahedron-1e-300", "zeno-subnormal",
-            "fluorescence-subnormal"])
-    def test_default_horizon_past_the_cap_names_the_rate(self, tmp_path, capsys, args, kind,
-                                                         rate, horizon):
+    @pytest.mark.parametrize("args, kind, rate", [
+        (["tetrahedron", "--kappa", 1e-320, "--alpha", 1], "slowest decay rate", "1.33299e-320"),
+        (["zeno", "--omega", 0, "--kappa", 1e-320], "largest jump rate", "9.99989e-321"),
+        (["fluorescence", "--rabi", 0, "--gamma", 1e-320], "slowest decay rate", "4.99994e-321"),
+    ], ids=["tetrahedron-subnormal", "zeno-subnormal", "fluorescence-subnormal"])
+    def test_default_horizon_that_overflows_names_the_rate(self, tmp_path, capsys, args, kind,
+                                                           rate):
         out = tmp_path / "exp.json"
         assert run(["exponent", "--preset", *args, "--out", out]) == 2
         assert capsys.readouterr().err == (
-            f"config error: the default horizon 120 / ({kind} {rate}) = {horizon} exceeds "
-            "the MAX_HORIZON cap of 1e+150; give t_max (--t-max) explicitly\n")
+            f"config error: the default horizon 120 / ({kind} {rate}) = inf is not finite; "
+            "give t_max (--t-max) explicitly\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("args, message", [
-        (["tetrahedron", "--t-max", 1e-250], "t_max = 1e-250 is below"),
-        (["zeno", "--omega", 1, "--t-max", 1e-250], "t_max = 1e-250 is below"),
-        (["zeno", "--omega", 1, "--t-max", 1e-300], "t_max = 1e-300 is below"),
-        (["zeno", "--omega", 1, "--t-max", 1e-310], "t_max = 1e-310 is below"),
-        (["zeno", "--omega", 1, "--t-max", 1e-160], "t_max = 1e-160 is below"),
-        (["tetrahedron", "--kappa", 1e300, "--alpha", 1], "the default horizon 120 / "
-         "(slowest decay rate 1.33333e+300) = 9e-299 is below"),
-    ], ids=["tetrahedron-1e-250", "zeno-1e-250", "zeno-1e-300", "zeno-subnormal",
-            "zeno-1e-160", "tetrahedron-default"])
-    def test_horizon_below_the_cap_is_a_config_error(self, tmp_path, capsys, args, message):
-        # the fit's squared centred times would underflow: a raw numpy warning
-        # and an exit 3 that blamed the distance floor
+    @pytest.mark.parametrize("kappa", [1e-300, 1e300])
+    def test_a_default_horizon_at_any_scale_is_fitted(self, tmp_path, kappa):
+        # default horizons of 9e301 and 9e-299: the scale-free fit keeps its
+        # squared times normal at any scale
         out = tmp_path / "exp.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
-            assert run(["exponent", "--preset", *args, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message} the MIN_HORIZON cap of 1e-150")
-        assert not out.exists()
+            assert run(["exponent", "--preset", "tetrahedron", "--kappa", kappa,
+                        "--alpha", 1, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["numeric"]["exponent"] == pytest.approx(
+            payload["analytic"], rel=1e-12, abs=0.0)
+        assert payload["analytic"] == 4.0 / 3.0 * kappa
+        assert payload["classification"] == {"completely_mixing": True, "exact": True}
 
-    @pytest.mark.parametrize("args", [
-        ["tetrahedron"], ["tetrahedron", "--omega", 1], ["zeno", "--omega", 1],
-        ["zeno", "--kappa", 4, "--omega", 1], ["fluorescence"]],
-        ids=["tetrahedron", "tetrahedron-omega-1", "zeno", "zeno-kappa-4", "fluorescence"])
-    def test_horizon_at_the_lower_cap_runs(self, tmp_path, args):
+    @pytest.mark.parametrize("args, t_max", [
+        (["tetrahedron"], 1e-150), (["tetrahedron", "--omega", 1], 1e-150),
+        (["zeno", "--omega", 1], 1e-150), (["zeno", "--kappa", 4, "--omega", 1], 1e-150),
+        (["fluorescence"], 1e-150),
+        (["tetrahedron"], 1e-250), (["zeno", "--omega", 1], 1e-250),
+        (["zeno", "--omega", 1], 1e-300), (["zeno", "--omega", 1], 1e-310),
+        (["zeno", "--omega", 1], 1e-160),
+    ], ids=["tetrahedron", "tetrahedron-omega-1", "zeno", "zeno-kappa-4", "fluorescence",
+            "tetrahedron-1e-250", "zeno-1e-250", "zeno-1e-300", "zeno-subnormal", "zeno-1e-160"])
+    def test_a_short_horizon_reports_a_stall(self, tmp_path, args, t_max):
+        # the distances have not moved by t_max: the probes stall
         out = tmp_path / "exp.json"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(["exponent", "--preset", *args, "--t-max", 1e-150, "--out", out]) == 0
-        assert json.loads(out.read_text())["config"]["t_max"] == 1e-150
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run(["exponent", "--preset", *args, "--t-max", t_max, "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["t_max"] == t_max
+        numeric = payload["numeric"]
+        assert numeric["exponent"] is None
+        assert numeric["notes"][-1].startswith("not completely mixing at this horizon")
+        assert numeric["notes"][-1].endswith(f"kept trace distance above 1e-2 at t={t_max:g}")
+
+    @pytest.mark.parametrize("args, message", [
+        (["tetrahedron", "--t-max", 1e200],
+         "error: every fitted probe was excluded at the floor 1e-290\n"),
+        (["zeno", "--omega", 1, "--kappa", 0, "--t-max", 1.7e308],
+         "error: the propagator exp(M t) overflowed before t_max = 1.7e+308\n"),
+    ], ids=["tetrahedron-past-the-floor", "unitary-past-the-propagator"])
+    def test_a_horizon_the_numbers_cannot_reach_is_a_numerical_error(self, tmp_path, capsys,
+                                                                     args, message):
+        out = tmp_path / "exp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run(["exponent", "--preset", *args, "--out", out]) == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["exponent", "evolve"])
+    def test_a_generator_table_that_overflows_is_a_config_error(self, tmp_path, capsys,
+                                                                command):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            assert run([command, "--preset", "tetrahedron", "--kappa", 1.7e308, "--alpha", 1,
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the generator table overflows: jump rates [1.7e+308, 1.7e+308, "
+            "1.7e+308, 1.7e+308], largest hamiltonian entry 0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["--kappa", 1e-310], "kappa = 1e-310 is too small: the arrival times overflow"),

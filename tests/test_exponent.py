@@ -2,16 +2,16 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from qmix import cli, lindblad
+from qmix.fitting import FitWindowError
 from qmix.exponent import (
     DEFAULT_PROBE_SEED,
-    MAX_HORIZON,
-    MIN_HORIZON,
     MixingReport,
     _slowest_rate,
     classify_mixing,
@@ -50,6 +50,15 @@ class TestAnalyticValues:
 
     def test_fluorescence(self):
         assert lambda_q_analytic(Fluorescence(rabi=3.0, gamma=0.5)) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("kappa, omega, expected", [
+        (1e200, 1.0, 2e-200), (1e300, 1.0, 2e-300), (1e308, 1e308, 2.5e307),
+    ], ids=["zeno-1e200", "zeno-1e300", "zeno-omega-1e308"])
+    def test_zeno_closed_form_does_not_overflow(self, kappa, omega, expected):
+        # a = kappa / omega / 4: omega / (2a) from a = 1e9 on, where a^2 would
+        # overflow, and omega a at omega = 1e308, where 4 omega would
+        assert lambda_q_analytic(Zeno(kappa=kappa, omega=omega)) == pytest.approx(
+            expected, rel=1e-15, abs=0.0)
 
     def test_sigma_x_rejected(self):
         with pytest.raises(ValueError, match="not completely mixing"):
@@ -125,6 +134,47 @@ class TestSpectrum:
         assert default_horizon(model) == horizon
 
 
+# rates and frequencies scaled by 2^k, horizons by 2^-k: exact in binary
+# floating point, so every number of a report scales bit for bit
+SCALED_PRESETS = [
+    (Tetrahedron, dict(kappa=1.0, alpha=0.8, omega=1.0), ("kappa", "omega")),
+    (Zeno, dict(kappa=4.0, omega=1.0), ("kappa", "omega")),
+    (Zeno, dict(kappa=8.0, omega=1.0), ("kappa", "omega")),
+    (Fluorescence, dict(rabi=2.0, gamma=1.0), ("rabi", "gamma")),
+]
+
+
+def _report_at_scale(kind, params, scaled, k):
+    model = build_model(kind(**{**params, **{n: math.ldexp(params[n], k) for n in scaled}}))
+    ref = stationary_state(model)
+    probes = default_probe_set(ref)
+    t_max = math.ldexp(default_horizon(build_model(kind(**params))), -k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (ref, lambda_q_numeric(model, ref, probes, t_max),
+                classify_mixing(model, probes, t_max))
+
+
+@pytest.mark.parametrize("k", [100, -100, 300, -300, 600, -600, 1000, -1000])
+@pytest.mark.parametrize("kind, params, scaled", SCALED_PRESETS,
+                         ids=["tetrahedron", "zeno-4", "zeno-8", "fluorescence"])
+def test_a_report_scales_bit_for_bit(kind, params, scaled, k):
+    ref0, est0, report0 = _report_at_scale(kind, params, scaled, 0)
+    ref, est, report = _report_at_scale(kind, params, scaled, k)
+    assert ref.tobytes() == ref0.tobytes()
+    assert (np.ldexp(est0.per_probe_slopes, k).tobytes()
+            == np.array(est.per_probe_slopes).tobytes())
+    assert math.ldexp(est0.exponent, k) == est.exponent
+    assert est.fit_window == tuple(math.ldexp(t, -k) for t in est0.fit_window)
+    assert est.max_residual == est0.max_residual
+    assert report == report0
+
+    def times_blanked(notes):
+        return [re.sub(r"fit shrunk to \[[^]]*\]|at t=\S+", "T", n) for n in notes]
+
+    assert times_blanked(est.notes) == times_blanked(est0.notes)
+
+
 class TestProbeSet:
     def test_contains_axis_states_and_is_seeded(self):
         blochs = default_probe_set(np.zeros(3))
@@ -153,7 +203,6 @@ class TestNumericEstimates:
         ref = stationary_state(model)
         est = lambda_q_numeric(model, ref, default_probe_set(ref),
                                t_max=default_horizon(model))
-        assert est.completely_mixing
         assert est.exponent == pytest.approx(4.0 / 3.0, rel=0.01)
 
     def test_tetrahedron_slopes_agree_across_probes(self):
@@ -188,7 +237,6 @@ class TestNumericEstimates:
         model = build_model(SigmaXConjugation())
         ref = from_bloch([0.0, 0.0, 0.0])
         est = lambda_q_numeric(model, ref, default_probe_set(ref), t_max=20.0)
-        assert not est.completely_mixing
         assert math.isnan(est.exponent)
         assert any("not completely mixing at this horizon" in n for n in est.notes)
 
@@ -202,7 +250,7 @@ class TestNumericEstimates:
         assert math.isnan(est.per_probe_slopes[0])
         assert est.notes == ["probe 0 excluded: no fit window holds three distances "
                              "above the floor 1e-290"]
-        assert est.completely_mixing
+        assert not math.isnan(est.exponent)
         assert est.exponent == pytest.approx(lambda_q_analytic(Zeno(kappa=16.0, omega=1.0)),
                                              rel=1e-3)
 
@@ -235,39 +283,58 @@ class TestNumericEstimates:
         with pytest.raises(ValueError, match="t_max must be finite and positive"):
             classify_mixing(model, probes, t_max=t_max)
 
-    def test_horizon_is_capped_where_the_fit_stays_finite(self):
-        # the default horizon is 120 decay times: 9e147 at kappa = 1e-146
-        # still fits, while 9e301 at kappa = 1e-300 would overflow the squared
-        # times of the fit and read every slope as 0; the default horizon
-        # names the rate it came from, a given t_max names itself
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-146, 1e146, 1e300])
+    def test_any_finite_default_horizon_is_fitted(self, kappa):
+        # default horizons from 9e-299 to 9e301 fit at unit scale, with no
+        # numpy warning
+        preset = Tetrahedron(kappa=kappa, alpha=1.0)
+        model = build_model(preset)
         probes = default_probe_set(np.zeros(3))
-        slow = build_model(Tetrahedron(kappa=1e-146, alpha=1.0))
-        est = lambda_q_numeric(slow, np.zeros(3), probes, default_horizon(slow))
-        assert est.exponent == pytest.approx(
-            lambda_q_analytic(Tetrahedron(kappa=1e-146, alpha=1.0)), rel=1e-12)
-        slower = build_model(Tetrahedron(kappa=1e-300, alpha=1.0))
-        with pytest.raises(ValueError, match=r"default horizon 120 / \(slowest decay rate "
-                                             r"1\.33333e-300\) = 9e\+301 exceeds the MAX_HORIZON"):
-            default_horizon(slower)
-        with pytest.raises(ValueError, match=r"t_max = 9e\+301 exceeds the MAX_HORIZON cap"):
-            lambda_q_numeric(slower, np.zeros(3), probes, 9e301)
-        with pytest.raises(ValueError, match="MAX_HORIZON"):
-            classify_mixing(slower, probes, 2.0 * MAX_HORIZON)
+        t_max = default_horizon(model)
+        assert t_max == float(f"{90.0 / kappa:.12g}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lambda_q_numeric(model, np.zeros(3), probes, t_max)
+            report = classify_mixing(model, probes, t_max)
+        assert est.exponent == pytest.approx(lambda_q_analytic(preset), rel=1e-12, abs=0.0)
+        assert report == MixingReport(True, True)
 
-    def test_horizon_is_capped_where_the_squared_times_stay_normal(self):
-        # below t_max = 6.3e-162 the fit's largest squared centred time rounds
-        # to 0 and its slope divides by it; the default horizon names its rate
-        probes = default_probe_set(np.zeros(3))
+    @pytest.mark.parametrize("t_max", [1e-160, 1e-250, 1e-310])
+    def test_a_short_horizon_reports_a_stall(self, t_max):
+        # the distances have not moved: every probe that starts farther than
+        # 1e-2 from the reference stalls, and the exponent is nan
         model = build_model(Tetrahedron(kappa=1.0, alpha=1.0))
-        with pytest.raises(ValueError, match=r"t_max = 1e-160 is below the MIN_HORIZON cap "
-                                             r"of 1e-150"):
-            lambda_q_numeric(model, np.zeros(3), probes, 1e-160)
-        with pytest.raises(ValueError, match="MIN_HORIZON"):
-            classify_mixing(model, probes, 0.5 * MIN_HORIZON)
-        fast = build_model(Tetrahedron(kappa=1e300, alpha=1.0))
-        with pytest.raises(ValueError, match=r"default horizon 120 / \(slowest decay rate "
-                                             r"1\.33333e\+300\) = 9e-299 is below the MIN_HORIZON"):
-            default_horizon(fast)
+        probes = default_probe_set(np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lambda_q_numeric(model, np.zeros(3), probes, t_max)
+            report = classify_mixing(model, probes, t_max)
+        stalled = np.flatnonzero(np.linalg.norm(probes, axis=1) > 1e-2).tolist()
+        assert math.isnan(est.exponent) and est.fit_window == (0.5 * t_max, t_max)
+        assert np.flatnonzero(np.isnan(est.per_probe_slopes)).tolist() == stalled
+        assert est.notes == [f"not completely mixing at this horizon: probe(s) {stalled} "
+                             f"kept trace distance above 1e-2 at t={t_max:g}"]
+        assert report == MixingReport(False, False)
+
+    def test_a_default_horizon_that_overflows_is_refused(self):
+        slowest = build_model(Tetrahedron(kappa=1e-320, alpha=1.0))
+        with pytest.raises(ValueError, match=r"^the default horizon 120 / \(slowest decay rate "
+                                             r"1\.33299e-320\) = inf is not finite; give t_max "
+                                             r"\(--t-max\) explicitly$"):
+            default_horizon(slowest)
+
+    def test_a_horizon_past_the_distance_floor_fails_in_the_fit(self):
+        model = build_model(Tetrahedron(kappa=1.0, alpha=1.0))
+        with pytest.raises(FitWindowError, match="every fitted probe was excluded at the "
+                                                 "floor 1e-290"):
+            lambda_q_numeric(model, np.zeros(3), default_probe_set(np.zeros(3)), 1e200)
+
+    def test_a_horizon_past_the_propagator_range_fails(self):
+        model = build_model(Zeno(kappa=0.0, omega=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="propagator exp"):
+                lambda_q_numeric(model, np.zeros(3), default_probe_set(np.zeros(3)), 1.7e308)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tolerance_must_be_positive(self, tol):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmix.fitting import FitWindowError, decay_slope, probe_exponent
+from qmix.fitting import FitWindowError, decay_slope, line_fit, probe_exponent
 
 TIMES = np.linspace(0.0, 10.0, 41)
 FLOOR = 1e-13
@@ -22,7 +22,7 @@ def test_minimum_over_fitted_rows():
     assert est.per_probe_slopes == pytest.approx([1.0, 2.0])
     assert est.exponent == pytest.approx(1.0)
     assert est.fit_window == (5.0, 10.0)
-    assert est.completely_mixing and not est.notes
+    assert not est.notes
 
 
 def test_skipped_rows_give_nan_and_no_note():
@@ -30,7 +30,6 @@ def test_skipped_rows_give_nan_and_no_note():
     assert est.per_probe_slopes[0] == pytest.approx(1.0)
     assert math.isnan(est.per_probe_slopes[1])
     assert math.isnan(est.exponent)
-    assert not est.completely_mixing
     assert not est.notes
 
 
@@ -39,7 +38,6 @@ def test_unfittable_row_is_excluded_with_a_note_naming_the_floor():
     est = probe_exponent(TIMES, table(1.0, 40.0), FLOOR)
     assert math.isnan(est.per_probe_slopes[1])
     assert est.exponent == pytest.approx(1.0)
-    assert est.completely_mixing
     [note] = est.notes
     assert note.startswith("probe 1") and "excluded" in note and f"{FLOOR:g}" in note
 
@@ -55,7 +53,7 @@ def test_every_row_skipped_gives_nan_without_raising():
     est = probe_exponent(TIMES, table(40.0, 50.0), FLOOR, skip=[True, True])
     assert math.isnan(est.exponent) and math.isnan(est.max_residual)
     assert all(math.isnan(s) for s in est.per_probe_slopes)
-    assert not est.completely_mixing and not est.notes
+    assert not est.notes
 
 
 def test_shrunk_window_is_noted_and_fitted():
@@ -65,7 +63,7 @@ def test_shrunk_window_is_noted_and_fitted():
     assert est.notes == [f"probe 1: distance fell below {FLOOR:g} before the nominal "
                          "window; fit shrunk to [2.375, 4.75]"]
     assert est.per_probe_slopes == pytest.approx([1.0, 6.0])
-    assert est.exponent == pytest.approx(1.0) and est.completely_mixing
+    assert est.exponent == pytest.approx(1.0)
 
 
 def oracle_line_fit(x, y):
@@ -131,3 +129,21 @@ def test_table_fit_matches_the_per_row_fit(seed, n_rows, n_times, log_floor, lo_
         assert residual == pytest.approx(want_rms, rel=1e-12, abs=1e-14 * scale)
         expected_notes.append(note)
     assert notes == (None if all(n is None for n in expected_notes) else expected_notes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-1000, 1000))
+def test_line_fit_is_scale_free(seed, k):
+    """x scaled by 2^k gives the slopes scaled by 2^-k and the same residuals,
+    bit for bit: no square of a centred x overflows or turns subnormal."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, rng.uniform(1.0, 20.0), 41)
+    # slopes of 0.5 to 5 in size stay normal when scaled by 2^-1000
+    rates = rng.uniform(0.5, 5.0, (3, 1)) * rng.choice([-1.0, 1.0], (3, 1))
+    y = 0.1 * rng.standard_normal((3, 41)) + rates * x
+    mask = rng.random((3, 41)) < 0.7
+    mask[:, :3] = True
+    slope, resid = line_fit(x, y, mask)
+    scaled_slope, scaled_resid = line_fit(np.ldexp(x, k), y, mask)
+    assert scaled_slope.tobytes() == np.ldexp(slope, -k).tobytes()
+    assert scaled_resid.tobytes() == resid.tobytes()

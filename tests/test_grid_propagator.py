@@ -158,7 +158,7 @@ def test_readme_fluorescence_report_is_pinned(tmp_path):
                                 "--gamma", "1"])
     assert report["classification"] == {"completely_mixing": True, "exact": False}
     numeric = report["numeric"]
-    assert numeric["completely_mixing"]
+    assert numeric["exponent"] is not None
     assert numeric["notes"] == []
     assert numeric["fit_window"] == [120.0, 240.0]
     _assert_pinned(numeric, FLUORESCENCE_EXPONENT, FLUORESCENCE_SLOPES)
@@ -171,7 +171,7 @@ def test_readme_zeno_sweep_report_is_pinned(tmp_path):
     for entry in report["sweep"]:
         kappa, numeric = entry["kappa"], entry["numeric"]
         assert entry["classification"] == {"completely_mixing": True, "exact": True}
-        assert numeric["completely_mixing"]
+        assert numeric["exponent"] is not None
         assert numeric["fit_window"] == ZENO_SWEEP_WINDOWS[kappa]
         shrunk = ZENO_SWEEP_SHRUNK.get(kappa)
         assert numeric["notes"] == ([] if shrunk is None else [

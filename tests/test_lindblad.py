@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestModelBuilding:
     def test_non_finite_model_rejected(self, hamiltonian, op, rate):
         with pytest.raises(ValueError, match="finite"):
             LindbladModel(hamiltonian, [(op, rate)])
+
+    def test_a_generator_table_that_overflows_names_the_rates(self):
+        # finite rates whose table overflows fail here, naming the rates,
+        # with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            with pytest.raises(ValueError, match=re.escape(
+                    "the generator table overflows: jump rates [1.7e+308, 1.7e+308, 1.7e+308, "
+                    "1.7e+308], largest hamiltonian entry 0")):
+                build_model(Tetrahedron(kappa=1.7e308, alpha=1.0))
+            assert np.isfinite(build_model(Tetrahedron(kappa=1e307, alpha=1.0))._generator).all()
 
 
 class TestGenerator:
