@@ -22,9 +22,10 @@ parameters and seed; the draw order is pinned in ``sample_path``.
 
 One private kernel, ``_jump_kernel``, holds the weights 1 + a^2 + 2 a r.n_i,
 the pick rule (for a uniform u, the first detector whose running weight sum
-exceeds u 4 (1 + a^2), else detector 4) and the renormalized post-jump map.
-The scalar loop ``_scalar_steps`` repeats its arithmetic for one state on
-Python floats, bit for bit.
+exceeds u 4 (1 + a^2), else detector 4) and the renormalized post-jump map
+for every batch, and ``_precess`` the precession.  The scalar loop
+``_scalar_steps`` repeats their arithmetic for one state on Python floats,
+bit for bit; no step calls BLAS.
 
 ``sample_path`` is the one path sampler: it runs a burn-in and the kept
 jumps as one path, and stores the kept events by column
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import array
 import math
+import operator
 import os
 from dataclasses import dataclass
 from itertools import repeat
@@ -123,6 +125,11 @@ def _check_args(alpha, kappa=1.0, t_end=0.0, detector=1, burn_in=0, r=None, **co
     if expected > MAX_EXPECTED_JUMPS:
         raise ValueError(f"rate * t_end = {expected:.6g} exceeds the MAX_EXPECTED_JUMPS "
                          f"cap of {MAX_EXPECTED_JUMPS} jumps per path")
+    for name, value in (("detector", detector), ("burn_in", burn_in), *counts.items()):
+        try:  # any integer type that operator.index takes, but not a bool
+            operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not 1 <= detector <= 4:
         raise ValueError("detector index must be in 1..4")
     for name, count in counts.items():
@@ -143,17 +150,17 @@ _DIRECTIONS_BY_AXIS = np.ascontiguousarray(TETRA_DIRECTIONS.T)
 class _Workspace:
     """Arrays for batches of up to ``rows`` states.
 
-    ``_jump_kernel`` and ``_ensemble_chunk`` write every batch-sized
-    intermediate through ``out=`` into prefix views of these arrays, so one
-    workspace serves every round of every chunk a worker runs, and a round
-    faults in no fresh pages.  ``out`` holds the kernel's post-jump states
-    (the ensemble's current states), ``src`` the live states a round
-    compacts for the kernel, and ``scratch`` the temporaries of both.
+    ``_jump_kernel``, ``_precess`` and ``_ensemble_chunk`` write every
+    batch-sized intermediate through ``out=`` into prefix views of these
+    arrays, so one workspace serves every round of every chunk a worker
+    runs, and a round faults in no fresh pages.  ``out`` holds the kernel's
+    post-jump states (the ensemble's current states), ``src`` the live
+    states a round compacts for the kernel, and ``scratch`` the temporaries.
     """
 
     def __init__(self, rows: int):
-        self.dots = np.empty((rows, 4))
-        self.w = np.empty((rows, 4))
+        self.dots = np.empty(4 * rows)  # as (4, n): one row per detector
+        self.w = np.empty(4 * rows)
         self.out = np.empty((rows, 3))
         self.src = np.empty((rows, 3))
         self.final = np.empty((rows, 3))
@@ -165,33 +172,33 @@ class _Workspace:
         self.at = np.empty(rows, dtype=np.intp)
         self.ids = np.empty((2, rows), dtype=np.intp)
         self.index = np.arange(rows)
-        self.offsets = np.arange(0, 4 * rows, 4)  # flat index of each row of an (n, 4) array
 
 
 def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
-                 pick: Optional[np.ndarray] = None, dots: Optional[np.ndarray] = None,
-                 ws: Optional[_Workspace] = None):
-    """Weights ``w`` (n, 4), 0-based picks and renormalized post-jump states
+                 pick: Optional[np.ndarray] = None, ws: Optional[_Workspace] = None):
+    """Weights ``w`` (4, n), 0-based picks and renormalized post-jump states
     for a batch ``r`` (n, 3); returns ``(w, pick, out)``.
 
+    The one arithmetic of a jump: r.n_i is summed in the ``sample_path``
+    loop's order, x n_ix + y n_iy + z n_iz, into one row per detector, so
+    each state steps exactly as the sampler does, with no BLAS call.
     Uniforms ``u`` draw the picks by the module's rule, or ``pick`` is
-    given; with neither, ``pick`` and ``out`` are None.  ``dots`` defaults
-    to r.n_i summed in the ``sample_path`` loop's order, so one state steps
-    exactly as the sampler does; the ensemble passes its faster matmul.
-    Results are views into ``ws`` (a fresh workspace when None), valid
-    until its next use; ``r`` must not be a view of ``ws.out``.
+    given; with neither, ``pick`` and ``out`` are None.  Results are views
+    into ``ws`` (a fresh workspace when None), valid until its next use;
+    ``r`` is copied into ``ws`` before anything else is written there, so
+    it may be ``ws.out``, which the call then steps in place.
     """
     m = len(r)
     if ws is None:
         ws = _Workspace(m)
-    w = ws.w[:m]
-    if dots is None:
-        dots = ws.dots[:m]
-        n = TETRA_DIRECTIONS
-        np.multiply(r[:, 0:1], n[:, 0], out=dots)
-        for k in (1, 2):
-            np.multiply(r[:, k:k + 1], n[:, k], out=w)
-            np.add(dots, w, out=dots)
+    dots, w = ws.dots[:4 * m].reshape(4, m), ws.w[:4 * m].reshape(4, m)
+    xyz = ws.scratch[7:10, :m]  # r by coordinate: contiguous rows
+    np.copyto(xyz, r.T)
+    n = _DIRECTIONS_BY_AXIS[:, :, None]  # n[k]: coordinate k of each direction, a column
+    np.multiply(n[0], xyz[0], out=dots)
+    for k in (1, 2):
+        np.multiply(n[k], xyz[k], out=w)
+        np.add(dots, w, out=dots)
     a2 = alpha * alpha
     np.multiply(dots, 2.0 * alpha, out=w)
     np.add(w, 1.0 + a2, out=w)
@@ -203,10 +210,10 @@ def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
         below = ws.flags[:, :m]
         pick = ws.pick[:m]
         np.multiply(u, 4.0 * (1.0 + a2), out=thr)  # u * 4 is exact: the bits of u * 4 * (1 + a2)
-        np.greater_equal(thr, w[:, 0], out=below[0])
-        np.add(w[:, 0], w[:, 1], out=running)
+        np.greater_equal(thr, w[0], out=below[0])
+        np.add(w[0], w[1], out=running)
         np.greater_equal(thr, running, out=below[1])
-        np.add(running, w[:, 2], out=running)
+        np.add(running, w[2], out=running)
         np.greater_equal(thr, running, out=below[2])
         np.logical_and(below[1], below[0], out=below[1])
         np.logical_and(below[2], below[1], out=below[2])
@@ -217,11 +224,12 @@ def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
     if pick is None:
         return w, None, None
     den, dot, c1, c2 = ws.scratch[:4, :m]
-    normals, xyz = ws.scratch[4:7, :m], ws.scratch[7:10, :m]
-    at = ws.at[:m]
-    np.add(pick, ws.offsets[:m], out=at)
-    w.ravel().take(at, out=den, mode="clip")
-    dots.ravel().take(at, out=dot, mode="clip")
+    normals = ws.scratch[4:7, :m]
+    at = ws.at[:m]  # the flat index pick m + i of row i's picked entry
+    np.multiply(pick, m, out=at)
+    np.add(at, ws.index[:m], out=at)
+    w.take(at, out=den, mode="clip")
+    dots.take(at, out=dot, mode="clip")
     np.divide(1.0 - a2, den, out=c1)
     np.multiply(dot, alpha, out=c2)  # 2 a (1 + a dot) / den
     np.add(c2, 1.0, out=c2)
@@ -229,7 +237,7 @@ def _jump_kernel(r: np.ndarray, alpha: float, u: Optional[np.ndarray] = None,
     np.divide(c2, den, out=c2)
     _DIRECTIONS_BY_AXIS.take(pick, axis=1, out=normals, mode="clip")
     np.multiply(normals, c2, out=normals)
-    np.multiply(r.T, c1, out=xyz)
+    np.multiply(xyz, c1, out=xyz)
     np.add(xyz, normals, out=xyz)
     norm = den
     np.multiply(xyz, xyz, out=normals)
@@ -245,7 +253,7 @@ def jump_probs(r, alpha: float) -> np.ndarray:
     """Detector probabilities p_i(r); nonnegative and summing to one."""
     _check_args(alpha, r=r)
     w, _, _ = _jump_kernel(np.asarray(r, dtype=float)[None, :], alpha)
-    return w[0] / (4.0 * (1.0 + alpha * alpha))
+    return w[:, 0] / (4.0 * (1.0 + alpha * alpha))
 
 
 def jump_map(r, detector: int, alpha: float) -> np.ndarray:
@@ -261,7 +269,7 @@ def jump_map(r, detector: int, alpha: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # the antipode, rejected below
         w, _, out = _jump_kernel(np.asarray(r, dtype=float)[None, :], alpha,
                                  pick=np.array([detector - 1]))
-    if w[0, detector - 1] < 1e-12:
+    if w[detector - 1, 0] < 1e-12:
         raise ValueError("jump map undefined at the detector antipode for alpha = 1")
     return out[0]
 
@@ -360,10 +368,22 @@ def _scalar_steps(state, lo: int, hi: int, alpha: float, omega: float, waits: np
             states[k + 2] = z
 
 
-def _precess(r: np.ndarray, c: np.ndarray, s: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    """Rotate the rows of ``r`` about z in place, row i by the angle whose
-    cosine and sine are ``c[i]`` and ``s[i]``: x, y = c x - s y, s x + c y,
-    the scalar loop's arithmetic; ``p`` and ``q`` are scratch rows."""
+def _precess(r: np.ndarray, angles: np.ndarray, exact: int, ws: _Workspace) -> None:
+    """Rotate the rows of ``r`` about z in place, row i by ``angles[i]``:
+    x, y = c x - s y, s x + c y, the scalar loop's arithmetic.  The first
+    ``exact`` rows take the scalar loop's math.cos and math.sin; the rest
+    take numpy's, which are faster but need not match libm bit for bit
+    (lockstep guesses then meet the path less often: more reruns, the same
+    bytes).  Works in ``ws.scratch[6:10]``."""
+    m = len(r)
+    c, s, p, q = ws.scratch[6:10, :m]
+    if exact < m:
+        np.cos(angles[exact:], out=c[exact:])
+        np.sin(angles[exact:], out=s[exact:])
+    if exact:
+        listed = angles[:exact].tolist()
+        c[:exact] = np.fromiter(map(math.cos, listed), float, exact)
+        s[:exact] = np.fromiter(map(math.sin, listed), float, exact)
     x, y = r[:, 0], r[:, 1]
     np.multiply(c, x, out=p)
     np.multiply(s, y, out=q)
@@ -376,28 +396,12 @@ def _precess(r: np.ndarray, c: np.ndarray, s: np.ndarray, p: np.ndarray, q: np.n
 
 def _lockstep_round(r: np.ndarray, alpha: float, omega: float, waits: np.ndarray,
                     uniforms: np.ndarray, exact: int, ws: _Workspace):
-    """One step of each row of ``r`` on its own draws ``waits`` and
-    ``uniforms``: precess ``r`` in place by omega times the waits, then
-    jump through the kernel; returns the kernel's 0-based picks and
-    post-jump states.  The first ``exact`` rows take the scalar loop's
-    math.cos and math.sin; the rest are guesses and take numpy's, which
-    are faster but need not match libm bit for bit (where they differ,
-    guesses meet the path less often: more reruns, the same bytes).
-    """
-    m = len(r)
+    """One step of each row of ``r`` on its own draws: ``_precess`` by omega
+    times ``waits`` (libm's trig for the first ``exact`` rows), then the
+    kernel on ``uniforms``; returns its 0-based picks and post-jump states."""
     if omega != 0.0:
-        angles, c, s, p, q = ws.scratch[:5, :m]
-        np.multiply(waits, omega, out=angles)
-        if exact < m:
-            np.cos(angles[exact:], out=c[exact:])
-            np.sin(angles[exact:], out=s[exact:])
-        if exact:
-            listed = angles[:exact].tolist()
-            c[:exact] = np.fromiter(map(math.cos, listed), float, exact)
-            s[:exact] = np.fromiter(map(math.sin, listed), float, exact)
-        _precess(r, c, s, p, q)
-    _, pick, out = _jump_kernel(r, alpha, u=uniforms, ws=ws)
-    return pick, out
+        _precess(r, np.multiply(waits, omega, out=ws.scratch[0, :len(r)]), exact, ws)
+    return _jump_kernel(r, alpha, u=uniforms, ws=ws)[1:]
 
 
 def _coalesces(r0, alpha: float, omega: float, waits: np.ndarray, uniforms: np.ndarray) -> bool:
@@ -407,13 +411,13 @@ def _coalesces(r0, alpha: float, omega: float, waits: np.ndarray, uniforms: np.n
     met stay met, so the probe stops at the quorum."""
     places = _PROBE_PLACES
     starts = np.tile(np.linspace(0, len(waits) - _WARM_UP, places).astype(np.intp), 2)
-    r = np.empty((2 * places, 3))
+    ws = _Workspace(2 * places)
+    r = ws.out  # stepped in place
     r[:places], r[places:] = r0, np.negative(r0)
     bits = r.view(np.uint64)
-    ws = _Workspace(2 * places)
     for step in range(_WARM_UP):
         at = starts + step
-        np.copyto(r, _lockstep_round(r, alpha, omega, waits[at], uniforms[at], 0, ws)[1])
+        _lockstep_round(r, alpha, omega, waits[at], uniforms[at], 0, ws)
         met = np.logical_and.reduce(bits[:places] == bits[places:], axis=1)
         if np.count_nonzero(met) >= _PROBE_QUORUM:
             return True
@@ -444,17 +448,15 @@ def _lockstep(r0, alpha: float, omega: float, waits: np.ndarray, uniforms: np.nd
     picks_np = np.frombuffer(picks, dtype=np.int64)
     states_np = np.frombuffer(states).reshape(n, 3)
     ws = _Workspace(count)
-    r = np.empty((count, 3))
+    r = ws.out  # stepped in place
     r[...] = r0
     for step in range(warm_up + length):
         m = min(count, (n - 1 - step) // length + 1)  # the segments with s L + step < n
-        live = r[:m]
         exact = 1 if step < warm_up else m  # in the warm-up, segment 0 alone owns its step
-        pick, out = _lockstep_round(live, alpha, omega, waits[step::length][:m],
+        pick, out = _lockstep_round(r[:m], alpha, omega, waits[step::length][:m],
                                     uniforms[step::length][:m], exact, ws)
         np.add(pick, 1, out=picks_np[step::length][:m])
         states_np[step::length][:m] = out
-        np.copyto(live, out)
         if step == warm_up - 1:
             guessed = r.view(np.uint64).copy()
     written = states_np[warm_up - 1::length][:count].view(np.uint64)  # a view: sees reruns
@@ -534,7 +536,7 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
     t.fill(0.0)
     r[...] = r0
     while m:
-        dt, t_next, c, s, p, q, drawn = ws.scratch[:7, :m]
+        dt, t_next, drawn, left = ws.scratch[:4, :m]
         over = ws.flags[0, :m]
         rng.standard_exponential(out=dt)
         np.divide(dt, rate, out=dt)
@@ -543,12 +545,9 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
         done = np.flatnonzero(over)
         if omega != 0.0:
             # a finishing path precesses only up to t_end
-            left = t.take(done, out=p[:len(done)], mode="clip")
+            left = t.take(done, out=left[:len(done)], mode="clip")
             dt.put(done, np.subtract(t_end, left, out=left), mode="clip")
-            np.multiply(dt, omega, out=dt)
-            np.cos(dt, out=c)
-            np.sin(dt, out=s)
-            _precess(r, c, s, p, q)
+            _precess(r, np.multiply(dt, omega, out=dt), 0, ws)
         spare = ws.ids[1 - side]
         final[ids.take(done, out=spare[:len(done)], mode="clip")] = \
             r.take(done, axis=0, out=ws.src[:len(done)], mode="clip")
@@ -559,8 +558,7 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
         ids = ids.take(stay, out=spare[:m], mode="clip")
         t = t_next.take(stay, out=ws.t[:m], mode="clip")
         live = r.take(stay, axis=0, out=ws.src[:m], mode="clip")
-        dots = np.matmul(live, TETRA_DIRECTIONS.T, out=ws.dots[:m])
-        r = _jump_kernel(live, alpha, u=u, dots=dots, ws=ws)[2]
+        r = _jump_kernel(live, alpha, u=u, ws=ws)[2]
     return final.sum(axis=0)
 
 

@@ -9,9 +9,9 @@ The config hashes of one recipe per list field pin that a list value is
 embedded as given (``[1,2.0]`` stays ``[1,2.0]``).
 
 The digests hold per BLAS kernel, not per numpy or OpenBLAS version.  The
-sample-path recipes (``fractal-recipe``, ``precessing-path``) use no BLAS
-and pass on every OpenBLAS kernel tried; CI reruns them under
-``OPENBLAS_CORETYPE=Sandybridge``.  The ``writers`` case's ``traj.csv``
+sample-path recipes (``fractal-recipe``, ``precessing-path``) run the jump
+process, which calls no BLAS, and pass on every OpenBLAS kernel tried; CI
+reruns them under ``OPENBLAS_CORETYPE=Sandybridge``.  The ``writers`` case's ``traj.csv``
 rows pass through the matrix products of ``lindblad._expm`` and
 ``evolve`` and move by an ulp on a kernel without FMA (``Nehalem``,
 ``Sandybridge`` or ``Prescott`` on OpenBLAS 0.3.31); the FMA kernels

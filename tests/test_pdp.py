@@ -1,10 +1,14 @@
 """Measurement jump process: maps, probabilities, paths, ensembles."""
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -113,25 +117,31 @@ class TestJumpProbabilities:
             p = jump_probs(-n, 1.0)
             assert p.min() >= 0.0 and p[i] == 0.0
 
-    @pytest.mark.parametrize("r, alpha, match", [
-        ([0, 0, 1], 1.5, "alpha"), ([0, 0, 1], -0.5, "alpha"),
-        ([0, 0, 3], 0.5, "unit sphere"), ([0, 0, 0.5], 0.5, "unit sphere"),
-        ([0.6, 0.0, 0.8 + 2e-9], 0.5, "unit sphere"), ([math.nan, 0, 1], 0.5, "unit sphere"),
-        ([0, 1], 0.5, "3-vector"), ([0, 0, 0, 1], 0.5, "3-vector"),
-    ], ids=["alpha-1.5", "alpha-neg", "r-3", "r-half", "r-2e-9-out", "r-nan", "r-2d", "r-4d"])
-    def test_arguments_outside_the_domain_are_rejected(self, r, alpha, match):
+    @pytest.mark.parametrize("r, alpha, detector, match", [
+        ([0, 0, 1], 1.5, 1, "alpha"), ([0, 0, 1], -0.5, 1, "alpha"),
+        ([0, 0, 3], 0.5, 1, "unit sphere"), ([0, 0, 0.5], 0.5, 1, "unit sphere"),
+        ([0.6, 0.0, 0.8 + 2e-9], 0.5, 1, "unit sphere"), ([math.nan, 0, 1], 0.5, 1, "unit sphere"),
+        ([0, 1], 0.5, 1, "3-vector"), ([0, 0, 0, 1], 0.5, 1, "3-vector"),
+        ([0, 0.6, 0.8], 0.5, 2.5, "detector must be an integer, got 2.5"),
+        ([0, 0.6, 0.8], 0.5, 2.0, "detector must be an integer, got 2.0"),
+        ([0, 0.6, 0.8], 0.5, True, "detector must be an integer, got True"),
+    ], ids=["alpha-1.5", "alpha-neg", "r-3", "r-half", "r-2e-9-out", "r-nan", "r-2d", "r-4d",
+            "detector-2.5", "detector-2.0", "detector-true"])
+    def test_arguments_outside_the_domain_are_rejected(self, r, alpha, detector, match):
         # jump_probs([0, 0, 3], 0.5) returned a negative "probability" and
-        # jump_probs([0, 0, 1], 1.5) a distribution for an alpha jump_map refuses
+        # jump_probs([0, 0, 1], 1.5) a distribution for an alpha jump_map refuses;
+        # jump_map(r, 2.5, 0.5) died in numpy's casting and True ran detector 1
+        if not match.startswith("detector"):  # jump_probs takes no detector
+            with pytest.raises(ValueError, match=match):
+                jump_probs(r, alpha)
         with pytest.raises(ValueError, match=match):
-            jump_probs(r, alpha)
-        with pytest.raises(ValueError, match=match):
-            jump_map(r, 1, alpha)
+            jump_map(r, detector, alpha)
 
     def test_a_state_within_the_sphere_tolerance_is_taken_as_given(self):
         # 5e-10 off the sphere, inside box_count's 1e-9: not renormalized
         r = np.array([0.0, 0.6, 0.8 + 5e-10])
         w, _, out = _jump_kernel(r[None, :], 0.5, pick=np.array([2]))
-        assert jump_probs(r, 0.5).tolist() == (w[0] / 5.0).tolist()
+        assert jump_probs(r, 0.5).tolist() == (w[:, 0] / 5.0).tolist()
         assert jump_map(r, 3, 0.5).tolist() == out[0].tolist()
 
 
@@ -142,13 +152,12 @@ class TestPickRule:
         the dip and the first sum still picks detector 1, as the sampler's
         loop does."""
         r = np.array([pdp._unit(-TETRA_DIRECTIONS[1] + [2e-9, 0.0, 0.0])])
-        for dots in (None, r @ TETRA_DIRECTIONS.T):
-            w, _, _ = _jump_kernel(r, 1.0, dots=dots)
-            assert w[0, 1] < 0.0
-            dip = w[0, 0] + w[0, 1]
-            assert dip < w[0, 0]
-            _, pick, _ = _jump_kernel(r, 1.0, u=np.array([dip / 8.0]), dots=dots)
-            assert pick.tolist() == [0]
+        w, _, _ = _jump_kernel(r, 1.0)
+        assert w[1, 0] < 0.0
+        dip = w[0, 0] + w[1, 0]
+        assert dip < w[0, 0]
+        _, pick, _ = _jump_kernel(r, 1.0, u=np.array([dip / 8.0]))
+        assert pick.tolist() == [0]
 
     def test_full_sharpness_never_falls_through_from_detector_4s_antipode(self):
         """At alpha = 1 the weight of detector 4 is exactly 0 at -n_4; the
@@ -158,15 +167,14 @@ class TestPickRule:
         r = -TETRA_DIRECTIONS[3:4]
         largest_u = np.nextafter(1.0, 0.0)
         assert largest_u * 4.0 * 2.0 < 8.0
-        for dots in (None, r @ TETRA_DIRECTIONS.T):
-            w, _, _ = _jump_kernel(r, 1.0, dots=dots)
-            assert w[0, 3] == 0.0
-            acc = 0.0
-            for weight in w[0, :3].tolist():  # the sampler's running float sum
-                acc += weight
-            assert acc == np.cumsum(w[0])[2] == 8.0
-            _, pick, out = _jump_kernel(r, 1.0, u=np.array([largest_u]), dots=dots)
-            assert pick.tolist() == [2] and np.isfinite(out).all()
+        w, _, _ = _jump_kernel(r, 1.0)
+        assert w[3, 0] == 0.0
+        acc = 0.0
+        for weight in w[:3, 0].tolist():  # the sampler's running float sum
+            acc += weight
+        assert acc == np.cumsum(w[:, 0])[2] == 8.0
+        _, pick, out = _jump_kernel(r, 1.0, u=np.array([largest_u]))
+        assert pick.tolist() == [2] and np.isfinite(out).all()
         for seed in range(200):
             path = sample_path(omega=0.0, kappa=1.0, alpha=1.0, r0=r[0], n_jumps=1, seed=seed)
             assert path.detectors[0] != 4
@@ -394,6 +402,9 @@ class TestDetectorStatistics:
         assert chi2_sf(stat, 12) > 0.01
 
 
+EEQT_OMEGA_1 = dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=7)
+
+
 class TestEnsembleConsistency:
     def test_eeqt_rate_reproduces_the_master_equation(self):
         r0 = np.array([0.6, 0.0, 0.8])
@@ -449,6 +460,15 @@ class TestEnsembleConsistency:
             sample_path(0.0, 1.0, 0.5, n_jumps=0)
         with pytest.raises(ValueError, match="burn_in"):
             sample_path(0.0, 1.0, 0.5, n_jumps=10, burn_in=-1)
+        # counts that are not integers died in numpy or Python with a TypeError
+        for kwargs, name in [(dict(n_jumps=10.0), "n_jumps"), (dict(n_jumps=True), "n_jumps"),
+                             (dict(n_jumps=10, burn_in=2.5), "burn_in")]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                sample_path(0.0, 1.0, 0.5, **kwargs)
+        for n_paths in (10.5, True):
+            with pytest.raises(ValueError, match=r"^n_paths must be an integer, got "):
+                ensemble_bloch_mean(0.0, 1.0, 0.5, [0, 0, 1], n_paths, 1.0)
+        assert len(sample_path(0.0, 1.0, 0.5, n_jumps=np.int64(10), burn_in=np.int8(2)).times) == 10
         for seed in (-1, 2 ** 64):  # no wrapping onto another seed's stream
             with pytest.raises(ValueError, match="Philox key"):
                 sample_path(0.0, 1.0, 0.5, n_jumps=10, seed=seed)
@@ -489,19 +509,33 @@ class TestEnsembleConsistency:
             ensemble_bloch_mean(0.0, 1.0, 1.0, [0, 0, 1], 10, t_end)
         assert time.perf_counter() - start < 1.0
 
-    # every case runs the one clock; the "literal-" ids name the rate of
-    # kappa alone that those two cases ran on before it was retired
     @pytest.mark.parametrize("kwargs, expected", [
-        (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=7),
-         ("0x1.1f8ce02ce1d29p-3", "0x1.b7f77930cb236p-3", "0x1.5d0856ebd9fd7p-2")),
+        (EEQT_OMEGA_1,
+         ("0x1.1f8ce02ce1d2ap-3", "0x1.b7f77930cb236p-3", "0x1.5d0856ebd9fd7p-2")),
         (dict(omega=0.5, alpha=0.6, r0=(0.0, 0.0, 1.0), n_paths=50_000, t_end=0.8, seed=11),
-         ("0x1.4b1a98d484855p-9", "0x1.48e0c1395e657p-13", "0x1.5d4b332778e7cp-1")),
+         ("0x1.4b1a98d484852p-9", "0x1.48e0c1395e642p-13", "0x1.5d4b332778e7cp-1")),
         (dict(omega=0.0, alpha=1.0, r0=(0.6, 0.0, 0.8), n_paths=30_001, t_end=1.5, seed=3),
          ("0x1.294272fa00f61p-4", "0x1.e523f39d0bd60p-10", "0x1.cf81fcb3bfd9ap-4")),
         (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=42),
          ("0x1.18be8688e0c67p-3", "0x1.b95d5f2854368p-3", "0x1.5f09ce54ab177p-2")),
-    ], ids=["eeqt-omega-1", "eeqt-omega-0.5", "literal-frozen-partial-chunk",
-            "literal-omega-1"])
+    ], ids=["eeqt-omega-1", "eeqt-omega-0.5", "frozen-full-sharpness-partial-chunk",
+            "master-equation-run"])
     def test_means_are_pinned_bit_for_bit(self, kwargs, expected):
         mean = ensemble_bloch_mean(kappa=1.0, **kwargs)
         assert tuple(float(v).hex() for v in mean) == expected
+
+    def test_means_do_not_depend_on_the_blas_kernel(self):
+        """The ensemble calls no BLAS: a fresh interpreter on OpenBLAS's
+        Sandybridge kernel, which has no FMA, prints the same bits.  (Where
+        numpy has no OpenBLAS, or the CPU no such kernel, the variable is
+        ignored and the two runs agree trivially.)"""
+        mean = [float(v).hex() for v in ensemble_bloch_mean(kappa=1.0, **EEQT_OMEGA_1)]
+        code = ("import json; from qmix.pdp import ensemble_bloch_mean; "
+                f"print(json.dumps([float(v).hex() for v in "
+                f"ensemble_bloch_mean(kappa=1.0, **{EEQT_OMEGA_1!r})]))")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge")
+        src = str(Path(pdp.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == mean
