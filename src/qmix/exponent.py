@@ -132,16 +132,24 @@ def _slowest_rate(model: LindbladModel) -> float:
     """min -Re(lambda) over the eigenvalues lambda = 2^e / mu of the Bloch block
     M (0 if M is singular), mu those of ``lindblad._scaled_inverse``, which keep
     a stiff M's slow modes.  A complex pair's real part, which the eigensolver
-    rounds at 1e-16 of its modulus, is (tr M - the real eigenvalue) / 2; a
-    defective double (critical damping) is split by about sqrt(eps)."""
+    rounds at 1e-16 of its modulus, is (tr M - the real eigenvalue) / 2.  A
+    defective double (critical damping) is split by about sqrt(eps): into a
+    complex pair, or into two reals whose eigenvectors meet at |cos| >= 1 - 1e-6
+    and which are read as their mean when within 1e-6 of the slower.  So a true
+    pair that close is read to within half its gap, half the tolerance, unless
+    it lies on two distinct modes (as in a weakly driven emitter)."""
     scaled, e, inverse = _scaled_inverse(model)
     if inverse is None:
         return 0.0
-    lam = (1.0 / np.linalg.eigvals(inverse)).tolist()  # the eigenvalues of 2^-e M
-    real = [z.real for z in lam if not z.imag]
+    mu, vectors = np.linalg.eig(inverse)  # M's eigenvectors, unit columns
+    lam = (1.0 / mu).tolist()  # the eigenvalues of 2^-e M
+    real = sorted(((z.real, k) for k, z in enumerate(lam) if not z.imag), reverse=True)
     if len(real) == 1:  # and a complex pair
-        real.append(0.5 * (float(np.trace(scaled)) - real[0]))
-    return math.ldexp(-max(real), e)
+        return math.ldexp(-max(real[0][0], 0.5 * (float(np.trace(scaled)) - real[0][0])), e)
+    (slowest, i), (second, j) = real[:2]
+    if slowest - second <= 1e-6 * abs(slowest) and abs(vectors[:, i] @ vectors[:, j]) >= 1 - 1e-6:
+        slowest = 0.5 * (slowest + second)
+    return math.ldexp(-slowest, e)
 
 
 def default_horizon(model: LindbladModel) -> float:

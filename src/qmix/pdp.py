@@ -54,12 +54,12 @@ about a quarter of the places, and reruns would cost more than the scalar
 loop.
 
 Ensembles run in chunks of ``ENSEMBLE_CHUNK`` paths, one Philox stream per
-chunk; each round steps only the chunk's live paths, kept compacted in
-path order.  Of T worker threads, worker w runs chunks w, w + T, w + 2T,
-... in one workspace of its own: every round writes its intermediates into
-that workspace instead of fresh arrays, because freshly allocated arrays
-come back from the allocator as fresh zeroed pages, and faulting those in
-cost more than the arithmetic.
+chunk; each round adds the paths that finish to the chunk's sum and steps
+the rest, kept compacted in path order.  Of T worker threads, worker w runs
+chunks w, w + T, w + 2T, ... in one workspace of its own: every round writes
+its intermediates into that workspace instead of fresh arrays, because
+freshly allocated arrays come back from the allocator as fresh zeroed
+pages, and faulting those in cost more than the arithmetic.
 
 ``TETRA_DIRECTIONS`` and ``make_rng`` come from :mod:`qmix.states`, and
 ``DEFAULT_BURN_IN`` from the package root, where ``qmix.cli`` reads it
@@ -163,14 +163,12 @@ class _Workspace:
         self.w = np.empty(4 * rows)
         self.out = np.empty((rows, 3))
         self.src = np.empty((rows, 3))
-        self.final = np.empty((rows, 3))
         self.scratch = np.empty((10, rows))
         self.t = np.empty(rows)
         self.u = np.empty(rows)
         self.flags = np.empty((3, rows), dtype=bool)
         self.pick = np.empty(rows, dtype=np.intp)
         self.at = np.empty(rows, dtype=np.intp)
-        self.ids = np.empty((2, rows), dtype=np.intp)
         self.index = np.arange(rows)
 
 
@@ -516,23 +514,22 @@ def chaos_game(alpha: float, n_points: int, seed: int = 0,
     The first ``burn_in`` jumps are discarded; the remaining ``n_points``
     post-jump states sample the attractor of the four detector maps.
     """
+    _check_args(alpha, n_points=n_points)
     return sample_path(0.0, 1.0, alpha, r0, n_points, seed, burn_in=burn_in).states
 
 
 def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
     """Sum of final Bloch vectors for one seeded chunk of paths.
 
-    Only live paths are stepped: ``ids``, ``t`` and ``r`` hold the paths
-    still short of ``t_end``, compacted in path order, and a path's state
-    goes to its own row of ``final`` in the round it finishes.  Every
-    round works in ``ws``; ``ids`` alternates between its two rows.
+    Only live paths are stepped: ``t`` and ``r`` hold the paths still short
+    of ``t_end``, compacted in path order, and the paths that finish in a
+    round are added to the sum in that round, once they have precessed to
+    ``t_end``.  Every round works in ``ws``.
     """
     (omega, alpha, r0, n_paths, t_end, seed, stream, rate) = args
     rng = make_rng(seed, stream)
-    final = ws.final[:n_paths]
-    m, side = n_paths, 0
-    ids, t, r = ws.ids[side, :m], ws.t[:m], ws.out[:m]
-    np.copyto(ids, ws.index[:m])
+    total, m = np.zeros(3), n_paths
+    t, r = ws.t[:m], ws.out[:m]
     t.fill(0.0)
     r[...] = r0
     while m:
@@ -548,18 +545,15 @@ def _ensemble_chunk(args, ws: _Workspace) -> np.ndarray:
             left = t.take(done, out=left[:len(done)], mode="clip")
             dt.put(done, np.subtract(t_end, left, out=left), mode="clip")
             _precess(r, np.multiply(dt, omega, out=dt), 0, ws)
-        spare = ws.ids[1 - side]
-        final[ids.take(done, out=spare[:len(done)], mode="clip")] = \
-            r.take(done, axis=0, out=ws.src[:len(done)], mode="clip")
+        total += r.take(done, axis=0, out=ws.src[:len(done)], mode="clip").sum(axis=0)
         stay = np.flatnonzero(np.logical_not(over, out=over))
-        m, side = len(stay), 1 - side
+        m = len(stay)
         rng.random(out=drawn)  # fixed draw count per round
         u = drawn.take(stay, out=ws.u[:m], mode="clip")
-        ids = ids.take(stay, out=spare[:m], mode="clip")
         t = t_next.take(stay, out=ws.t[:m], mode="clip")
         live = r.take(stay, axis=0, out=ws.src[:m], mode="clip")
         r = _jump_kernel(live, alpha, u=u, ws=ws)[2]
-    return final.sum(axis=0)
+    return total
 
 
 def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
@@ -602,7 +596,4 @@ def ensemble_bloch_mean(omega: float, kappa: float, alpha: float, r0,
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for worker, sums in enumerate(pool.map(run_chunks, range(n_workers))):
             partials[worker::n_workers] = sums
-    total = np.zeros(3)
-    for part in partials:  # fixed chunk order keeps the sum deterministic
-        total += part
-    return total / n_paths
+    return sum(partials, np.zeros(3)) / n_paths  # in fixed chunk order: deterministic

@@ -111,6 +111,22 @@ class TestSpectrum:
             assert _slowest_rate(build_model(preset)) == pytest.approx(
                 lambda_q_analytic(preset), rel=1e-7, abs=0.0), preset
 
+    def test_a_critical_double_split_into_two_reals_reads_exactly(self):
+        # the eigensolver splits 50 of these doubles into two reals, which
+        # read up to 1.5e-8 low (omega = 3.3 gave 3.2999999553) and moved the
+        # horizon in its 9th digit; their mean reads the rate to rounding
+        for omega in np.logspace(-3, 4, 400).tolist():
+            model = build_model(Zeno(kappa=4.0 * omega, omega=omega))
+            assert _slowest_rate(model) == pytest.approx(omega, rel=1e-15, abs=0.0), omega
+            assert default_horizon(model) == float(f"{120 / omega:.12g}"), omega
+
+    def test_a_close_pair_with_two_eigenvectors_keeps_its_slower_rate(self):
+        # a weakly driven emitter's slow rates, gamma / 2 and about gamma / 2 +
+        # rabi^2 / gamma, lie within 1e-6 of each other on distinct modes
+        for rabi in (1e-3, 1e-4, 1e-6, 1e-8):
+            preset = Fluorescence(rabi=rabi, gamma=4.0)
+            assert _slowest_rate(build_model(preset)) == 2.0, preset
+
     def test_precessing_and_driven_rates_match_the_closed_form(self):
         # a complex pair's real part is 1e-16 of its modulus at the top of the
         # range: the eigen solver alone leaves it off by up to 100%

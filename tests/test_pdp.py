@@ -319,6 +319,16 @@ class TestLockstep:
 
 
 class TestChaosGame:
+    @pytest.mark.parametrize("n_points, message", [
+        (10.0, r"^n_points must be an integer, got 10\.0$"),
+        (True, r"^n_points must be an integer, got True$"),
+        (0, r"^n_points must be at least 1$"),
+    ], ids=["float", "bool", "zero"])
+    def test_a_bad_point_count_is_named(self, n_points, message):
+        # it was passed on unchecked, and the error named sample_path's n_jumps
+        with pytest.raises(ValueError, match=message):
+            chaos_game(0.5, n_points)
+
     def test_degenerate_at_zero_sharpness(self):
         pts = chaos_game(0.0, 100, seed=5, r0=[0.0, 0.6, 0.8])
         np.testing.assert_allclose(pts, np.tile([0.0, 0.6, 0.8], (100, 1)), atol=1e-12)
@@ -450,6 +460,14 @@ class TestEnsembleConsistency:
         for threads in (2, 3, 7):
             np.testing.assert_array_equal(means[threads], means[1])
 
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_every_path_is_summed_once(self, omega):
+        # at alpha = 0 every jump maps r to itself and precession fixes +z, so
+        # every path ends at +z: a dropped or doubled path moves the z mean,
+        # over several rounds, three chunks and a partial last one
+        mean = ensemble_bloch_mean(omega, 1.0, 0.0, (0, 0, 1), 2 * ENSEMBLE_CHUNK + 7, 3.0)
+        assert mean.tolist() == [0.0, 0.0, 1.0]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             ensemble_bloch_mean(0.0, 0.0, 0.5, [0, 0, 1], 10, 1.0)
@@ -511,13 +529,13 @@ class TestEnsembleConsistency:
 
     @pytest.mark.parametrize("kwargs, expected", [
         (EEQT_OMEGA_1,
-         ("0x1.1f8ce02ce1d2ap-3", "0x1.b7f77930cb236p-3", "0x1.5d0856ebd9fd7p-2")),
+         ("0x1.1f8ce02ce1ebfp-3", "0x1.b7f77930cb284p-3", "0x1.5d0856ebd9ec9p-2")),
         (dict(omega=0.5, alpha=0.6, r0=(0.0, 0.0, 1.0), n_paths=50_000, t_end=0.8, seed=11),
-         ("0x1.4b1a98d484852p-9", "0x1.48e0c1395e642p-13", "0x1.5d4b332778e7cp-1")),
+         ("0x1.4b1a98d484863p-9", "0x1.48e0c1395e6f9p-13", "0x1.5d4b33277910dp-1")),
         (dict(omega=0.0, alpha=1.0, r0=(0.6, 0.0, 0.8), n_paths=30_001, t_end=1.5, seed=3),
-         ("0x1.294272fa00f61p-4", "0x1.e523f39d0bd60p-10", "0x1.cf81fcb3bfd9ap-4")),
+         ("0x1.294272fa00e82p-4", "0x1.e523f39d0bd5ep-10", "0x1.cf81fcb3c003ap-4")),
         (dict(omega=1.0, alpha=0.8, r0=(0.6, 0.0, 0.8), n_paths=100_000, t_end=1.0, seed=42),
-         ("0x1.18be8688e0c67p-3", "0x1.b95d5f2854368p-3", "0x1.5f09ce54ab177p-2")),
+         ("0x1.18be8688e0dcep-3", "0x1.b95d5f28543e2p-3", "0x1.5f09ce54ab06ap-2")),
     ], ids=["eeqt-omega-1", "eeqt-omega-0.5", "frozen-full-sharpness-partial-chunk",
             "master-equation-run"])
     def test_means_are_pinned_bit_for_bit(self, kwargs, expected):
